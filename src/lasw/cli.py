@@ -7,11 +7,8 @@ BlowUpSuspected, 3 for a failing probe or study, 1 for operational errors
 
 from __future__ import annotations
 
-import itertools
-import json
 import sys
 import time
-from pathlib import Path
 
 import click
 
@@ -20,9 +17,12 @@ from .config import (
     build_coefficients,
     build_initial_field,
     load_json,
+    parse_converge_spec,
+    parse_probe_spec,
+    parse_sweep_spec,
     resolve_out_dir,
 )
-from .errors import ConfigInvalid, ConfigSyntax, LaswError
+from .errors import LaswError
 from .evolve import IntegrationControls, RunStatus, integrate
 from .io import (
     snapshot_filename,
@@ -30,15 +30,6 @@ from .io import (
     write_diagnostics_csv,
     write_json,
     write_snapshot_csv,
-)
-from .probes import (
-    commutator_probe,
-    continuous_dependence_experiment,
-    convergence_study,
-    dispersion_probe,
-    mollified_data_experiment,
-    product_probe,
-    semigroup_probe,
 )
 from .spectral import Grid
 
@@ -94,217 +85,78 @@ def run_command(config: RunConfig, quiet: bool = False) -> int:
     return 1
 
 
-_PROBE_COMMON = {"probe", "out_dir", "seed", "grid"}
-
-
-def _spec_number(spec, key, default=None, required=False):
-    if key not in spec:
-        if required:
-            raise ConfigInvalid(f"{key}: required field missing")
-        return default
-    v = spec[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigInvalid(f"{key}: expected a number, got {v!r}")
-    return float(v)
-
-
 def probe_command(spec: dict, quiet: bool = False) -> int:
     """Dispatch a probe spec and write report.json."""
-    if not isinstance(spec, dict) or "probe" not in spec:
-        raise ConfigInvalid("probe: required field missing")
-    name = spec["probe"]
-    out = resolve_out_dir(spec.get("out_dir", "out"))
-    seed = int(spec.get("seed", 0))
-    grid_n = int(spec.get("grid", 128))
-
-    if name == "semigroup":
-        allowed = _PROBE_COMMON | {"a", "w0", "t_end", "cfl", "tolerance", "tail_rel_max"}
-        _reject_unknown(spec, allowed)
-        grid = Grid(grid_n)
-        a = build_initial_field(spec.get("a", {"profile": "sine", "amplitude": 1.0, "mode": 1}), grid, seed)
-        w0 = build_initial_field(
-            spec.get("w0", {"profile": "random", "max_mode": 2, "decay_exponent": 1.0}),
-            grid, seed,
-        )
-        report = semigroup_probe(
-            a, w0,
-            _spec_number(spec, "t_end", 1.0),
-            cfl=_spec_number(spec, "cfl", 0.3),
-            tolerance=_spec_number(spec, "tolerance", 1e-6),
-            tail_rel_max=_spec_number(spec, "tail_rel_max", 1e-2),
-        )
-    elif name in ("commutator", "product"):
-        allowed = _PROBE_COMMON | {"t_exp", "r_exp", "samples", "max_mode", "stability_factor"}
-        _reject_unknown(spec, allowed)
-        fn = commutator_probe if name == "commutator" else product_probe
-        kwargs = dict(
-            n_points=grid_n,
-            stability_factor=_spec_number(spec, "stability_factor", 2.0),
-        )
-        if "max_mode" in spec:
-            kwargs["max_mode"] = int(spec["max_mode"])
-        if name == "commutator":
-            report = fn(
-                _spec_number(spec, "t_exp", required=True),
-                _spec_number(spec, "r_exp", required=True),
-                int(spec.get("samples", 50)), seed, **kwargs,
-            )
-        else:
-            report = fn(
-                _spec_number(spec, "r_exp", required=True),
-                _spec_number(spec, "t_exp", required=True),
-                int(spec.get("samples", 50)), seed, **kwargs,
-            )
-    elif name == "continuous_dependence":
-        allowed = _PROBE_COMMON | {"model", "u0", "etas", "t_end", "s_exponent", "dt", "cfl"}
-        _reject_unknown(spec, allowed)
-        grid = Grid(grid_n)
-        coeffs = build_coefficients(spec.get("model", {"preset": "normalized"}))
-        u0 = build_initial_field(spec.get("u0", {"profile": "cosine", "amplitude": 0.05, "mode": 1}), grid, seed)
-        etas = [float(e) for e in spec.get("etas", [1e-2, 1e-3, 1e-4])]
-        report = continuous_dependence_experiment(
-            u0, etas,
-            _spec_number(spec, "t_end", 1.0),
-            _spec_number(spec, "s_exponent", 2.0),
-            coeffs, seed,
-            dt=_spec_number(spec, "dt"),
-            cfl=_spec_number(spec, "cfl", 0.4),
-        )
-    elif name == "dispersion":
-        allowed = _PROBE_COMMON | {"mode", "eps", "delta", "amplitude", "window", "dt", "tolerance"}
-        _reject_unknown(spec, allowed)
-        report = dispersion_probe(
-            int(spec.get("mode", 1)),
-            _spec_number(spec, "eps", 1.0),
-            _spec_number(spec, "delta", 0.1),
-            _spec_number(spec, "amplitude", 1e-8),
-            n_points=grid_n,
-            window=_spec_number(spec, "window", 0.5),
-            dt=_spec_number(spec, "dt"),
-            tolerance=_spec_number(spec, "tolerance", 1e-6),
-        )
-    elif name == "mollified_data":
-        allowed = _PROBE_COMMON | {"model", "u0", "n_sequence", "t_end", "dt", "cfl"}
-        _reject_unknown(spec, allowed)
-        grid = Grid(grid_n)
-        coeffs = build_coefficients(spec.get("model", {"preset": "normalized"}))
-        u0 = build_initial_field(
-            spec.get("u0", {"profile": "random", "max_mode": grid_n // 4, "decay_exponent": 1.6}),
-            grid, seed,
-        )
-        report = mollified_data_experiment(
-            u0, [int(n) for n in spec.get("n_sequence", [2, 4, 8, 16])],
-            _spec_number(spec, "t_end", 0.5),
-            coeffs,
-            dt=_spec_number(spec, "dt"),
-            cfl=_spec_number(spec, "cfl", 0.4),
-        )
-    else:
-        raise ConfigInvalid(f"probe: unknown probe {name!r}")
-
-    write_json(out / "report.json", report.to_dict())
-    if not quiet:
-        click.echo(
-            f"probe {report.name}: {'pass' if report.passed else 'FAIL'} "
-            f"(max={report.max_value:.6g}) -> {out}"
-        )
-    return 0 if report.passed else 3
+    return _report_command(*parse_probe_spec(spec), quiet)
 
 
 def converge_command(spec: dict, quiet: bool = False) -> int:
     """Convergence study spec -> report.json."""
-    allowed = {"model", "u0", "t_end", "grids", "dts", "out_dir", "seed"}
-    _reject_unknown(spec, allowed)
-    out = resolve_out_dir(spec.get("out_dir", "out"))
-    seed = int(spec.get("seed", 0))
-    grids = [int(g) for g in spec.get("grids", [32, 64, 128])]
-    dts = [float(d) for d in spec.get("dts", [0.005, 0.0025, 0.00125])]
-    coeffs = build_coefficients(spec.get("model", {"preset": "normalized"}))
-    base_grid = Grid(min(grids))
-    u0 = build_initial_field(
-        spec.get("u0", {"profile": "cosine", "amplitude": 0.05, "mode": 1}),
-        base_grid, seed,
-    )
-    report = convergence_study(u0, coeffs, _spec_number(spec, "t_end", 0.5), grids, dts)
+    return _report_command(*parse_converge_spec(spec), quiet)
+
+
+def _report_command(fn, kwargs: dict, out_dir: str, quiet: bool) -> int:
+    out = resolve_out_dir(out_dir)
+    report = fn(**kwargs)
     write_json(out / "report.json", report.to_dict())
     if not quiet:
-        order = report.details.get("temporal_order")
-        click.echo(
-            f"convergence: {'pass' if report.passed else 'FAIL'} "
-            f"(order={order if order is None else f'{order:.3f}'}) -> {out}"
-        )
+        verdict = "pass" if report.passed else "FAIL"
+        if report.name == "convergence":
+            order = report.details["temporal_order"]
+            line = f"convergence: {verdict} (order={order if order is None else f'{order:.3f}'})"
+        else:
+            line = f"probe {report.name}: {verdict} (max={report.max_value:.6g})"
+        click.echo(f"{line} -> {out}")
     return 0 if report.passed else 3
 
 
 def sweep_command(spec: dict, quiet: bool = False) -> int:
-    """Cross-product sweep of run configs; one subdirectory per case."""
-    allowed = {"base", "vary", "out_dir"}
-    _reject_unknown(spec, allowed)
-    if "base" not in spec:
-        raise ConfigInvalid("base: required field missing")
-    vary = spec.get("vary", {})
-    if not isinstance(vary, dict):
-        raise ConfigInvalid("vary: expected an object of dotted-path -> list")
-    out_root = spec.get("out_dir", spec["base"].get("out_dir", "out"))
+    """Cross-product sweep of run configs; one subdirectory per case.
 
-    keys = sorted(vary)
-    value_lists = [vary[k] if isinstance(vary[k], list) else [vary[k]] for k in keys]
-    cases = list(itertools.product(*value_lists)) if keys else [()]
-
-    statuses = []
+    Every case is validated before the first one runs.
+    """
+    out_root, cases = parse_sweep_spec(spec)
     summary = []
-    for idx, values in enumerate(cases):
-        raw = json_deepcopy(spec["base"])
-        for key, value in zip(keys, values):
-            _set_dotted(raw, key, value)
-        raw["out_dir"] = str(Path(out_root) / f"case_{idx:03d}")
-        config = RunConfig.from_dict(raw)
+    for idx, (overrides, config) in enumerate(cases):
         code = run_command(config, quiet=True)
-        statuses.append(code)
         summary.append({
             "case": idx,
-            "overrides": dict(zip(keys, values)),
-            "out_dir": raw["out_dir"],
+            "overrides": overrides,
+            "out_dir": config.out_dir,
             "exit_code": code,
         })
         if not quiet:
-            click.echo(f"case {idx:03d} {dict(zip(keys, values))} -> exit {code}")
+            click.echo(f"case {idx:03d} {overrides} -> exit {code}")
     write_json(resolve_out_dir(out_root) / "sweep.json", {"cases": summary})
-    if any(code == 1 for code in statuses):
-        return 1
-    if any(code == 2 for code in statuses):
-        return 2
-    return 0
+    codes = {case["exit_code"] for case in summary}
+    return 1 if 1 in codes else 2 if 2 in codes else 0
 
 
-def json_deepcopy(obj):
-    return json.loads(json.dumps(obj))
+_COMMANDS = {
+    "run": lambda raw, quiet: run_command(RunConfig.from_dict(raw), quiet),
+    "probe": probe_command,
+    "converge": converge_command,
+    "sweep": sweep_command,
+}
 
 
-def _set_dotted(raw: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = raw
-    for p in parts[:-1]:
-        node = node.setdefault(p, {})
-        if not isinstance(node, dict):
-            raise ConfigInvalid(f"vary: path {dotted!r} does not address an object")
-    node[parts[-1]] = value
-
-
-def _reject_unknown(spec: dict, allowed: set) -> None:
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ConfigSyntax(f"unknown key(s) {sorted(unknown)} in spec")
-
-
-def _apply_overrides(raw: dict, out, seed, grid):
-    if out is not None:
-        raw["out_dir"] = out
-    if seed is not None:
-        raw["seed"] = seed
-    if grid is not None:
-        raw["grid"] = grid
-    return raw
+def _dispatch(command, config_path, out, seed, grid, quiet):
+    """Load the spec, apply the command-line overrides and run; any LaswError exits 1."""
+    try:
+        raw = load_json(config_path)
+        # a sweep overrides its base config; a study carries its own grid list
+        target = raw.get("base") if command == "sweep" else raw
+        if command == "converge":
+            grid = None
+        if isinstance(target, dict):
+            target.update({k: v for k, v in (("seed", seed), ("grid", grid)) if v is not None})
+        if out is not None:
+            raw["out_dir"] = out
+        code = _COMMANDS[command](raw, quiet)
+    except LaswError as err:
+        click.echo(f"error: {type(err).__name__}: {err}", err=True)
+        sys.exit(1)
+    sys.exit(code)
 
 
 def _common_options(f):
@@ -321,62 +173,32 @@ def main():
     """Pseudospectral solver and operator probes for periodic shallow-water models."""
 
 
-def _dispatch(handler, config_path, out, seed, grid, quiet, build=None):
-    try:
-        raw = load_json(config_path)
-        raw = _apply_overrides(raw, out, seed, grid)
-        if build is not None:
-            raw = build(raw)
-        code = handler(raw, quiet)
-    except LaswError as err:
-        click.echo(f"error: {type(err).__name__}: {err}", err=True)
-        sys.exit(1)
-    sys.exit(code)
-
-
 @main.command()
 @_common_options
-def run(config_path, out, seed, grid, quiet):
+def run(**options):
     """Integrate one configured run."""
-    _dispatch(lambda raw, q: run_command(RunConfig.from_dict(raw), q),
-              config_path, out, seed, grid, quiet)
+    _dispatch("run", **options)
 
 
 @main.command()
 @_common_options
-def probe(config_path, out, seed, grid, quiet):
+def probe(**options):
     """Run one operator/solution-map probe."""
-    _dispatch(probe_command, config_path, out, seed, grid, quiet)
+    _dispatch("probe", **options)
 
 
 @main.command()
 @_common_options
-def converge(config_path, out, seed, grid, quiet):
+def converge(**options):
     """Run a convergence study."""
-    def drop_grid(raw):
-        raw.pop("grid", None)  # studies carry their own grid list
-        return raw
-    _dispatch(converge_command, config_path, out, seed, grid, quiet, build=drop_grid)
+    _dispatch("converge", **options)
 
 
 @main.command()
 @_common_options
-def sweep(config_path, out, seed, grid, quiet):
+def sweep(**options):
     """Run a cross-product sweep of configurations."""
-    try:
-        raw = load_json(config_path)
-        base = raw.setdefault("base", {})
-        if seed is not None:
-            base["seed"] = seed
-        if grid is not None:
-            base["grid"] = grid
-        if out is not None:
-            raw["out_dir"] = out
-        code = sweep_command(raw, quiet)
-    except LaswError as err:
-        click.echo(f"error: {type(err).__name__}: {err}", err=True)
-        sys.exit(1)
-    sys.exit(code)
+    _dispatch("sweep", **options)
 
 
 if __name__ == "__main__":

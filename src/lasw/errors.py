@@ -41,6 +41,10 @@ class InvalidExponents(LaswError):
     """Probe exponents outside the admissible range."""
 
 
+class InvalidProbeInput(LaswError, ValueError):
+    """Probe argument outside its admissible range (also a ValueError)."""
+
+
 class ProbeUnresolved(LaswError):
     """A probe lost spectral resolution or its run ended prematurely."""
 

@@ -144,8 +144,11 @@ def detect_blowup(
 # stepping
 # ---------------------------------------------------------------------------
 
-def _rk4(u: SpectralField, rhs: Callable[[SpectralField], SpectralField], dt: float):
-    """One classical RK4 step; returns None if an intermediate went non-finite."""
+def _rk4(u, rhs: Callable, dt: float):
+    """One classical RK4 step of u' = rhs(u), for fields or plain coefficient arrays.
+
+    Returns None if an intermediate field went non-finite.
+    """
     try:
         k1 = rhs(u)
         k2 = rhs(u + (0.5 * dt) * k1)
@@ -236,6 +239,15 @@ def integrate(
             bound = grid.spacing / max(1.0, sup_norm(transport_field(u, coeffs)))
         return min(controls.cfl * bound, controls.sample_interval)
 
+    # the first step's bound doubles as the step-count estimate, so a run the
+    # budget cannot cover fails now rather than after max_steps steps
+    dt_first = dt_bound(u0)
+    if t_end / dt_first > controls.max_steps:
+        raise InvalidControls(
+            f"about {t_end / dt_first:.3g} steps of dt={dt_first:.3g} needed, "
+            f"over the step budget {controls.max_steps}"
+        )
+
     records = [diagnose(0.0, u0, controls.s_exponent)]
     snapshots: list[tuple[float, SpectralField]] = []
     if any(ts == 0.0 for ts in controls.snapshot_times):
@@ -257,7 +269,7 @@ def integrate(
                 raise InvalidControls(
                     f"step budget {controls.max_steps} exhausted at t={t:.6g}"
                 )
-            dt_last = min(dt_bound(u), ev - t)
+            dt_last = min(dt_first if steps == 1 else dt_bound(u), ev - t)
             u_new = _rk4(u, rhs, dt_last)
             if u_new is None:
                 status = RunStatus.NONFINITE

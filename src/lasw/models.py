@@ -28,7 +28,7 @@ conserved exactly; `flux` builds the corresponding flux function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 from .errors import GammaRelationViolated, InvalidMu, InvalidRegime
 from .spectral import (
@@ -66,9 +66,9 @@ class ModelCoefficients:
     alpha5: float = 0.0
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"coefficient {name} is not finite")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"coefficient {f.name} is not finite")
 
     @property
     def conservative(self) -> bool:

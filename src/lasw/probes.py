@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidExponents, ProbeUnresolved
-from .evolve import IntegrationControls, RunStatus, integrate
+from .errors import GridMismatch, InvalidExponents, InvalidProbeInput, ProbeUnresolved
+from .evolve import IntegrationControls, RunStatus, _rk4, integrate
 from .models import ModelCoefficients, RegimeParameters, preset_large_amplitude, transport_field
 from .spectral import (
     TWO_PI,
@@ -119,7 +119,7 @@ def semigroup_probe(
     if a.grid != w0.grid:
         raise GridMismatch("a and w0 must share a grid")
     if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+        raise InvalidProbeInput("t_end must be positive")
     grid = a.grid
     n = grid.n_points
     ny = n // 2
@@ -157,11 +157,7 @@ def semigroup_probe(
     for ts in sample_ts:
         while t < ts - 1e-13:
             step = min(dt, ts - t)
-            k1 = rhs(h)
-            k2 = rhs(h + (0.5 * step) * k1)
-            k3 = rhs(h + (0.5 * step) * k2)
-            k4 = rhs(h + step * k3)
-            h = h + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            h = _rk4(h, rhs, step)
             t = ts if ts - (t + step) < 1e-13 else t + step
         wn = norm_of(h)
         if not math.isfinite(wn):
@@ -340,11 +336,11 @@ def continuous_dependence_experiment(
     """
     etas = [float(e) for e in perturbation_sizes]
     if not etas:
-        raise ValueError("need at least one perturbation size")
+        raise InvalidProbeInput("need at least one perturbation size")
     if any(e < 0.0 for e in etas):
-        raise ValueError("perturbation sizes must be nonnegative")
+        raise InvalidProbeInput("perturbation sizes must be nonnegative")
     if any(b > a for a, b in zip(etas, etas[1:])):
-        raise ValueError("perturbation sizes must be non-increasing")
+        raise InvalidProbeInput("perturbation sizes must be non-increasing")
     grid = u0.grid
     phi = random_trig_polynomial(grid, seed, min(max_mode, grid.n_points // 2 - 1), s_exp + 0.51)
     phi = phi / sobolev_norm(phi, s_exp)
@@ -415,9 +411,9 @@ def dispersion_probe(
     error decaying ~dt^4 under refinement.
     """
     if mode < 1:
-        raise ValueError("mode must be a positive integer")
+        raise InvalidProbeInput("mode must be a positive integer")
     if amplitude > 1e-6:
-        raise ValueError("amplitude must stay in the linear regime (<= 1e-6)")
+        raise InvalidProbeInput("amplitude must stay in the linear regime (<= 1e-6)")
     grid = Grid(n_points)
     if mode >= grid.n_points // 2:
         raise ProbeUnresolved(f"mode {mode} not resolved on {n_points} points")
@@ -478,7 +474,7 @@ def mollified_data_experiment(
     """
     ns = [int(n) for n in n_sequence]
     if not ns or any(n < 1 for n in ns):
-        raise ValueError("n_sequence must contain positive integers")
+        raise InvalidProbeInput("n_sequence must contain positive integers")
     fields = [mollify(u0_rough, n) for n in ns]
     if dt is None:
         worst = max(sup_norm(transport_field(f, coeffs)) for f in fields)
@@ -523,7 +519,7 @@ def convergence_study(
     grid_sizes = sorted(int(g) for g in grids)
     dt_list = sorted((float(d) for d in dts), reverse=True)
     if len(grid_sizes) < 3 or len(dt_list) < 3:
-        raise ValueError("need at least 3 grids and 3 dts")
+        raise InvalidProbeInput("need at least 3 grids and 3 dts")
 
     def run(u_init, dt):
         n_steps = max(1, int(round(t_end / dt)))
