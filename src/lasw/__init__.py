@@ -15,25 +15,19 @@ from .errors import (
     InvalidRegime,
     IoError,
     LaswError,
-    NonRealSymbol,
     ProbeUnresolved,
 )
 from .spectral import (
     Grid,
     Mollifier,
-    MultiplierSymbol,
     SpectralField,
-    apply_multiplier,
     constant,
     dealiased_product,
-    dealiased_product3,
     default_mollifier,
     derivative,
-    derivative_symbol,
     from_physical,
     l2_norm,
     lambda_pow,
-    lambda_symbol,
     mean,
     mollify,
     random_trig_polynomial,

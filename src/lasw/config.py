@@ -244,7 +244,7 @@ _PROBES = {
         **_common(),
         "a": (_field, {"profile": "sine", "amplitude": 1.0, "mode": 1}, "a"),
         "w0": (_field, {"profile": "random", "max_mode": 2, "decay_exponent": 1.0}, "w0"),
-        "t_end": (_number, 1.0, "t_end"),
+        "t_end": (_number, 0.25, "t_end"),
         "cfl": (_positive, OMIT, "cfl"),
         "tolerance": (_number, OMIT, "tolerance"),
         "tail_rel_max": (_positive, OMIT, "tail_rel_max"),

@@ -9,10 +9,6 @@ class InvalidField(LaswError):
     """Samples or coefficients do not describe a valid real periodic field."""
 
 
-class NonRealSymbol(LaswError):
-    """Multiplier symbol would map real fields to complex ones."""
-
-
 class InvalidMu(LaswError):
     """Dispersion parameter mu outside the admissible range."""
 
@@ -38,7 +34,7 @@ class InvalidControls(LaswError):
 
 
 class InvalidExponents(LaswError):
-    """Probe exponents outside the admissible range."""
+    """Sobolev or probe exponents outside the admissible range."""
 
 
 class InvalidProbeInput(LaswError, ValueError):

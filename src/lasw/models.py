@@ -35,8 +35,6 @@ from .spectral import (
     SpectralField,
     constant,
     dealiased_product,
-    dealiased_product3,
-    dealiased_product_many,
     derivative,
     lambda_pow,
 )
@@ -294,11 +292,11 @@ def _semilinear_bracket(u: SpectralField, coeffs: ModelCoefficients) -> Spectral
     if c_u2 != 0.0:
         bracket = bracket + c_u2 * dealiased_product(u, u)
     if c_u3 != 0.0:
-        bracket = bracket + c_u3 * dealiased_product3(u, u, u)
+        bracket = bracket + c_u3 * dealiased_product(u, u, u)
     if c_ux2 != 0.0:
         bracket = bracket + c_ux2 * dealiased_product(ux, ux)
     if c_uux2 != 0.0:
-        bracket = bracket + c_uux2 * dealiased_product3(u, ux, ux)
+        bracket = bracket + c_uux2 * dealiased_product(u, ux, ux)
     return bracket
 
 
@@ -346,15 +344,15 @@ def tendency_direct(u: SpectralField, coeffs: ModelCoefficients) -> SpectralFiel
     if coeffs.beta2 != 0.0:
         rhs = rhs + coeffs.beta2 * dealiased_product(u, uxxx)
     if coeffs.gamma1 != 0.0:
-        rhs = rhs + coeffs.gamma1 * dealiased_product3(u, ux, uxx)
+        rhs = rhs + coeffs.gamma1 * dealiased_product(u, ux, uxx)
     if coeffs.gamma2 != 0.0:
-        rhs = rhs + coeffs.gamma2 * dealiased_product3(u, u, uxxx)
+        rhs = rhs + coeffs.gamma2 * dealiased_product(u, u, uxxx)
     if coeffs.gamma3 != 0.0:
-        rhs = rhs + coeffs.gamma3 * dealiased_product3(ux, ux, ux)
+        rhs = rhs + coeffs.gamma3 * dealiased_product(ux, ux, ux)
     if coeffs.alpha4 != 0.0:
-        rhs = rhs + coeffs.alpha4 * dealiased_product3(u, u, ux)
+        rhs = rhs + coeffs.alpha4 * dealiased_product(u, u, ux)
     if coeffs.alpha5 != 0.0:
-        rhs = rhs + coeffs.alpha5 * dealiased_product_many((u, u, u, ux))
+        rhs = rhs + coeffs.alpha5 * dealiased_product(u, u, u, ux)
     if coeffs.mu == 0.0:
         return rhs
     return lambda_pow(rhs, -2.0, coeffs.mu)
@@ -372,5 +370,5 @@ def flux(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
     if coeffs.beta2 != 0.0:
         p = p + (0.5 * coeffs.beta2 / mu) * dealiased_product(u, u)
     if coeffs.gamma2 != 0.0:
-        p = p + (coeffs.gamma2 / (3.0 * mu)) * dealiased_product3(u, u, u)
+        p = p + (coeffs.gamma2 / (3.0 * mu)) * dealiased_product(u, u, u)
     return p - lambda_pow(_semilinear_bracket(u, coeffs), -2.0, mu)

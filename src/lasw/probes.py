@@ -39,8 +39,10 @@ from .spectral import (
     SpectralField,
     _half,
     _half_from_phys,
+    _pad_half,
     _padded_samples,
     _phys,
+    _truncate_half,
     dealiased_product,
     from_physical,
     l2_norm,
@@ -134,13 +136,8 @@ def semigroup_probe(
     def rhs(h):
         dh = 1j * xi * h
         dh[ny] = 0.0  # unpaired Nyquist mode of an odd-order derivative
-        hp = np.zeros(m // 2 + 1, dtype=np.complex128)
-        hp[:ny] = dh[:ny]
-        prod = a_pad * _phys(hp, m)
-        hb = _half_from_phys(prod)
-        out = hb[: ny + 1].copy()
-        out[ny] = 2.0 * hb[ny].real
-        return out
+        prod = a_pad * _phys(_pad_half(dh, n, m), m)
+        return _truncate_half(_half_from_phys(prod), n)
 
     def norm_of(h):
         p = np.abs(h) ** 2
@@ -150,6 +147,11 @@ def semigroup_probe(
         return float(np.max(np.abs(h[tail_cut:])))
 
     dt = cfl * grid.spacing / max(1.0, sup_norm(a))
+    if t_end / dt > IntegrationControls.max_steps:
+        raise InvalidProbeInput(
+            f"about {t_end / dt:.3g} steps of dt={dt:.3g} needed, "
+            f"over the step budget {IntegrationControls.max_steps}"
+        )
     sample_ts = [t_end * (j + 1) / n_samples for j in range(n_samples)]
     h = _half(w0.coef)
     t = 0.0

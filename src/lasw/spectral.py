@@ -6,11 +6,12 @@ modes -n_points/2 <= n < n_points/2, with
     u(x) = sum_n u_hat[n] * exp(2*pi*i*n*x),        x in [0, 1).
 
 The angular frequency of mode n is xi_n = 2*pi*n (period-1 convention).
-Linear operators act diagonally on the coefficients (Fourier multipliers);
-nonlinear terms go through :func:`dealiased_product` and
-:func:`dealiased_product3`, which zero-pad to twice the grid before
-multiplying pointwise, so the retained modes of quadratic and cubic
-products carry no aliasing error.
+The linear operators :func:`derivative` and :func:`lambda_pow` act
+diagonally on the coefficients through symbol arrays cached per grid
+size (Fourier multipliers); nonlinear terms go through the n-ary
+:func:`dealiased_product`, which zero-pads to at least twice the grid
+before multiplying pointwise, so the retained modes of products carry no
+aliasing error.
 
 Fields are immutable value objects and every operation is a pure function,
 so they can be shared freely across threads or processes.
@@ -27,10 +28,10 @@ import numpy as np
 
 from .errors import (
     GridMismatch,
+    InvalidExponents,
     InvalidField,
     InvalidKernel,
     InvalidMu,
-    NonRealSymbol,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -258,125 +259,77 @@ def resample(field: SpectralField, n_points: int) -> SpectralField:
 # Fourier multipliers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiplierSymbol:
-    """Diagonal operator in mode space: coefficient(n) -> sigma(n)*coefficient(n).
-
-    ``rule`` receives the integer mode array and must return one complex
-    value per mode (numpy broadcasting is the expected idiom).
-    """
-
-    name: str
-    rule: Callable[[np.ndarray], np.ndarray]
+def _real_sigma(values: np.ndarray, n: int) -> np.ndarray:
+    """Frozen symbol with sigma(-k) == conj(sigma(k)); Nyquist keeps its real part."""
+    values = 0.5 * (values + np.conj(values[_conj_index(n)]))
+    values.flags.writeable = False
+    return values
 
 
-def apply_multiplier(field: SpectralField, symbol: MultiplierSymbol) -> SpectralField:
-    """Apply a Fourier multiplier to a field.
-
-    The symbol must preserve real fields, sigma(-n) == conj(sigma(n));
-    otherwise NonRealSymbol is raised.  The unpaired Nyquist mode uses the
-    single-sided convention sigma(-n/2) -> Re sigma(-n/2), which zeroes the
-    Nyquist output of odd-order derivatives.
-    """
-    grid = field.grid
-    modes = grid.modes
-    values = np.asarray(symbol.rule(modes), dtype=np.complex128)
-    if values.shape != modes.shape:
-        raise NonRealSymbol(f"symbol {symbol.name!r} must return one value per mode")
-    if not np.all(np.isfinite(values)):
-        raise NonRealSymbol(f"symbol {symbol.name!r} is not finite on all modes")
-    mirror = np.conj(values[_conj_index(grid.n_points)])
-    defect = np.abs(values - mirror)
-    defect[grid.n_points // 2] = 0.0  # unpaired mode, handled by projection below
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if float(defect.max()) > 1e-12 * scale:
-        raise NonRealSymbol(
-            f"symbol {symbol.name!r} violates sigma(-n) == conj(sigma(n))"
-        )
-    values = 0.5 * (values + mirror)  # exact symmetry; projects Nyquist to its real part
-    return SpectralField(grid, field.coef * values)
+@functools.lru_cache(maxsize=128)
+def _dx_sigma(n: int, order: int) -> np.ndarray:
+    """Symbol (i*xi_n)^order of d^order/dx^order."""
+    return _real_sigma((1j * TWO_PI * Grid(n).modes) ** order, n)
 
 
-def derivative_symbol(order: int = 1) -> MultiplierSymbol:
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError("derivative order must be a positive integer")
-    return MultiplierSymbol(
-        f"derivative^{order}", lambda n: (1j * TWO_PI * n) ** int(order)
-    )
-
-
-def lambda_symbol(s: float, mu: float) -> MultiplierSymbol:
+@functools.lru_cache(maxsize=128)
+def _lambda_sigma(n: int, s: float, mu: float) -> np.ndarray:
     """Symbol (1 + mu*xi_n^2)^(s/2) of the smoothing scale operator."""
-    if mu <= 0:
-        raise InvalidMu(f"mu must be positive, got {mu}")
-    s = float(s)
-    mu = float(mu)
-    return MultiplierSymbol(
-        f"lambda^{s}(mu={mu})",
-        lambda n: (1.0 + mu * (TWO_PI * n) ** 2) ** (s / 2.0) + 0.0j,
-    )
+    return _real_sigma((1.0 + mu * (TWO_PI * Grid(n).modes) ** 2) ** (s / 2.0) + 0.0j, n)
 
 
 def derivative(field: SpectralField, order: int = 1) -> SpectralField:
-    """Spectral derivative d^order/dx^order."""
-    return apply_multiplier(field, derivative_symbol(order))
+    """Spectral derivative d^order/dx^order.
+
+    The unpaired Nyquist mode uses the single-sided convention
+    sigma(-n/2) -> Re sigma(-n/2), which zeroes the Nyquist output of
+    odd-order derivatives.
+    """
+    if not isinstance(order, (int, np.integer)) or order < 1:
+        raise ValueError("derivative order must be a positive integer")
+    n = field.grid.n_points
+    return SpectralField(field.grid, field.coef * _dx_sigma(n, int(order)))
 
 
 def lambda_pow(field: SpectralField, s: float, mu: float = 1.0) -> SpectralField:
     """Apply (1 - mu * d^2/dx^2)^(s/2); negative s is smoothing."""
-    return apply_multiplier(field, lambda_symbol(s, mu))
+    if mu <= 0:
+        raise InvalidMu(f"mu must be positive, got {mu}")
+    s = float(s)
+    mu = float(mu)
+    if not math.isfinite(mu):
+        raise InvalidMu(f"mu must be finite, got {mu}")
+    if not math.isfinite(s):
+        raise InvalidExponents(f"s must be finite, got {s}")
+    n = field.grid.n_points
+    return SpectralField(field.grid, field.coef * _lambda_sigma(n, s, mu))
 
 
 # ---------------------------------------------------------------------------
 # dealiased products
 # ---------------------------------------------------------------------------
 
-def _require_same_grid(*fields: SpectralField) -> Grid:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise GridMismatch(
-                f"grids differ: {grid.n_points} vs {f.grid.n_points}"
-            )
-    return grid
+def dealiased_product(f: SpectralField, g: SpectralField, *more: SpectralField) -> SpectralField:
+    """Fourier truncation of the pointwise product f*g*..., free of aliasing.
 
-
-def _pointwise_truncated(fields: tuple[SpectralField, ...], grid: Grid) -> SpectralField:
-    n = grid.n_points
-    count = len(fields)
-    # 2n suffices for quadratic and cubic terms on the retained band;
-    # higher powers need (count+1)*n/2.
-    m = max(2 * n, 2 * math.ceil((count + 1) * n / 4))
+    Every factor is zero-padded to m points, multiplied pointwise and
+    truncated back, which equals the exact truncated convolution of the
+    coefficient sequences.  m = 2*n_points suffices for quadratic and
+    cubic terms on the retained band; higher powers need (count+1)*n/2.
+    """
+    fields = (f, g, *more)
+    for other in fields[1:]:
+        f._same_grid(other)
+    n = f.grid.n_points
+    m = max(2 * n, 2 * math.ceil((len(fields) + 1) * n / 4))
     # overflow is allowed to propagate: the field constructor turns it
     # into InvalidField, which the integrator maps to a NonFinite status
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = _padded_samples(fields[0], m)
-        for f in fields[1:]:
-            prod = prod * _padded_samples(f, m)
+        prod = _padded_samples(f, m)
+        for other in fields[1:]:
+            prod = prod * _padded_samples(other, m)
         h = _truncate_half(_half_from_phys(prod), n)
-    return SpectralField(grid, _full_from_half(h, n))
-
-
-def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Fourier truncation of the pointwise product f*g, free of aliasing.
-
-    Both inputs are zero-padded to 2*n_points, multiplied pointwise and
-    truncated back, which equals the exact truncated convolution of the
-    coefficient sequences.
-    """
-    return _pointwise_truncated((f, g), _require_same_grid(f, g))
-
-
-def dealiased_product3(f: SpectralField, g: SpectralField, h: SpectralField) -> SpectralField:
-    """Ternary variant for cubic terms; alias-free on the retained modes."""
-    return _pointwise_truncated((f, g, h), _require_same_grid(f, g, h))
-
-
-def dealiased_product_many(fields: tuple[SpectralField, ...]) -> SpectralField:
-    """General n-ary pointwise product with padding chosen for the arity."""
-    if not fields:
-        raise ValueError("need at least one field")
-    return _pointwise_truncated(tuple(fields), _require_same_grid(*fields))
+    return SpectralField(f.grid, _full_from_half(h, n))
 
 
 # ---------------------------------------------------------------------------

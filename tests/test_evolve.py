@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lasw.errors import InvalidControls
 from lasw.evolve import (
@@ -21,6 +22,8 @@ from lasw.models import (
     preset_large_amplitude,
     preset_normalized,
     preset_survey,
+    tendency,
+    tendency_direct,
     time_reversed,
 )
 from lasw.spectral import (
@@ -235,3 +238,93 @@ class TestDetection:
             assert res.blowup.trigger == "sup_ux"
             times.append(res.blowup.t)
         assert abs(times[1] - times[0]) <= 0.1 * times[0]
+
+
+# ---------------------------------------------------------------------------
+# invariants as properties: small grids, a few fixed steps
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=25, deadline=None, database=None)
+
+regimes = st.builds(
+    RegimeParameters,
+    eps=st.floats(min_value=0.05, max_value=1.0),
+    delta=st.floats(min_value=0.1, max_value=1.0),
+)
+# members that `tendency` accepts (conservative, mu > 0, no extension slots)
+nonlocal_models = st.one_of(
+    st.just(preset_normalized()),
+    regimes.map(preset_large_amplitude),
+    st.floats(min_value=0.0, max_value=2.0).map(
+        lambda kappa: preset_survey("ch", RegimeParameters(kappa=kappa))
+    ),
+)
+# members that only `tendency_direct` accepts
+direct_models = st.one_of(
+    regimes.map(lambda p: preset_survey("se", p)),
+    regimes.map(lambda p: preset_survey("kdv", p)),
+)
+# the models `integrate` steps with a fixed dt (kdv needs its stiff bound)
+stepped_models = st.one_of(nonlocal_models, regimes.map(lambda p: preset_survey("se", p)))
+FIXED_STEPS = IntegrationControls(dt=1e-3, sample_interval=2e-3, snapshot_times=(0.002, 0.004))
+
+
+@st.composite
+def small_fields(draw):
+    """Small wave on a nonzero mean, n <= 32."""
+    g = Grid(draw(st.sampled_from([16, 32])))
+    wave = random_trig_polynomial(
+        g, draw(st.integers(0, 2 ** 16)), draw(st.integers(1, g.n_points // 4)),
+        draw(st.floats(min_value=1.0, max_value=3.0)),
+    )
+    level = draw(st.floats(min_value=-0.5, max_value=0.5))
+    return draw(st.floats(min_value=0.0, max_value=0.1)) * wave + constant(g, level)
+
+
+def assert_hermitian(u):
+    n = u.grid.n_points
+    assert np.array_equal(u.coef[(-np.arange(n)) % n], np.conj(u.coef))
+
+
+class TestInvariants:
+    @PROPERTY
+    @given(u0=small_fields(), coeffs=stepped_models)
+    def test_integrate_conserves_mean(self, u0, coeffs):
+        res = integrate(u0, coeffs, 0.004, FIXED_STEPS)
+        assert res.state.status is RunStatus.COMPLETED
+        start = res.records[0].mean
+        for record in res.records[1:]:
+            assert abs(record.mean - start) <= 1e-12 * (1.0 + abs(start))
+
+    @PROPERTY
+    @given(
+        level=st.floats(min_value=-10.0, max_value=10.0),
+        n=st.sampled_from([16, 32]),
+        coeffs=nonlocal_models,
+        direct=direct_models,
+    )
+    def test_constants_are_fixed_points(self, level, n, coeffs, direct):
+        u = constant(Grid(n), level)
+        for out in (tendency(u, coeffs), tendency_direct(u, coeffs), tendency_direct(u, direct)):
+            assert np.max(np.abs(out.coef)) <= 1e-13
+
+    @PROPERTY
+    @given(u0=small_fields(), coeffs=nonlocal_models, direct=direct_models)
+    def test_output_fields_are_hermitian(self, u0, coeffs, direct):
+        assert_hermitian(tendency(u0, coeffs))
+        assert_hermitian(tendency_direct(u0, coeffs))
+        assert_hermitian(tendency_direct(u0, direct))
+        res = integrate(u0, coeffs, 0.004, FIXED_STEPS)
+        for u in [res.state.u] + [snap for _, snap in res.snapshots]:
+            assert_hermitian(u)
+
+    @PROPERTY
+    @given(u0=small_fields(), coeffs=stepped_models)
+    def test_rerun_is_byte_identical(self, u0, coeffs):
+        first = integrate(u0, coeffs, 0.004, FIXED_STEPS)
+        second = integrate(u0, coeffs, 0.004, FIXED_STEPS)
+        assert first.records == second.records
+        assert first.state.u.coef.tobytes() == second.state.u.coef.tobytes()
+        assert [(t, u.coef.tobytes()) for t, u in first.snapshots] == [
+            (t, u.coef.tobytes()) for t, u in second.snapshots
+        ]

@@ -232,6 +232,24 @@ class TestStepBudget:
         controls = IntegrationControls(dt=0.01, sample_interval=0.05, max_steps=12)
         assert integrate(u0, preset_normalized(), 0.1, controls).state.t == pytest.approx(0.1)
 
+    def test_semigroup_budget_fails_fast_via_cli(self, tmp_path):
+        spec = {
+            "probe": "semigroup", "grid": 16, "a": {"profile": "constant", "value": 1.0},
+            "t_end": 1e6, "out_dir": str(tmp_path / "out"),
+        }
+        started = time.perf_counter()
+        result = invoke(tmp_path, "probe", spec)
+        assert time.perf_counter() - started < 1.0
+        assert assert_named_error(result) is InvalidProbeInput
+        assert "step budget 20000000" in result.stderr
+        assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_semigroup_defaults_pass(tmp_path):
+    result = invoke(tmp_path, "probe", {"probe": "semigroup"}, "--out", str(tmp_path / "out"))
+    assert result.exit_code == 0, (result.stderr, result.exception)
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"]
+
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=10.0)

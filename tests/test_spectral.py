@@ -10,17 +10,14 @@ from lasw.errors import (
     InvalidField,
     InvalidKernel,
     InvalidMu,
-    NonRealSymbol,
+    LaswError,
 )
 from lasw.spectral import (
     Grid,
     Mollifier,
-    MultiplierSymbol,
     SpectralField,
-    apply_multiplier,
     constant,
     dealiased_product,
-    dealiased_product3,
     default_mollifier,
     derivative,
     from_physical,
@@ -127,12 +124,6 @@ class TestGridAndField:
 
 
 class TestMultipliers:
-    def test_identity_symbol(self):
-        g = Grid(32)
-        f = random_trig_polynomial(g, 3, 10, 1.0)
-        same = apply_multiplier(f, MultiplierSymbol("one", lambda n: np.ones_like(n, dtype=complex)))
-        assert np.array_equal(same.coef, f.coef)
-
     def test_derivative_eigenaction(self):
         g = Grid(64)
         f = from_physical(np.sin(TWO_PI * g.x), g)
@@ -168,16 +159,14 @@ class TestMultipliers:
         g = Grid(32)
         f = random_trig_polynomial(g, 1, 10, 1.0)
         h = random_trig_polynomial(g, 2, 10, 1.0)
-        sym = MultiplierSymbol("test", lambda n: (1.0 + (TWO_PI * n) ** 2) ** 0.5 + 0.0j)
-        lhs = apply_multiplier(2.0 * f + 0.5 * h, sym)
-        rhs = 2.0 * apply_multiplier(f, sym) + 0.5 * apply_multiplier(h, sym)
-        assert np.max(np.abs(lhs.coef - rhs.coef)) < 1e-14 * max(1.0, l2_norm(f))
-
-    def test_non_real_symbol_rejected(self):
-        g = Grid(16)
-        f = from_physical(np.sin(TWO_PI * g.x), g)
-        with pytest.raises(NonRealSymbol):
-            apply_multiplier(f, MultiplierSymbol("odd-real", lambda n: n.astype(complex)))
+        operators = [lambda v: derivative(v, order) for order in (1, 2, 3)]
+        operators.append(lambda v: lambda_pow(v, 1.0, 1.0))
+        operators.append(lambda v: lambda_pow(v, -2.0, 0.3))
+        for op in operators:
+            lhs = op(2.0 * f + 0.5 * h)
+            rhs = 2.0 * op(f) + 0.5 * op(h)
+            scale = max(1.0, l2_norm(op(f)), l2_norm(op(h)))
+            assert np.max(np.abs(lhs.coef - rhs.coef)) < 1e-14 * scale
 
     def test_invalid_mu(self):
         g = Grid(16)
@@ -186,6 +175,15 @@ class TestMultipliers:
             lambda_pow(f, 1.0, 0.0)
         with pytest.raises(InvalidMu):
             lambda_pow(f, 1.0, -0.5)
+
+    @pytest.mark.parametrize("s,mu", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+        (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_non_finite_exponent_or_mu(self, s, mu):
+        f = random_trig_polynomial(Grid(16), 4, 5, 1.0)
+        with pytest.raises(LaswError):
+            lambda_pow(f, s, mu)
 
 
 class TestDealiasedProducts:
@@ -229,9 +227,21 @@ class TestDealiasedProducts:
         w = random_trig_polynomial(g, 23, 5, 0.5)
         # bandwidth 15 < 16: the triple product is exactly representable,
         # so iterated exact convolutions are a valid oracle
-        p = dealiased_product3(f, h, w)
+        p = dealiased_product(f, h, w)
         fh = SpectralField(g, convolve_oracle(f, h))
         oracle = convolve_oracle(fh, w)
+        assert np.max(np.abs(p.coef - oracle)) <= 1e-12
+        # four full-band factors reach mode 60, which 2n = 64 points would
+        # fold onto mode -4; (count+1)*n/2 = 80 points keep the band exact
+        factors = [random_trig_polynomial(g, 30 + k, 15, 0.5) for k in range(4)]
+        full = centered_coefficients(factors[0])[0]
+        for q in factors[1:]:
+            full = np.convolve(full, centered_coefficients(q)[0])  # modes -64 .. 60
+        oracle = np.zeros(32, dtype=complex)
+        for m in range(-15, 16):
+            oracle[m % 32] = full[64 + m]
+        oracle[16] = full[64 - 16] + full[64 + 16]
+        p = dealiased_product(*factors)
         assert np.max(np.abs(p.coef - oracle)) <= 1e-12
 
     def test_grid_mismatch(self):
