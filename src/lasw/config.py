@@ -48,7 +48,7 @@ from .probes import (
     product_probe,
     semigroup_probe,
 )
-from .spectral import Grid, SpectralField, from_physical, random_trig_polynomial
+from .spectral import Grid, SpectralField, constant, from_physical, random_trig_polynomial
 
 ENV_OUT_ROOT = "LASW_OUT_ROOT"
 
@@ -276,7 +276,7 @@ _PROBES = {
         "model": (_model, _NORMALIZED, "coeffs"),
         "u0": (_field, {"profile": "random", "decay_exponent": 1.6}, "u0_rough"),
         "n_sequence": (_list_of(_integer), [2, 4, 8, 16], "n_sequence"),
-        "t_end": (_number, 0.5, "t_end"),
+        "t_end": (_number, 0.2, "t_end"),
         "dt": (_optional(_positive), OMIT, "dt"),
         "cfl": (_positive, OMIT, "cfl"),
     }),
@@ -407,9 +407,7 @@ def build_initial_field(spec: dict, grid: Grid, seed: int, where: str = "initial
             raise ConfigInvalid(f"{where}.profile: unknown profile {name!r}")
         p = _parse(spec, {"profile": (_string, REQUIRED), **_PROFILES[name]}, where, prefix=f"{where}.")
         if name == "constant":
-            coef = np.zeros(grid.n_points, dtype=np.complex128)
-            coef[0] = p["value"]
-            return SpectralField(grid, coef)
+            return constant(grid, p["value"])
         if name in ("cosine", "sine"):
             if not 1 <= p["mode"] < grid.n_points // 2:
                 raise ConfigInvalid(f"{where}.mode: {p['mode']} not representable")
@@ -425,19 +423,18 @@ def build_initial_field(spec: dict, grid: Grid, seed: int, where: str = "initial
         rows = spec["coefficients"]
         if not isinstance(rows, list):
             raise ConfigInvalid(f"{where}.coefficients: expected a list of [mode, re, im] rows")
-        coef = np.zeros(grid.n_points, dtype=np.complex128)
+        half = grid.n_points // 2
+        coef = np.zeros(half + 1, dtype=np.complex128)
         for entry in rows:
             try:
                 n, re, im = (_integer(entry[0], "mode"), _number(entry[1], "re"), _number(entry[2], "im"))
             except (LaswError, TypeError, KeyError, IndexError) as err:
                 raise ConfigInvalid(f"{where}.coefficients: bad entry {entry!r}") from err
-            if not 0 <= n < grid.n_points // 2:
-                raise ConfigInvalid(f"{where}.coefficients: mode {n} must be in [0, {grid.n_points // 2})")
-            if n == 0 and im != 0.0:
-                raise ConfigInvalid(f"{where}.coefficients: mode 0 must be real")
-            coef[n] = complex(re, im)
-            if n > 0:
-                coef[-n % grid.n_points] = complex(re, -im)
+            if not (0 <= n < half or n == -half):
+                raise ConfigInvalid(f"{where}.coefficients: mode {n} must be in [0, {half}) or be {-half}")
+            if n in (0, -half) and im != 0.0:
+                raise ConfigInvalid(f"{where}.coefficients: mode {n} must be real")
+            coef[abs(n)] = complex(re, im)
         return SpectralField(grid, coef)
     if "samples_file" in spec:
         _reject_unknown(spec, {"samples_file"}, where)

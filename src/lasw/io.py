@@ -14,7 +14,7 @@ from .errors import IoError
 from .evolve import DiagnosticsRecord
 from .spectral import SpectralField, to_physical
 
-DIAGNOSTICS_HEADER = "t,mean,l2,hs,sup_ux,tail"
+DIAGNOSTICS_HEADER = "t,mean,l2,hs,sup_ux,tail,sup_u"
 
 
 def fmt(x: float) -> str:
@@ -33,7 +33,7 @@ def write_diagnostics_csv(path, records: list[DiagnosticsRecord]) -> None:
     lines = [DIAGNOSTICS_HEADER]
     for r in records:
         lines.append(
-            ",".join(fmt(v) for v in (r.t, r.mean, r.l2, r.hs, r.sup_ux, r.tail))
+            ",".join(fmt(v) for v in (r.t, r.mean, r.l2, r.hs, r.sup_ux, r.tail, r.sup_u))
         )
     _write_text(Path(path), "\n".join(lines) + "\n")
 
@@ -51,8 +51,12 @@ def write_snapshot_csv(path, field: SpectralField) -> None:
 
 
 def write_coefficients_csv(path, field: SpectralField) -> None:
-    """Exact-restart dump: one row per mode, n,re,im."""
-    modes = field.grid.modes
+    """Exact-restart dump: one n,re,im row per stored coefficient.
+
+    The rows are modes 0 .. n/2-1 and then the Nyquist mode -n/2, the
+    rows that an ``initial_data`` coefficient list accepts.
+    """
+    modes = field.grid.modes[: field.coef.shape[0]]
     lines = ["n,re,im"]
     lines.extend(
         f"{int(n)},{fmt(c.real)},{fmt(c.imag)}"

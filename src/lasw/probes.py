@@ -30,14 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidExponents, InvalidProbeInput, ProbeUnresolved
+from .errors import GridMismatch, InvalidExponents, InvalidField, InvalidProbeInput, ProbeUnresolved
 from .evolve import IntegrationControls, RunStatus, _rk4, integrate
 from .models import ModelCoefficients, RegimeParameters, preset_large_amplitude, transport_field
 from .spectral import (
     TWO_PI,
     Grid,
     SpectralField,
-    _half,
     _half_from_phys,
     _pad_half,
     _padded_samples,
@@ -51,6 +50,7 @@ from .spectral import (
     random_trig_polynomial,
     resample,
     sobolev_norm,
+    spectral_tail,
     sup_norm,
     sup_norm_dx,
 )
@@ -131,20 +131,12 @@ def semigroup_probe(
     m = 2 * n
     a_pad = _padded_samples(a, m)
     xi = TWO_PI * np.arange(ny + 1)
-    tail_cut = int(math.ceil(n / 3))
 
     def rhs(h):
         dh = 1j * xi * h
         dh[ny] = 0.0  # unpaired Nyquist mode of an odd-order derivative
         prod = a_pad * _phys(_pad_half(dh, n, m), m)
         return _truncate_half(_half_from_phys(prod), n)
-
-    def norm_of(h):
-        p = np.abs(h) ** 2
-        return math.sqrt(p[0] + 2.0 * np.sum(p[1:ny]) + p[ny])
-
-    def tail_of(h):
-        return float(np.max(np.abs(h[tail_cut:])))
 
     dt = cfl * grid.spacing / max(1.0, sup_norm(a))
     if t_end / dt > IntegrationControls.max_steps:
@@ -153,7 +145,7 @@ def semigroup_probe(
             f"over the step budget {IntegrationControls.max_steps}"
         )
     sample_ts = [t_end * (j + 1) / n_samples for j in range(n_samples)]
-    h = _half(w0.coef)
+    h = w0.coef
     t = 0.0
     ratios = [1.0 if w0_norm > 0.0 else 0.0]
     for ts in sample_ts:
@@ -161,10 +153,14 @@ def semigroup_probe(
             step = min(dt, ts - t)
             h = _rk4(h, rhs, step)
             t = ts if ts - (t + step) < 1e-13 else t + step
-        wn = norm_of(h)
+        try:
+            w = SpectralField(grid, h)
+            wn = l2_norm(w)
+        except InvalidField:  # non-finite coefficients
+            wn = math.nan
         if not math.isfinite(wn):
             raise ProbeUnresolved(f"non-finite evolution at t={t:.6g}")
-        if wn > 0.0 and tail_of(h) > tail_rel_max * wn:
+        if wn > 0.0 and spectral_tail(w) > tail_rel_max * wn:
             raise ProbeUnresolved(
                 f"spectral tail exceeded {tail_rel_max:g} * ||w|| at t={t:.6g}"
             )

@@ -1,11 +1,15 @@
 """Fourier representation of real periodic fields on the unit circle.
 
-A field u is stored through its Fourier coefficients u_hat[n] for integer
-modes -n_points/2 <= n < n_points/2, with
+A field u on n points is determined by its Fourier coefficients u_hat[k]
+for integer modes -n/2 <= k < n/2, with
 
-    u(x) = sum_n u_hat[n] * exp(2*pi*i*n*x),        x in [0, 1).
+    u(x) = sum_k u_hat[k] * exp(2*pi*i*k*x),        x in [0, 1).
 
-The angular frequency of mode n is xi_n = 2*pi*n (period-1 convention).
+A real field has u_hat[-k] = conj(u_hat[k]), so only the rfft half
+spectrum is stored: modes 0 .. n/2-1, then the real coefficient of the
+unpaired mode -n/2 in slot n/2 (the Nyquist slot).  The angular frequency
+of mode k is xi_k = 2*pi*k (period-1 convention).
+
 The linear operators :func:`derivative` and :func:`lambda_pow` act
 diagonally on the coefficients through symbol arrays cached per grid
 size (Fourier multipliers); nonlinear terms go through the n-ary
@@ -36,17 +40,9 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 
-# Hermitian-symmetry slack for constructed coefficient arrays; round-off
-# from transforms stays many orders below this.
+# Relative slack for the imaginary part of the mean and Nyquist
+# coefficients; round-off from transforms stays many orders below this.
 _HERMITIAN_RTOL = 1e-9
-
-
-@functools.lru_cache(maxsize=128)
-def _conj_index(n: int) -> np.ndarray:
-    """Index map sending the slot of mode k to the slot of mode -k."""
-    idx = (-np.arange(n)) % n
-    idx.flags.writeable = False
-    return idx
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,10 @@ class Grid:
 
     @property
     def modes(self) -> np.ndarray:
-        """Integer mode numbers in FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1."""
+        """Integer mode numbers in FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1.
+
+        The first n/2 + 1 label the slots of `SpectralField.coef`.
+        """
         return np.fft.fftfreq(self.n_points, 1.0 / self.n_points).astype(int)
 
     @property
@@ -81,30 +80,33 @@ class Grid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Real periodic field stored by its Fourier coefficients (FFT order).
+    """Real periodic field stored by its half spectrum (rfft layout).
 
-    The constructor validates finiteness and Hermitian symmetry
-    (coef[-n] == conj(coef[n])), then symmetrizes exactly so downstream
-    reality is guaranteed.  The coefficient array is frozen.
+    coef has n_points/2 + 1 entries: modes 0 .. n/2-1, then the Nyquist
+    mode -n/2; negative modes k > -n/2 are conj(coef[-k]).  The
+    constructor validates the shape, finiteness and that the mean and
+    Nyquist coefficients are real to within round-off, then makes those
+    two exactly real.  The coefficient array is a frozen copy.
     """
 
     grid: Grid
     coef: np.ndarray
 
     def __post_init__(self):
-        n = self.grid.n_points
-        coef = np.asarray(self.coef, dtype=np.complex128)
-        if coef.shape != (n,):
+        half = self.grid.n_points // 2
+        coef = np.array(self.coef, dtype=np.complex128)
+        if coef.shape != (half + 1,):
             raise InvalidField(
-                f"expected {n} coefficients, got shape {coef.shape}"
+                f"expected {half + 1} coefficients (modes 0..{half}), got shape {coef.shape}"
             )
         if not np.all(np.isfinite(coef)):
             raise InvalidField("non-finite coefficient")
-        mirror = np.conj(coef[_conj_index(n)])
-        scale = max(1.0, float(np.max(np.abs(coef))))
-        if float(np.max(np.abs(coef - mirror))) > _HERMITIAN_RTOL * scale:
-            raise InvalidField("coefficients are not Hermitian-symmetric")
-        coef = 0.5 * (coef + mirror)
+        # slack is _HERMITIAN_RTOL * max(1, max|coef|); scan coef only past its floor
+        imag = max(abs(coef[0].imag), abs(coef[half].imag))
+        if imag > _HERMITIAN_RTOL and imag > _HERMITIAN_RTOL * float(np.max(np.abs(coef))):
+            raise InvalidField("mean and Nyquist coefficients must be real")
+        coef[0] = coef[0].real
+        coef[half] = coef[half].real
         coef.flags.writeable = False
         object.__setattr__(self, "coef", coef)
 
@@ -113,7 +115,7 @@ class SpectralField:
         half = self.grid.n_points // 2
         if not -half <= n < half:
             raise GridMismatch(f"mode {n} not representable on {self.grid.n_points} points")
-        return complex(self.coef[n % self.grid.n_points])
+        return complex(self.coef[n] if n >= 0 else np.conj(self.coef[-n]))
 
     # -- value-object arithmetic ------------------------------------------
 
@@ -152,23 +154,8 @@ class SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# half-spectrum plumbing (rfft layout, coefficient normalization)
+# half-spectrum plumbing (padding, coefficient normalization)
 # ---------------------------------------------------------------------------
-
-def _half(coef: np.ndarray) -> np.ndarray:
-    """Modes 0..n/2 of a full spectrum; slot n/2 holds the -n/2 coefficient."""
-    n = coef.shape[0]
-    h = np.empty(n // 2 + 1, dtype=np.complex128)
-    h[: n // 2] = coef[: n // 2]
-    h[n // 2] = coef[n // 2]
-    return h
-
-def _full_from_half(h: np.ndarray, n: int) -> np.ndarray:
-    coef = np.empty(n, dtype=np.complex128)
-    coef[: n // 2] = h[: n // 2]
-    coef[n // 2] = h[n // 2].real
-    coef[n // 2 + 1:] = np.conj(h[1: n // 2][::-1])
-    return coef
 
 def _pad_half(h: np.ndarray, n: int, m: int) -> np.ndarray:
     """Zero-pad to m points; the unpaired Nyquist coefficient is split in two."""
@@ -193,7 +180,7 @@ def _half_from_phys(samples: np.ndarray) -> np.ndarray:
 
 def _padded_samples(field: SpectralField, m: int) -> np.ndarray:
     """Samples of the field on a refined grid of m >= n_points points."""
-    return _phys(_pad_half(_half(field.coef), field.grid.n_points, m), m)
+    return _phys(_pad_half(field.coef, field.grid.n_points, m), m)
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +205,20 @@ def from_physical(samples, grid: Grid | None = None) -> SpectralField:
         raise InvalidField(
             f"expected {grid.n_points} samples, got {samples.shape[0]}"
         )
-    return SpectralField(grid, _full_from_half(_half_from_phys(samples), grid.n_points))
+    return SpectralField(grid, _half_from_phys(samples))
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
     """Real samples of the field at the collocation points."""
-    return _phys(_half(field.coef), field.grid.n_points)
+    return _phys(field.coef, field.grid.n_points)
 
 
 def zeros(grid: Grid) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.n_points, dtype=np.complex128))
+    return SpectralField(grid, np.zeros(grid.n_points // 2 + 1, dtype=np.complex128))
 
 
 def constant(grid: Grid, value: float) -> SpectralField:
-    coef = np.zeros(grid.n_points, dtype=np.complex128)
+    coef = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
     coef[0] = float(value)
     return SpectralField(grid, coef)
 
@@ -247,12 +234,9 @@ def resample(field: SpectralField, n_points: int) -> SpectralField:
     old = field.grid.n_points
     if n_points == old:
         return field
-    h = _half(field.coef)
     if n_points > old:
-        h = _pad_half(h, old, n_points)
-    else:
-        h = _truncate_half(h, n_points)
-    return SpectralField(new, _full_from_half(h, n_points))
+        return SpectralField(new, _pad_half(field.coef, old, n_points))
+    return SpectralField(new, _truncate_half(field.coef, n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +244,13 @@ def resample(field: SpectralField, n_points: int) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 def _real_sigma(values: np.ndarray, n: int) -> np.ndarray:
-    """Frozen symbol with sigma(-k) == conj(sigma(k)); Nyquist keeps its real part."""
-    values = 0.5 * (values + np.conj(values[_conj_index(n)]))
+    """Frozen half-spectrum symbol from values at Grid(n).modes.
+
+    Symmetrized as 0.5*(sigma(k) + conj(sigma(-k))), so the Nyquist entry
+    keeps the real part of sigma(-n/2).
+    """
+    values = 0.5 * (values + np.conj(values[(-np.arange(n)) % n]))
+    values = values[: n // 2 + 1].copy()
     values.flags.writeable = False
     return values
 
@@ -329,7 +318,7 @@ def dealiased_product(f: SpectralField, g: SpectralField, *more: SpectralField) 
         for other in fields[1:]:
             prod = prod * _padded_samples(other, m)
         h = _truncate_half(_half_from_phys(prod), n)
-    return SpectralField(f.grid, _full_from_half(h, n))
+    return SpectralField(f.grid, h)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +326,15 @@ def dealiased_product(f: SpectralField, g: SpectralField, *more: SpectralField) 
 # ---------------------------------------------------------------------------
 
 def sobolev_norm(field: SpectralField, s: float) -> float:
-    """H^s norm: sqrt(sum_n (1 + xi_n^2)^s |u_hat[n]|^2) with xi_n = 2*pi*n."""
-    xi = TWO_PI * field.grid.modes.astype(np.float64)
+    """H^s norm: sqrt(sum_n (1 + xi_n^2)^s |u_hat[n]|^2) with xi_n = 2*pi*n.
+
+    The sum runs over all modes -n/2 <= n < n/2; each stored mode
+    0 < k < n/2 stands for itself and its conjugate -k.
+    """
+    half = field.grid.n_points // 2
+    xi = TWO_PI * np.arange(half + 1)
     weight = (1.0 + xi * xi) ** float(s)
+    weight[1:half] *= 2.0
     power = field.coef.real ** 2 + field.coef.imag ** 2
     return float(math.sqrt(np.sum(weight * power)))
 
@@ -363,10 +358,8 @@ def sup_norm_dx(field: SpectralField, refinement: int = 4) -> float:
 
 def spectral_tail(field: SpectralField) -> float:
     """Largest coefficient magnitude in the top third of representable modes."""
-    n = field.grid.n_points
-    cutoff = int(math.ceil(n / 3))
-    mask = np.abs(field.grid.modes) >= cutoff
-    return float(np.max(np.abs(field.coef[mask])))
+    cutoff = int(math.ceil(field.grid.n_points / 3))
+    return float(np.max(np.abs(field.coef[cutoff:])))
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +434,7 @@ def mollify(field: SpectralField, n: int, kernel: Mollifier | None = None) -> Sp
     ny = npts // 2
     mult = sig[: ny + 1].copy()
     mult[ny] = mult[ny].real
-    h = _half(field.coef) * mult
-    return SpectralField(field.grid, _full_from_half(h, npts))
+    return SpectralField(field.grid, field.coef * mult)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +461,7 @@ def random_trig_polynomial(
     if not math.isinf(decay_exponent) and decay_exponent < 0:
         raise ValueError("decay_exponent must be nonnegative (or math.inf)")
     rng = np.random.default_rng(seed)
-    n = grid.n_points
-    coef = np.zeros(n, dtype=np.complex128)
+    coef = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
     if math.isinf(decay_exponent):
         m = int(rng.integers(1, max_mode + 1))
         phase = rng.uniform(0.0, TWO_PI)
@@ -480,5 +471,4 @@ def random_trig_polynomial(
             amp = rng.uniform(0.25, 1.0)
             phase = rng.uniform(0.0, TWO_PI)
             coef[m] = 0.5 * amp * (1.0 + m) ** (-decay_exponent) * np.exp(1j * phase)
-    coef[n // 2 + 1:] = np.conj(coef[1: n // 2][::-1])
     return SpectralField(grid, coef)

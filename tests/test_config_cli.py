@@ -10,7 +10,8 @@ from click.testing import CliRunner
 from lasw.cli import main, probe_command, run_command, sweep_command
 from lasw.config import RunConfig, build_initial_field, load_config
 from lasw.errors import ConfigInvalid, ConfigSyntax, IoError
-from lasw.spectral import Grid, to_physical
+from lasw.io import write_coefficients_csv
+from lasw.spectral import Grid, from_physical, to_physical
 
 
 def minimal_config(out_dir, **overrides):
@@ -105,6 +106,23 @@ class TestLoadConfig:
         assert field.mode(2) == pytest.approx(0.1 - 0.05j)
         assert field.mode(-2) == pytest.approx(0.1 + 0.05j)
 
+    def test_coefficient_dump_restarts_exactly(self, tmp_path):
+        g = Grid(16)
+        u = from_physical(np.random.default_rng(3).standard_normal(16), g)
+        assert u.coef[8] != 0.0  # the Nyquist coefficient is in the data
+        path = tmp_path / "u_coef.csv"
+        write_coefficients_csv(path, u)
+        rows = [
+            [int(n), float(re), float(im)]
+            for n, re, im in (line.split(",") for line in path.read_text().splitlines()[1:])
+        ]
+        assert [row[0] for row in rows] == list(range(8)) + [-8]
+        restarted = build_initial_field({"coefficients": rows}, g, 0)
+        assert restarted.coef.tobytes() == u.coef.tobytes()
+        for bad in ([8, 1.0, 0.0], [-3, 1.0, 0.0], [-8, 1.0, 0.5], [0, 1.0, 0.5]):
+            with pytest.raises(ConfigInvalid):
+                build_initial_field({"coefficients": [bad]}, g, 0)
+
 
 class TestRunCommand:
     def test_artifacts_and_exit_code(self, tmp_path):
@@ -122,7 +140,7 @@ class TestRunCommand:
         assert info["blowup"] is None
         assert RunConfig.from_dict(info["config"]) == cfg
         header = (out / "diagnostics.csv").read_text().splitlines()[0]
-        assert header == "t,mean,l2,hs,sup_ux,tail"
+        assert header == "t,mean,l2,hs,sup_ux,tail,sup_u"
 
     def test_constant_run_rows_identical(self, tmp_path):
         out = tmp_path / "out"

@@ -251,6 +251,12 @@ def test_semigroup_defaults_pass(tmp_path):
     assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"]
 
 
+def test_mollified_data_defaults_pass(tmp_path):
+    result = invoke(tmp_path, "probe", {"probe": "mollified_data"}, "--out", str(tmp_path / "out"))
+    assert result.exit_code == 0, (result.stderr, result.exception)
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"]
+
+
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=10.0)
 

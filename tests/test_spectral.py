@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lasw.errors import (
     GridMismatch,
@@ -38,26 +40,26 @@ TWO_PI = 2.0 * math.pi
 
 
 def centered_coefficients(field):
-    """Coefficients reindexed to modes -n/2 .. n/2-1 (test-side helper)."""
-    n = field.grid.n_points
-    return np.roll(field.coef, n // 2), np.arange(-n // 2, n // 2)
+    """Coefficients of modes -n/2 .. n/2-1 read through `mode` (test-side helper)."""
+    half = field.grid.n_points // 2
+    modes = np.arange(-half, half)
+    return np.array([field.mode(int(m)) for m in modes]), modes
 
 
-def convolve_oracle(f, g):
-    """Direct O(N^2) convolution of coefficient sequences, truncated to the band.
+def convolve_oracle(*fields):
+    """Direct convolution of the centered coefficient sequences, truncated to the band.
 
-    The grid's single Nyquist slot receives the sum of the +-n/2 modes of
-    the true product (their grid samples coincide).
+    Returns modes -n/2 .. n/2-1; the grid's single Nyquist slot -n/2
+    receives the sum of the +-n/2 modes of the true product (their grid
+    samples coincide).
     """
-    cf, modes = centered_coefficients(f)
-    cg, _ = centered_coefficients(g)
-    full = np.convolve(cf, cg)  # modes -n .. n-2
-    n = f.grid.n_points
-    offset = n  # index of mode 0 in `full`
-    out = np.zeros(n, dtype=complex)
-    for m in range(-n // 2 + 1, n // 2):
-        out[m % n] = full[offset + m]
-    out[n // 2] = full[offset - n // 2] + full[offset + n // 2]
+    full = centered_coefficients(fields[0])[0]
+    for f in fields[1:]:
+        full = np.convolve(full, centered_coefficients(f)[0])
+    half = fields[0].grid.n_points // 2
+    zero = len(fields) * half  # index of mode 0 in `full`
+    out = full[zero - half: zero + half].copy()
+    out[0] += full[zero + half]
     return out
 
 
@@ -93,8 +95,18 @@ class TestGridAndField:
         samples = np.random.default_rng(1).standard_normal(64)
         f = from_physical(samples, g)
         sample_energy = np.mean(samples ** 2)
-        coef_energy = np.sum(np.abs(f.coef) ** 2)
+        coef_energy = np.sum(np.abs(centered_coefficients(f)[0]) ** 2)
         assert sample_energy == pytest.approx(coef_energy, rel=1e-12)
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(data=st.data())
+    def test_from_physical_stores_scaled_rfft(self, data):
+        n = 2 * data.draw(st.integers(4, 128))
+        samples = data.draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+        f = from_physical(samples)
+        assert f.coef.shape == (n // 2 + 1,)
+        assert np.array_equal(f.coef, np.fft.rfft(samples) / n)
+        assert f.coef[0].imag == 0.0 and f.coef[n // 2].imag == 0.0
 
     def test_invalid_samples(self):
         g = Grid(16)
@@ -105,10 +117,21 @@ class TestGridAndField:
 
     def test_non_hermitian_rejected(self):
         g = Grid(8)
-        coef = np.zeros(8, dtype=complex)
-        coef[1] = 1.0 + 1.0j  # no conjugate partner
-        with pytest.raises(InvalidField):
-            SpectralField(g, coef)
+        for slot, value in ((0, 1.0 + 1e-3j), (4, 1.0 + 1e-3j), (1, np.nan), (2, np.inf)):
+            coef = np.zeros(5, dtype=complex)
+            coef[slot] = value
+            with pytest.raises(InvalidField):
+                SpectralField(g, coef)
+        with pytest.raises(InvalidField):  # a full-length spectrum
+            SpectralField(g, np.zeros(8, dtype=complex))
+        # round-off in the mean and Nyquist slots is accepted and removed,
+        # on a copy of the caller's array
+        coef = np.array([2.0 + 1e-12j, 0.5j, 0.0, 0.0, -1.0 - 1e-12j])
+        f = SpectralField(g, coef)
+        assert f.coef[0] == 2.0 and f.coef[0].imag == 0.0
+        assert f.coef[4] == -1.0 and f.coef[4].imag == 0.0
+        assert coef[0].imag == 1e-12 and coef.flags.writeable
+        assert f.mode(-1) == -0.5j and f.mode(-4) == -1.0
 
     def test_immutability_and_arithmetic(self):
         g = Grid(16)
@@ -218,7 +241,7 @@ class TestDealiasedProducts:
         p = dealiased_product(f, h)
         oracle = convolve_oracle(f, h)
         scale = max(1.0, np.max(np.abs(oracle)))
-        assert np.max(np.abs(p.coef - oracle)) <= 1e-12 * scale
+        assert np.max(np.abs(centered_coefficients(p)[0] - oracle)) <= 1e-12 * scale
 
     def test_ternary_matches_iterated_oracle(self):
         g = Grid(32)
@@ -228,21 +251,12 @@ class TestDealiasedProducts:
         # bandwidth 15 < 16: the triple product is exactly representable,
         # so iterated exact convolutions are a valid oracle
         p = dealiased_product(f, h, w)
-        fh = SpectralField(g, convolve_oracle(f, h))
-        oracle = convolve_oracle(fh, w)
-        assert np.max(np.abs(p.coef - oracle)) <= 1e-12
+        assert np.max(np.abs(centered_coefficients(p)[0] - convolve_oracle(f, h, w))) <= 1e-12
         # four full-band factors reach mode 60, which 2n = 64 points would
         # fold onto mode -4; (count+1)*n/2 = 80 points keep the band exact
         factors = [random_trig_polynomial(g, 30 + k, 15, 0.5) for k in range(4)]
-        full = centered_coefficients(factors[0])[0]
-        for q in factors[1:]:
-            full = np.convolve(full, centered_coefficients(q)[0])  # modes -64 .. 60
-        oracle = np.zeros(32, dtype=complex)
-        for m in range(-15, 16):
-            oracle[m % 32] = full[64 + m]
-        oracle[16] = full[64 - 16] + full[64 + 16]
         p = dealiased_product(*factors)
-        assert np.max(np.abs(p.coef - oracle)) <= 1e-12
+        assert np.max(np.abs(centered_coefficients(p)[0] - convolve_oracle(*factors))) <= 1e-12
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatch):
@@ -364,8 +378,9 @@ class TestRandomFields:
     def test_single_mode_flag(self):
         g = Grid(64)
         f = random_trig_polynomial(g, 0, 10, math.inf)
-        nonzero = np.nonzero(np.abs(f.coef) > 0)[0]
-        assert len(nonzero) == 2  # one conjugate pair
+        spectrum, modes = centered_coefficients(f)
+        nonzero = modes[np.abs(spectrum) > 0]
+        assert len(nonzero) == 2 and nonzero[0] == -nonzero[1]  # one conjugate pair
 
     def test_cross_grid_consistency(self):
         norms = [
