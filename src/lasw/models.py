@@ -23,6 +23,13 @@ with Lam^{-2} = (1 - mu*d^2/dx^2)^{-1}.  Both forms are implemented
 fields; the pair doubles as a standing correctness oracle.  In this form
 the equation is a scalar conservation law, so the spatial mean is
 conserved exactly; `flux` builds the corresponding flux function.
+
+Each right-hand side is one padded evaluation (the transform method): u
+and the derivatives its products use are padded once, the products of
+each stage (a(u), the bracket of f(u), P(u), a(u)*u_x) are summed on that
+grid and truncated once.  A product is a (coefficient, derivative orders)
+term, so (beta2, (0, 3)) is beta2*u*u_xxx; zero coefficients are dropped
+before padding.  a(u) is truncated before it multiplies u_x.
 """
 
 from __future__ import annotations
@@ -30,13 +37,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict, fields, replace
 
+import numpy as np
+
 from .errors import GammaRelationViolated, InvalidMu, InvalidRegime
 from .spectral import (
     SpectralField,
-    constant,
-    dealiased_product,
-    derivative,
-    lambda_pow,
+    _dealias_size,
+    _dx_sigma,
+    _from_grid,
+    _lambda_sigma,
+    _to_grid,
 )
 
 GAMMA_RELATION_TOL = 1e-12
@@ -269,49 +279,75 @@ def time_reversed(coeffs: ModelCoefficients) -> ModelCoefficients:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def transport_field(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
-    """Local transport speed a(u) = (alpha2 + beta2*u + gamma2*u^2)/mu."""
-    validate(coeffs)
-    a = constant(u.grid, coeffs.alpha2 / coeffs.mu)
-    if coeffs.beta2 != 0.0:
-        a = a + (coeffs.beta2 / coeffs.mu) * u
-    if coeffs.gamma2 != 0.0:
-        a = a + (coeffs.gamma2 / coeffs.mu) * dealiased_product(u, u)
+def _terms(*terms):
+    return [(c, orders) for c, orders in terms if c != 0.0]
+
+
+def _pad(u: SpectralField, terms, orders=()) -> dict:
+    """Samples on the padded grid of each derivative of u the terms (or `orders`) use."""
+    n = u.grid.n_points
+    m = _dealias_size(n, max((len(o) for _, o in terms), default=2))
+    needed = set(orders).union(*(o for _, o in terms))
+    return {k: _to_grid(u.coef * _dx_sigma(n, k) if k else u.coef, m) for k in needed}
+
+
+def _truncated_sum(grid: dict, terms, n: int):
+    """Half spectrum on n points of the sum of the terms' products; 0.0 if none."""
+    if not terms:
+        return 0.0
+    return _from_grid(sum(math.prod((grid[k] for k in o), start=c) for c, o in terms), n)
+
+
+def _square(c: ModelCoefficients):
+    return _terms((c.gamma2 / c.mu, (0, 0)))
+
+
+def _bracket(c: ModelCoefficients):
+    mu = c.mu
+    return _terms(
+        (0.5 * c.alpha3 + 0.5 * c.beta2 / mu, (0, 0)),
+        (c.gamma2 / (3.0 * mu), (0, 0, 0)),
+        (0.5 * (c.beta1 - 3.0 * c.beta2), (1, 1)),
+        (c.gamma3 - 2.0 * c.gamma2, (0, 1, 1)),
+    )
+
+
+def _transport(u: SpectralField, c: ModelCoefficients, grid: dict):
+    """Half spectrum of a(u), with u^2 truncated."""
+    a = (c.beta2 / c.mu) * u.coef + _truncated_sum(grid, _square(c), u.grid.n_points)
+    a[0] += c.alpha2 / c.mu
     return a
 
 
-def _semilinear_bracket(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
-    mu = coeffs.mu
-    ux = derivative(u, 1)
-    c_u = coeffs.alpha1 + coeffs.alpha2 / mu
-    c_u2 = 0.5 * coeffs.alpha3 + 0.5 * coeffs.beta2 / mu
-    c_u3 = coeffs.gamma2 / (3.0 * mu)
-    c_ux2 = 0.5 * (coeffs.beta1 - 3.0 * coeffs.beta2)
-    c_uux2 = coeffs.gamma3 - 2.0 * coeffs.gamma2
-    bracket = c_u * u
-    if c_u2 != 0.0:
-        bracket = bracket + c_u2 * dealiased_product(u, u)
-    if c_u3 != 0.0:
-        bracket = bracket + c_u3 * dealiased_product(u, u, u)
-    if c_ux2 != 0.0:
-        bracket = bracket + c_ux2 * dealiased_product(ux, ux)
-    if c_uux2 != 0.0:
-        bracket = bracket + c_uux2 * dealiased_product(u, ux, ux)
-    return bracket
+def _semilinear_bracket(u: SpectralField, c: ModelCoefficients, grid: dict):
+    """Half spectrum of Lam^{-2} applied to the bracket of f(u)."""
+    n = u.grid.n_points
+    bracket = (c.alpha1 + c.alpha2 / c.mu) * u.coef + _truncated_sum(grid, _bracket(c), n)
+    return bracket * _lambda_sigma(n, -2.0, c.mu)
+
+
+def transport_field(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
+    """Local transport speed a(u) = (alpha2 + beta2*u + gamma2*u^2)/mu."""
+    validate(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SpectralField(u.grid, _transport(u, coeffs, _pad(u, _square(coeffs))))
 
 
 def semilinear_term(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
     """Smoothing part f(u) of the nonlocal form; its mean is exactly zero."""
     validate(coeffs)
-    return lambda_pow(derivative(_semilinear_bracket(u, coeffs), 1), -2.0, coeffs.mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        smoothed = _semilinear_bracket(u, coeffs, _pad(u, _bracket(coeffs)))
+        return SpectralField(u.grid, smoothed * _dx_sigma(u.grid.n_points, 1))
 
 
 def tendency(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
     """du/dt of the nonlocal form: f(u) - a(u)*u_x.
 
     Requires validated conservative coefficients with mu > 0 and no
-    extension slots; the conservation-law structure keeps the mean of the
-    output at round-off level.
+    extension slots.  The output is -d/dx of `flux`, so its mean is set to
+    exactly zero; the truncated a(u)*u_x would otherwise carry round-off
+    into it through the unpaired Nyquist mode.
     """
     validate(coeffs)
     if coeffs.has_extended_terms:
@@ -319,8 +355,13 @@ def tendency(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
             "extension slots alpha4/alpha5 are outside the nonlocal form; "
             "use tendency_direct"
         )
-    a = transport_field(u, coeffs)
-    return semilinear_term(u, coeffs) - dealiased_product(a, derivative(u, 1))
+    n = u.grid.n_points
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = _pad(u, _bracket(coeffs) + _square(coeffs), orders=(1,))
+        a_ux = _from_grid(_to_grid(_transport(u, coeffs, grid), grid[1].size) * grid[1], n)
+        rhs = _semilinear_bracket(u, coeffs, grid) * _dx_sigma(n, 1) - a_ux
+    rhs[0] = 0.0
+    return SpectralField(u.grid, rhs)
 
 
 def tendency_direct(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
@@ -331,31 +372,21 @@ def tendency_direct(u: SpectralField, coeffs: ModelCoefficients) -> SpectralFiel
     conservative sets it matches `tendency` to round-off for band-limited
     fields, which is the standing reformulation oracle.
     """
-    if coeffs.mu < 0.0:
-        raise InvalidMu(f"mu must be nonnegative, got {coeffs.mu}")
-    ux = derivative(u, 1)
-    uxx = derivative(u, 2)
-    uxxx = derivative(u, 3)
-    rhs = coeffs.alpha1 * ux + coeffs.alpha2 * uxxx
-    if coeffs.alpha3 != 0.0:
-        rhs = rhs + coeffs.alpha3 * dealiased_product(u, ux)
-    if coeffs.beta1 != 0.0:
-        rhs = rhs + coeffs.beta1 * dealiased_product(ux, uxx)
-    if coeffs.beta2 != 0.0:
-        rhs = rhs + coeffs.beta2 * dealiased_product(u, uxxx)
-    if coeffs.gamma1 != 0.0:
-        rhs = rhs + coeffs.gamma1 * dealiased_product(u, ux, uxx)
-    if coeffs.gamma2 != 0.0:
-        rhs = rhs + coeffs.gamma2 * dealiased_product(u, u, uxxx)
-    if coeffs.gamma3 != 0.0:
-        rhs = rhs + coeffs.gamma3 * dealiased_product(ux, ux, ux)
-    if coeffs.alpha4 != 0.0:
-        rhs = rhs + coeffs.alpha4 * dealiased_product(u, u, ux)
-    if coeffs.alpha5 != 0.0:
-        rhs = rhs + coeffs.alpha5 * dealiased_product(u, u, u, ux)
-    if coeffs.mu == 0.0:
-        return rhs
-    return lambda_pow(rhs, -2.0, coeffs.mu)
+    c = coeffs
+    if c.mu < 0.0:
+        raise InvalidMu(f"mu must be nonnegative, got {c.mu}")
+    n = u.grid.n_points
+    products = _terms(
+        (c.alpha3, (0, 1)), (c.beta1, (1, 2)), (c.beta2, (0, 3)), (c.gamma1, (0, 1, 2)),
+        (c.gamma2, (0, 0, 3)), (c.gamma3, (1, 1, 1)), (c.alpha4, (0, 0, 1)),
+        (c.alpha5, (0, 0, 0, 1)),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = c.alpha1 * (u.coef * _dx_sigma(n, 1)) + c.alpha2 * (u.coef * _dx_sigma(n, 3))
+        rhs = rhs + _truncated_sum(_pad(u, products), products, n)
+        if c.mu != 0.0:
+            rhs = rhs * _lambda_sigma(n, -2.0, c.mu)
+        return SpectralField(u.grid, rhs)
 
 
 def flux(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
@@ -365,10 +396,9 @@ def flux(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
     u-antiderivative of a(u): P(u) = (alpha2*u + beta2*u^2/2 + gamma2*u^3/3)/mu.
     """
     validate(coeffs)
-    mu = coeffs.mu
-    p = (coeffs.alpha2 / mu) * u
-    if coeffs.beta2 != 0.0:
-        p = p + (0.5 * coeffs.beta2 / mu) * dealiased_product(u, u)
-    if coeffs.gamma2 != 0.0:
-        p = p + (coeffs.gamma2 / (3.0 * mu)) * dealiased_product(u, u, u)
-    return p - lambda_pow(_semilinear_bracket(u, coeffs), -2.0, mu)
+    c = coeffs
+    powers = _terms((0.5 * c.beta2 / c.mu, (0, 0)), (c.gamma2 / (3.0 * c.mu), (0, 0, 0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = _pad(u, _bracket(c) + powers)
+        p = (c.alpha2 / c.mu) * u.coef + _truncated_sum(grid, powers, u.grid.n_points)
+        return SpectralField(u.grid, p - _semilinear_bracket(u, c, grid))

@@ -37,11 +37,9 @@ from .spectral import (
     TWO_PI,
     Grid,
     SpectralField,
-    _half_from_phys,
-    _pad_half,
-    _padded_samples,
-    _phys,
-    _truncate_half,
+    _dx_sigma,
+    _from_grid,
+    _to_grid,
     dealiased_product,
     from_physical,
     l2_norm,
@@ -124,19 +122,15 @@ def semigroup_probe(
         raise InvalidProbeInput("t_end must be positive")
     grid = a.grid
     n = grid.n_points
-    ny = n // 2
     omega = 0.5 * sup_norm_dx(a)
     w0_norm = l2_norm(w0)
 
     m = 2 * n
-    a_pad = _padded_samples(a, m)
-    xi = TWO_PI * np.arange(ny + 1)
+    a_pad = _to_grid(a.coef, m)
+    dx = _dx_sigma(n, 1)
 
     def rhs(h):
-        dh = 1j * xi * h
-        dh[ny] = 0.0  # unpaired Nyquist mode of an odd-order derivative
-        prod = a_pad * _phys(_pad_half(dh, n, m), m)
-        return _truncate_half(_half_from_phys(prod), n)
+        return _from_grid(a_pad * _to_grid(h * dx, m), n)
 
     dt = cfl * grid.spacing / max(1.0, sup_norm(a))
     if t_end / dt > IntegrationControls.max_steps:
@@ -197,6 +191,34 @@ def _stability_verdict(max_coarse: float, max_fine: float, factor: float) -> tup
     return (1.0 / factor <= ratio <= factor), ratio
 
 
+def _refinement_probe(
+    name, ratio, decays, seed, samples, t_exp, r_exp, n_points, max_mode, stability_factor
+) -> ProbeReport:
+    """Sample ratio(f, g) on the working grid and on its doubling.
+
+    f and g are random fields with coefficient decays `decays`, drawn from
+    the same seeds on both grids.  Passing means the max sampled ratio
+    moves by less than `stability_factor` under the refinement.
+    """
+    grids = (Grid(n_points), Grid(2 * n_points))
+    max_mode = max_mode if max_mode is not None else n_points // 4
+
+    def sampled(grid: Grid) -> list[float]:
+        return [
+            ratio(*(random_trig_polynomial(grid, [seed, i, j], max_mode, d)
+                    for j, d in enumerate(decays)))
+            for i in range(samples)
+        ]
+
+    coarse, fine = sampled(grids[0]), sampled(grids[1])
+    passed, growth = _stability_verdict(max(coarse), max(fine), stability_factor)
+    details = dict(
+        t_exp=t_exp, r_exp=r_exp, grids=[g.n_points for g in grids], max_fine=max(fine),
+        refinement_growth=growth, stability_factor=stability_factor, max_mode=max_mode,
+    )
+    return _summarize(name, seed, coarse, passed, details)
+
+
 def commutator_probe(
     t_exp: float,
     r_exp: float,
@@ -219,14 +241,8 @@ def commutator_probe(
         raise InvalidExponents(f"need r > 1/2, got r={r_exp}")
     if not (-0.5 < t_exp <= r_exp + 1.0):
         raise InvalidExponents(f"need -1/2 < t <= r+1, got t={t_exp}, r={r_exp}")
-    grids = (Grid(n_points), Grid(2 * n_points))
-    max_mode = max_mode if max_mode is not None else n_points // 4
-    decay_g = r_exp + 1.0 + 0.51
-    decay_h = max(t_exp - 1.0 + 0.51, 0.0)
 
-    def one_ratio(grid: Grid, i: int) -> float:
-        g = random_trig_polynomial(grid, [seed, i, 0], max_mode, decay_g)
-        h = random_trig_polynomial(grid, [seed, i, 1], max_mode, decay_h)
+    def one_ratio(g: SpectralField, h: SpectralField) -> float:
         comm = lambda_pow(dealiased_product(g, h), t_exp, 1.0) - dealiased_product(
             g, lambda_pow(h, t_exp, 1.0)
         )
@@ -234,20 +250,10 @@ def commutator_probe(
             l2_norm(comm), sobolev_norm(g, r_exp + 1.0) * sobolev_norm(h, t_exp - 1.0)
         )
 
-    coarse = [one_ratio(grids[0], i) for i in range(samples)]
-    fine = [one_ratio(grids[1], i) for i in range(samples)]
-    passed, growth = _stability_verdict(max(coarse), max(fine), stability_factor)
-    return _summarize(
-        "commutator", seed, coarse, passed,
-        {
-            "t_exp": t_exp,
-            "r_exp": r_exp,
-            "grids": [g.n_points for g in grids],
-            "max_fine": max(fine),
-            "refinement_growth": growth,
-            "stability_factor": stability_factor,
-            "max_mode": max_mode,
-        },
+    decays = (r_exp + 1.0 + 0.51, max(t_exp - 1.0 + 0.51, 0.0))
+    return _refinement_probe(
+        "commutator", one_ratio, decays, seed, samples, t_exp, r_exp,
+        n_points, max_mode, stability_factor,
     )
 
 
@@ -266,33 +272,17 @@ def product_probe(
         raise InvalidExponents(f"need r > 1/2, got r={r_exp}")
     if not (-r_exp < t_exp <= r_exp):
         raise InvalidExponents(f"need -r < t <= r, got t={t_exp}, r={r_exp}")
-    grids = (Grid(n_points), Grid(2 * n_points))
-    max_mode = max_mode if max_mode is not None else n_points // 4
-    decay_f = r_exp + 0.51
-    decay_g = max(t_exp + 0.51, 0.0)
 
-    def one_ratio(grid: Grid, i: int) -> float:
-        f = random_trig_polynomial(grid, [seed, i, 0], max_mode, decay_f)
-        g = random_trig_polynomial(grid, [seed, i, 1], max_mode, decay_g)
+    def one_ratio(f: SpectralField, g: SpectralField) -> float:
         return _ratio_or_zero(
             sobolev_norm(dealiased_product(f, g), t_exp),
             sobolev_norm(f, r_exp) * sobolev_norm(g, t_exp),
         )
 
-    coarse = [one_ratio(grids[0], i) for i in range(samples)]
-    fine = [one_ratio(grids[1], i) for i in range(samples)]
-    passed, growth = _stability_verdict(max(coarse), max(fine), stability_factor)
-    return _summarize(
-        "product", seed, coarse, passed,
-        {
-            "t_exp": t_exp,
-            "r_exp": r_exp,
-            "grids": [g.n_points for g in grids],
-            "max_fine": max(fine),
-            "refinement_growth": growth,
-            "stability_factor": stability_factor,
-            "max_mode": max_mode,
-        },
+    decays = (r_exp + 0.51, max(t_exp + 0.51, 0.0))
+    return _refinement_probe(
+        "product", one_ratio, decays, seed, samples, t_exp, r_exp,
+        n_points, max_mode, stability_factor,
     )
 
 

@@ -12,10 +12,11 @@ of mode k is xi_k = 2*pi*k (period-1 convention).
 
 The linear operators :func:`derivative` and :func:`lambda_pow` act
 diagonally on the coefficients through symbol arrays cached per grid
-size (Fourier multipliers); nonlinear terms go through the n-ary
-:func:`dealiased_product`, which zero-pads to at least twice the grid
-before multiplying pointwise, so the retained modes of products carry no
-aliasing error.
+size (Fourier multipliers).  Products are formed on a grid zero-padded to
+at least twice the size, so their retained modes carry no aliasing error:
+`_to_grid` pads a half spectrum and transforms it, `_from_grid` transforms
+back and truncates.  :func:`dealiased_product` pads each factor; the model
+right-hand sides pad u and its derivatives once and truncate once per stage.
 
 Fields are immutable value objects and every operation is a pure function,
 so they can be shared freely across threads or processes.
@@ -157,30 +158,35 @@ class SpectralField:
 # half-spectrum plumbing (padding, coefficient normalization)
 # ---------------------------------------------------------------------------
 
-def _pad_half(h: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Zero-pad to m points; the unpaired Nyquist coefficient is split in two."""
-    hp = np.zeros(m // 2 + 1, dtype=np.complex128)
-    hp[: n // 2] = h[: n // 2]
-    hp[n // 2] = 0.5 * h[n // 2]
-    return hp
+def _resize(h: np.ndarray, n: int) -> np.ndarray:
+    """Half spectrum h zero-padded or truncated to n points (h itself if unchanged).
 
-def _truncate_half(hp: np.ndarray, n: int) -> np.ndarray:
-    """Adjoint of _pad_half: fold the +-n/2 pair back onto the Nyquist slot."""
-    h = np.empty(n // 2 + 1, dtype=np.complex128)
-    h[: n // 2] = hp[: n // 2]
-    h[n // 2] = 2.0 * hp[n // 2].real
-    return h
+    Padding splits the unpaired Nyquist coefficient between modes +-n_h/2;
+    truncation, its adjoint, folds the +-n/2 pair back onto the Nyquist slot.
+    """
+    old = 2 * (h.shape[0] - 1)
+    if n == old:
+        return h
+    half = min(n, old) // 2
+    out = np.zeros(n // 2 + 1, dtype=np.complex128)
+    out[:half] = h[:half]
+    out[half] = (0.5 if n > old else 2.0) * h[half].real
+    return out
 
-def _phys(h: np.ndarray, m: int) -> np.ndarray:
-    """Physical samples on m points from a coefficient-normalized half spectrum."""
-    return np.fft.irfft(h * m, n=m)
 
-def _half_from_phys(samples: np.ndarray) -> np.ndarray:
-    return np.fft.rfft(samples) / samples.shape[0]
+def _to_grid(h: np.ndarray, m: int) -> np.ndarray:
+    """Samples on m points of the half spectrum h of a field on at most m points."""
+    return np.fft.irfft(_resize(h, m) * m, n=m)
 
-def _padded_samples(field: SpectralField, m: int) -> np.ndarray:
-    """Samples of the field on a refined grid of m >= n_points points."""
-    return _phys(_pad_half(field.coef, field.grid.n_points, m), m)
+
+def _from_grid(samples: np.ndarray, n: int) -> np.ndarray:
+    """Half spectrum on n points of real samples on at least n points."""
+    return _resize(np.fft.rfft(samples) / samples.shape[0], n)
+
+
+def _dealias_size(n: int, count: int) -> int:
+    """Padded size free of aliasing for products of `count` factors on n points."""
+    return max(2 * n, 2 * math.ceil((count + 1) * n / 4))
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +211,12 @@ def from_physical(samples, grid: Grid | None = None) -> SpectralField:
         raise InvalidField(
             f"expected {grid.n_points} samples, got {samples.shape[0]}"
         )
-    return SpectralField(grid, _half_from_phys(samples))
+    return SpectralField(grid, _from_grid(samples, grid.n_points))
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
     """Real samples of the field at the collocation points."""
-    return _phys(field.coef, field.grid.n_points)
+    return _to_grid(field.coef, field.grid.n_points)
 
 
 def zeros(grid: Grid) -> SpectralField:
@@ -230,13 +236,7 @@ def mean(field: SpectralField) -> float:
 
 def resample(field: SpectralField, n_points: int) -> SpectralField:
     """Spectral interpolation (pad) or truncation to a new grid size."""
-    new = Grid(n_points)
-    old = field.grid.n_points
-    if n_points == old:
-        return field
-    if n_points > old:
-        return SpectralField(new, _pad_half(field.coef, old, n_points))
-    return SpectralField(new, _truncate_half(field.coef, n_points))
+    return SpectralField(Grid(n_points), _resize(field.coef, n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +310,14 @@ def dealiased_product(f: SpectralField, g: SpectralField, *more: SpectralField) 
     for other in fields[1:]:
         f._same_grid(other)
     n = f.grid.n_points
-    m = max(2 * n, 2 * math.ceil((len(fields) + 1) * n / 4))
+    m = _dealias_size(n, len(fields))
     # overflow is allowed to propagate: the field constructor turns it
     # into InvalidField, which the integrator maps to a NonFinite status
     with np.errstate(over="ignore", invalid="ignore"):
-        prod = _padded_samples(f, m)
+        prod = _to_grid(f.coef, m)
         for other in fields[1:]:
-            prod = prod * _padded_samples(other, m)
-        h = _truncate_half(_half_from_phys(prod), n)
+            prod = prod * _to_grid(other.coef, m)
+        h = _from_grid(prod, n)
     return SpectralField(f.grid, h)
 
 
@@ -348,7 +348,7 @@ def sup_norm(field: SpectralField, refinement: int = 4) -> float:
     if refinement < 1:
         raise ValueError("refinement factor must be at least 1")
     m = refinement * field.grid.n_points
-    return float(np.max(np.abs(_padded_samples(field, m))))
+    return float(np.max(np.abs(_to_grid(field.coef, m))))
 
 
 def sup_norm_dx(field: SpectralField, refinement: int = 4) -> float:

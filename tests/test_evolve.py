@@ -127,6 +127,15 @@ class TestIntegrate:
         drift = abs(res.records[-1].mean - res.records[0].mean)
         assert drift <= 1e-12 * (1.0 + 0.4)
 
+    def test_mean_exact_with_nyquist_mode(self):
+        # regression: the truncated a(u)*u_x carried a mean through the
+        # unpaired Nyquist mode, so this run drifted by 2.2e-12 by t = 0.004
+        u0 = 0.07296554464299441 * random_trig_polynomial(Grid(16), 25830, 4, 1.0671711506109287)
+        res = integrate(u0, preset_normalized(), 0.004, FIXED_STEPS)
+        assert res.state.status is RunStatus.COMPLETED
+        assert res.state.u.coef[-1] != 0.0
+        assert [r.mean for r in res.records[1:]] == [res.records[0].mean] * 2
+
     def test_spatial_agreement_across_grids(self):
         c = preset_normalized()
         controls = IntegrationControls(dt=1e-3, sample_interval=1.0)

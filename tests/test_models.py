@@ -21,10 +21,13 @@ from lasw.models import (
 )
 from lasw.spectral import (
     Grid,
+    SpectralField,
     constant,
+    dealiased_product,
     derivative,
     from_physical,
     l2_norm,
+    lambda_pow,
     mean,
     random_trig_polynomial,
     to_physical,
@@ -227,9 +230,16 @@ class TestFlux:
         g = Grid(64)
         c = preset_normalized()
         u = random_trig_polynomial(g, 21, 8, 1.0)
-        from lasw.models import _semilinear_bracket
-        from lasw.spectral import lambda_pow
-        p_part = flux(u, c) + lambda_pow(_semilinear_bracket(u, c), -2.0, 1.0)
+        ux = derivative(u, 1)
+        # the bracket of preset_normalized: u + u^2 + u^3/3 - u_x^2 - u*u_x^2
+        bracket = (
+            u
+            + dealiased_product(u, u)
+            + dealiased_product(u, u, u) / 3.0
+            - dealiased_product(ux, ux)
+            - dealiased_product(u, ux, ux)
+        )
+        p_part = flux(u, c) + lambda_pow(bracket, -2.0, 1.0)
         uu = to_physical(u)
         expected = uu + uu ** 2 / 2.0 + uu ** 3 / 3.0
         assert np.max(np.abs(to_physical(p_part) - expected)) < 1e-12
@@ -244,3 +254,86 @@ class TestFlux:
             t = tendency(u, c)
             residual = t + derivative(flux(u, c), 1)
             assert l2_norm(residual) <= 1e-10 * l2_norm(t)
+
+
+def direct_reference(u, c):
+    """The local form term by term, one dealiased product per coefficient."""
+    ux, uxx, uxxx = (derivative(u, k) for k in (1, 2, 3))
+    rhs = c.alpha1 * ux + c.alpha2 * uxxx
+    for coeff, factors in (
+        (c.alpha3, (u, ux)),
+        (c.beta1, (ux, uxx)),
+        (c.beta2, (u, uxxx)),
+        (c.gamma1, (u, ux, uxx)),
+        (c.gamma2, (u, u, uxxx)),
+        (c.gamma3, (ux, ux, ux)),
+        (c.alpha4, (u, u, ux)),
+        (c.alpha5, (u, u, u, ux)),
+    ):
+        if coeff != 0.0:
+            rhs = rhs + coeff * dealiased_product(*factors)
+    return rhs if c.mu == 0.0 else lambda_pow(rhs, -2.0, c.mu)
+
+
+def full_band(grid, seed):
+    """Random real field with every mode set, the Nyquist mode included."""
+    rng = np.random.default_rng(seed)
+    half = grid.n_points // 2
+    coef = rng.standard_normal(half + 1) + 1j * rng.standard_normal(half + 1)
+    coef *= 0.3 * (1.0 + np.arange(half + 1)) ** -2.0
+    coef[0], coef[half] = coef[0].real, coef[half].real
+    return SpectralField(grid, coef)
+
+
+LOCAL_FORM_MODELS = {
+    "kdv": preset_survey("kdv", RegimeParameters(eps=0.5, delta=0.5)),
+    "bbm": preset_survey("bbm", RegimeParameters(eps=0.5, delta=0.5, beta=-0.25)),
+    "ch": preset_survey("ch", RegimeParameters(kappa=1.0)),
+    "dp": preset_survey("dp", RegimeParameters(kappa=1.0)),
+    "se": preset_survey("se", RegimeParameters(eps=0.5, delta=0.4)),
+    "moderate": preset_survey("moderate", RegimeParameters(eps=0.5, delta=0.5, p=0.1, z0=0.5)),
+    "large_amplitude": preset_large_amplitude(RegimeParameters(eps=0.3, delta=0.2)),
+}
+
+
+class TestPaddedEvaluation:
+    @pytest.mark.parametrize("name", sorted(LOCAL_FORM_MODELS))
+    def test_direct_form_matches_per_term_reference(self, name):
+        # se carries the quartic alpha5 term, which needs the wider padding
+        c = LOCAL_FORM_MODELS[name]
+        for n in (32, 64):
+            for seed in range(3):
+                u = full_band(Grid(n), 100 * n + seed)
+                ref = direct_reference(u, c)
+                assert l2_norm(tendency_direct(u, c) - ref) <= 1e-12 * l2_norm(ref)
+
+    def test_transform_counts(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        u = random_trig_polynomial(Grid(128), 1, 10, 2.0)
+        large = preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1))
+        kdv = LOCAL_FORM_MODELS["kdv"]
+
+        def count(fn, c):
+            calls.clear()
+            fn(u, c)
+            return len(calls)
+
+        assert count(tendency, large) == 6
+        assert count(tendency_direct, large) <= 5
+        assert count(tendency_direct, kdv) <= 3
+
+    def test_tendency_mean_is_exactly_zero(self):
+        c = preset_normalized()
+        for seed in range(5):
+            u = full_band(Grid(32), seed)
+            assert u.coef[-1] != 0.0
+            assert tendency(u, c).coef[0] == 0.0

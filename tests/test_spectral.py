@@ -299,6 +299,11 @@ class TestNorms:
         f = from_physical(np.sin(TWO_PI * g.x), g)
         assert sup_norm(f) == pytest.approx(1.0, abs=1e-6)
 
+    def test_unrefined_sup_norm_reads_the_samples(self):
+        # the Nyquist mode counts in full on the unpadded grid
+        samples = np.random.default_rng(5).standard_normal(16)
+        assert sup_norm(from_physical(samples), 1) == pytest.approx(np.max(np.abs(samples)), rel=1e-14)
+
 
 class TestMollify:
     def quad_kernel_coefficient(self, kernel, k, n):
