@@ -9,7 +9,6 @@ import numpy as np
 
 from lasw import (
     Grid,
-    default_mollifier,
     dealiased_product,
     derivative,
     from_physical,
@@ -50,9 +49,8 @@ print(f"  dealiased product leaves    {abs(clean.mode(-2)):.1e} there and keeps 
 
 # --- mollification converges in L2 and never pumps energy ------------------
 rough = random_trig_polynomial(Grid(128), seed=8, max_mode=50, decay_exponent=1.2)
-print("\nmollifying a rough field (coefficient decay ~ n^-1.2):")
-kernel = default_mollifier()
+print("\nmollifying a rough field (coefficient decay ~ n^-1.2) with the bump kernel:")
 for n in (2, 4, 8, 16, 32):
-    smoothed = mollify(rough, n, kernel)
+    smoothed = mollify(rough, n)
     print(f"  n = {n:3d}: ||rho_n * u - u||_0 = {l2_norm(smoothed - rough):.6f}"
           f"   ||rho_n * u||_0 / ||u||_0 = {l2_norm(smoothed)/l2_norm(rough):.6f}")

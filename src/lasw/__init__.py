@@ -19,11 +19,9 @@ from .errors import (
 )
 from .spectral import (
     Grid,
-    Mollifier,
     SpectralField,
     constant,
     dealiased_product,
-    default_mollifier,
     derivative,
     from_physical,
     l2_norm,

@@ -30,7 +30,7 @@ from .errors import (
     IoError,
     LaswError,
 )
-from .evolve import BlowupThresholds
+from .evolve import BlowupThresholds, IntegrationControls
 from .models import (
     ModelCoefficients,
     RegimeParameters,
@@ -59,12 +59,12 @@ class RunConfig:
     grid: int
     initial_data: dict
     t_end: float
-    cfl: float = 0.5
-    dt: float | None = None
-    sample_interval: float = 0.05
-    snapshot_times: tuple[float, ...] = ()
+    cfl: float = IntegrationControls.cfl
+    dt: float | None = IntegrationControls.dt
+    sample_interval: float = IntegrationControls.sample_interval
+    snapshot_times: tuple[float, ...] = IntegrationControls.snapshot_times
     thresholds: dict = field(default_factory=dict)
-    s_exponent: float = 2.0
+    s_exponent: float = IntegrationControls.s_exponent
     seed: int = 0
     out_dir: str = "out"
     dump_coefficients: bool = False

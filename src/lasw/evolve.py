@@ -30,6 +30,10 @@ from .spectral import (
 )
 
 
+# Step budget of one run; a run whose first step implies more fails at once.
+_MAX_STEPS = 20_000_000
+
+
 class RunStatus(enum.Enum):
     RUNNING = "Running"
     COMPLETED = "Completed"
@@ -88,7 +92,6 @@ class IntegrationControls:
     snapshot_times: tuple[float, ...] = ()
     thresholds: BlowupThresholds = field(default_factory=BlowupThresholds)
     s_exponent: float = 2.0
-    max_steps: int = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,26 @@ def step_rk4(state: SimulationState, coeffs: ModelCoefficients, dt: float) -> Si
     return SimulationState(state.t + dt, u_new, dt, RunStatus.RUNNING)
 
 
+def _stable_dt(u: SpectralField, coeffs: ModelCoefficients, cfl: float) -> float:
+    """Explicit step cfl * dx / max(1, sup|a(u)|), or the dispersive bound when mu = 0.
+
+    With mu = 0 the leading term alpha2*u_xxx needs dt ~ dx^3 (RK4
+    imaginary-axis stability) and the advective speed is read off the
+    local coefficients.
+    """
+    grid = u.grid
+    if coeffs.mu == 0.0:
+        xi_max = math.pi * grid.n_points
+        bound = math.inf
+        if coeffs.alpha2 != 0.0:
+            bound = 2.8 / (abs(coeffs.alpha2) * xi_max ** 3)
+        speed = abs(coeffs.alpha1) + abs(coeffs.alpha3) * sup_norm(u)
+        bound = min(bound, grid.spacing / max(1.0, speed))
+    else:
+        bound = grid.spacing / max(1.0, sup_norm(transport_field(u, coeffs)))
+    return cfl * bound
+
+
 def _event_times(t_end: float, sample_interval: float, snapshot_times) -> list[tuple[float, bool, bool]]:
     """Sorted (time, is_sample, is_snapshot) stops the integrator lands on."""
     samples = set()
@@ -214,7 +237,6 @@ def integrate(
         if not 0.0 <= ts <= t_end:
             raise InvalidControls(f"snapshot time {ts} outside [0, {t_end}]")
 
-    grid = u0.grid
     stiff = coeffs.mu == 0.0
     if coeffs.mu < 0.0:
         raise InvalidMu(f"mu must be nonnegative, got {coeffs.mu}")
@@ -225,27 +247,16 @@ def integrate(
         rhs = lambda v: tendency(v, coeffs)
 
     def dt_bound(u: SpectralField) -> float:
-        if controls.dt is not None:
-            return min(controls.dt, controls.sample_interval)
-        if stiff:
-            xi_max = math.pi * grid.n_points
-            bound = math.inf
-            if coeffs.alpha2 != 0.0:
-                # RK4 imaginary-axis stability for the leading dispersive term
-                bound = 2.8 / (abs(coeffs.alpha2) * xi_max ** 3)
-            speed = abs(coeffs.alpha1) + abs(coeffs.alpha3) * sup_norm(u)
-            bound = min(bound, grid.spacing / max(1.0, speed))
-        else:
-            bound = grid.spacing / max(1.0, sup_norm(transport_field(u, coeffs)))
-        return min(controls.cfl * bound, controls.sample_interval)
+        dt = controls.dt if controls.dt is not None else _stable_dt(u, coeffs, controls.cfl)
+        return min(dt, controls.sample_interval)
 
     # the first step's bound doubles as the step-count estimate, so a run the
-    # budget cannot cover fails now rather than after max_steps steps
+    # budget cannot cover fails now rather than after _MAX_STEPS steps
     dt_first = dt_bound(u0)
-    if t_end / dt_first > controls.max_steps:
+    if t_end / dt_first > _MAX_STEPS:
         raise InvalidControls(
             f"about {t_end / dt_first:.3g} steps of dt={dt_first:.3g} needed, "
-            f"over the step budget {controls.max_steps}"
+            f"over the step budget {_MAX_STEPS}"
         )
 
     records = [diagnose(0.0, u0, controls.s_exponent)]
@@ -265,9 +276,9 @@ def integrate(
     ):
         while t < ev - 1e-13 and status is RunStatus.RUNNING:
             steps += 1
-            if steps > controls.max_steps:
+            if steps > _MAX_STEPS:
                 raise InvalidControls(
-                    f"step budget {controls.max_steps} exhausted at t={t:.6g}"
+                    f"step budget {_MAX_STEPS} exhausted at t={t:.6g}"
                 )
             dt_last = min(dt_first if steps == 1 else dt_bound(u), ev - t)
             u_new = _rk4(u, rhs, dt_last)

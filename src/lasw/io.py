@@ -8,13 +8,15 @@ their own run.json field and never touch the comparable artifacts.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import IoError
 from .evolve import DiagnosticsRecord
 from .spectral import SpectralField, to_physical
 
-DIAGNOSTICS_HEADER = "t,mean,l2,hs,sup_ux,tail,sup_u"
+_DIAGNOSTICS_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
+DIAGNOSTICS_HEADER = ",".join(_DIAGNOSTICS_COLUMNS)
 
 
 def fmt(x: float) -> str:
@@ -32,9 +34,7 @@ def _write_text(path: Path, text: str) -> None:
 def write_diagnostics_csv(path, records: list[DiagnosticsRecord]) -> None:
     lines = [DIAGNOSTICS_HEADER]
     for r in records:
-        lines.append(
-            ",".join(fmt(v) for v in (r.t, r.mean, r.l2, r.hs, r.sup_ux, r.tail, r.sup_u))
-        )
+        lines.append(",".join(fmt(getattr(r, name)) for name in _DIAGNOSTICS_COLUMNS))
     _write_text(Path(path), "\n".join(lines) + "\n")
 
 

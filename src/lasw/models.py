@@ -35,7 +35,7 @@ before padding.  a(u) is truncated before it multiplies u_x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -87,13 +87,6 @@ class ModelCoefficients:
     def has_extended_terms(self) -> bool:
         return self.alpha4 != 0.0 or self.alpha5 != 0.0
 
-    def to_dict(self) -> dict:
-        return {k: float(v) for k, v in asdict(self).items()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelCoefficients":
-        return cls(**{k: float(v) for k, v in data.items()})
-
 
 @dataclass(frozen=True)
 class RegimeParameters:
@@ -120,15 +113,14 @@ class RegimeParameters:
             raise InvalidRegime(f"z0 must lie in [0, 1], got {self.z0}")
 
 
-def validate(coeffs: ModelCoefficients, require_conservative: bool = True) -> ModelCoefficients:
-    """Gate for the nonlocal solver: mu > 0 and (by default) the cubic relation.
+def validate(coeffs: ModelCoefficients) -> ModelCoefficients:
+    """Gate for the nonlocal solver: mu > 0 and the cubic relation.
 
-    Pass require_conservative=False when only the local form
-    (`tendency_direct`) will be used.
+    The local form (`tendency_direct`) needs neither and does not call it.
     """
     if coeffs.mu <= 0.0:
         raise InvalidMu(f"mu must be positive, got {coeffs.mu}")
-    if require_conservative and not coeffs.conservative:
+    if not coeffs.conservative:
         raise GammaRelationViolated(
             f"gamma1={coeffs.gamma1} but 2*(gamma2+gamma3)="
             f"{2.0 * (coeffs.gamma2 + coeffs.gamma3)}"

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch, InvalidExponents, InvalidField, InvalidProbeInput, ProbeUnresolved
-from .evolve import IntegrationControls, RunStatus, _rk4, integrate
-from .models import ModelCoefficients, RegimeParameters, preset_large_amplitude, transport_field
+from .evolve import _MAX_STEPS, IntegrationControls, RunStatus, _rk4, _stable_dt, integrate
+from .models import ModelCoefficients, RegimeParameters, preset_large_amplitude
 from .spectral import (
     TWO_PI,
     Grid,
@@ -52,6 +52,11 @@ from .spectral import (
     sup_norm,
     sup_norm_dx,
 )
+
+# Sample times per probe run.
+_SEMIGROUP_SAMPLES = 40
+_DEPENDENCE_SAMPLES = 10
+_DISPERSION_RECORDS = 50
 
 
 @dataclass(frozen=True)
@@ -104,15 +109,15 @@ def semigroup_probe(
     t_end: float,
     *,
     cfl: float = 0.3,
-    n_samples: int = 40,
     tail_rel_max: float = 1e-2,
     tolerance: float = 1e-6,
 ) -> ProbeReport:
     """Check ||w(t)||_0 <= exp(omega*t) ||w0||_0 for w_t = a(x) w_x.
 
     The linear flow is advanced pseudospectrally with RK4 under an
-    advective CFL step; omega = sup|a_x|/2.  Passing means the sampled
-    ratio ||w(t)|| / (exp(omega*t) ||w0||) never exceeds 1 + tolerance.
+    advective CFL step; omega = sup|a_x|/2.  Passing means the ratio
+    ||w(t)|| / (exp(omega*t) ||w0||), sampled at 40 evenly spaced times,
+    never exceeds 1 + tolerance.
     Raises ProbeUnresolved if the spectral tail of w crosses
     tail_rel_max * ||w||, i.e. the grid stopped resolving the solution.
     """
@@ -133,12 +138,12 @@ def semigroup_probe(
         return _from_grid(a_pad * _to_grid(h * dx, m), n)
 
     dt = cfl * grid.spacing / max(1.0, sup_norm(a))
-    if t_end / dt > IntegrationControls.max_steps:
+    if t_end / dt > _MAX_STEPS:
         raise InvalidProbeInput(
             f"about {t_end / dt:.3g} steps of dt={dt:.3g} needed, "
-            f"over the step budget {IntegrationControls.max_steps}"
+            f"over the step budget {_MAX_STEPS}"
         )
-    sample_ts = [t_end * (j + 1) / n_samples for j in range(n_samples)]
+    sample_ts = [t_end * (j + 1) / _SEMIGROUP_SAMPLES for j in range(_SEMIGROUP_SAMPLES)]
     h = w0.coef
     t = 0.0
     ratios = [1.0 if w0_norm > 0.0 else 0.0]
@@ -310,17 +315,16 @@ def continuous_dependence_experiment(
     coeffs: ModelCoefficients,
     seed: int,
     *,
-    n_samples: int = 10,
     dt: float | None = None,
     cfl: float = 0.4,
-    max_mode: int = 10,
 ) -> ProbeReport:
     """Response of the solution map to shrinking data perturbations.
 
     Solves from u0 and from u0 + eta_k * phi for a fixed random unit-H^s
-    direction phi and records d_k = max over sample times of the H^s
-    distance.  Passing requires d_k non-increasing and the last response
-    within a factor 10 of linear scaling from the first.
+    direction phi (modes up to 10) and records d_k = max over 10 sample
+    times of the H^s distance.  Passing requires d_k non-increasing and the
+    last response within a factor 10 of linear scaling from the first.
+    dt=None takes `integrate`'s first-step bound for u0 at this cfl.
     """
     etas = [float(e) for e in perturbation_sizes]
     if not etas:
@@ -330,13 +334,12 @@ def continuous_dependence_experiment(
     if any(b > a for a, b in zip(etas, etas[1:])):
         raise InvalidProbeInput("perturbation sizes must be non-increasing")
     grid = u0.grid
-    phi = random_trig_polynomial(grid, seed, min(max_mode, grid.n_points // 2 - 1), s_exp + 0.51)
+    phi = random_trig_polynomial(grid, seed, min(10, grid.n_points // 2 - 1), s_exp + 0.51)
     phi = phi / sobolev_norm(phi, s_exp)
 
     if dt is None:
-        a0 = sup_norm(transport_field(u0, coeffs))
-        dt = cfl * grid.spacing / max(1.0, a0)
-    sample_ts = [t_end * (j + 1) / n_samples for j in range(n_samples)]
+        dt = _stable_dt(u0, coeffs, cfl)
+    sample_ts = [t_end * (j + 1) / _DEPENDENCE_SAMPLES for j in range(_DEPENDENCE_SAMPLES)]
     base = _solve_sampled(u0, coeffs, t_end, dt, sample_ts)
 
     distances = []
@@ -385,15 +388,15 @@ def dispersion_probe(
     *,
     n_points: int = 64,
     window: float = 0.5,
-    n_record: int = 50,
     dt: float | None = None,
     tolerance: float = 1e-6,
 ) -> ProbeReport:
     """Measure the phase speed of one small-amplitude mode.
 
     A single cosine mode is evolved in the (effectively linear) regime and
-    the phase of its Fourier coefficient is tracked over a short window;
-    the fitted speed is compared with the analytic dispersion relation.
+    the phase of its Fourier coefficient is tracked at 50 times over a
+    short window; the fitted speed is compared with the analytic
+    dispersion relation.
     dt=None picks a step small enough that the time-integration phase
     error sits well below the tolerance; a coarse explicit dt shows the
     error decaying ~dt^4 under refinement.
@@ -410,21 +413,16 @@ def dispersion_probe(
     c_exact = phase_speed(k, delta)
 
     u0 = from_physical(amplitude * np.cos(k * grid.x), grid)
-    record_dt = window / n_record
+    record_dt = window / _DISPERSION_RECORDS
     # keep the RK4 phase error around (omega*dt)^4/120 well below tolerance
     target = dt if dt is not None else 0.05 / k
     steps_per_record = max(1, int(math.ceil(record_dt / target)))
     dt = record_dt / steps_per_record
-    sample_ts = [record_dt * (j + 1) for j in range(n_record)]
-    controls = IntegrationControls(dt=dt, sample_interval=window, snapshot_times=tuple(sample_ts))
-    result = integrate(u0, coeffs, window, controls)
-    if result.state.status is not RunStatus.COMPLETED:
-        raise ProbeUnresolved(f"run ended with status {result.state.status.value}")
+    sample_ts = [record_dt * (j + 1) for j in range(_DISPERSION_RECORDS)]
+    snapshots = _solve_sampled(u0, coeffs, window, dt, sample_ts)
 
     ts = np.array([0.0] + sample_ts)
-    phases = np.unwrap(
-        [np.angle(u0.mode(mode))] + [np.angle(u.mode(mode)) for (_, u) in result.snapshots]
-    )
+    phases = np.unwrap([np.angle(u.mode(mode)) for u in [u0, *snapshots]])
     slope = np.polyfit(ts, phases, 1)[0]
     c_measured = -slope / k
     rel_err = abs(c_measured - c_exact) / abs(c_exact)
@@ -458,15 +456,15 @@ def mollified_data_experiment(
 
     Solves from rho_n * u0 for each n and reports the L2 distances between
     consecutive terminal states; passing means the distances decrease
-    monotonically (vacuous for a single n).
+    monotonically (vacuous for a single n).  dt=None takes the smallest of
+    `integrate`'s first-step bounds for the mollified fields at this cfl.
     """
     ns = [int(n) for n in n_sequence]
     if not ns or any(n < 1 for n in ns):
         raise InvalidProbeInput("n_sequence must contain positive integers")
     fields = [mollify(u0_rough, n) for n in ns]
     if dt is None:
-        worst = max(sup_norm(transport_field(f, coeffs)) for f in fields)
-        dt = cfl * u0_rough.grid.spacing / max(1.0, worst)
+        dt = min(_stable_dt(f, coeffs, cfl) for f in fields)
     terminals = [
         _solve_sampled(f, coeffs, t_end, dt, [t_end])[0] for f in fields
     ]
@@ -491,18 +489,15 @@ def convergence_study(
     t_end: float,
     grids,
     dts,
-    *,
-    order_target: float = 4.0,
-    order_slack: float = 0.2,
 ) -> ProbeReport:
     """Temporal order estimate plus spatial spectral-decay curve.
 
     Temporal: fixed-step runs on the finest grid for each dt (adjusted to
     divide t_end); consecutive terminal differences give the observed
-    order.  Spatial: runs at each grid with the smallest dt; consecutive
-    terminal differences (compared on the finer grid) must decay or sit at
-    round-off.  Degenerate zero-error cases (e.g. constant data) pass with
-    order reported as None.
+    order, which must lie within 0.2 of 4.  Spatial: runs at each grid with
+    the smallest dt; consecutive terminal differences (compared on the finer
+    grid) must decay or sit at round-off.  Degenerate zero-error cases
+    (e.g. constant data) pass with order reported as None.
     """
     grid_sizes = sorted(int(g) for g in grids)
     dt_list = sorted((float(d) for d in dts), reverse=True)
@@ -530,7 +525,7 @@ def convergence_study(
             if e2 > 0.0
         ]
         order = orders[-1] if orders else math.nan
-        temporal_pass = bool(orders) and abs(order - order_target) <= order_slack
+        temporal_pass = bool(orders) and abs(order - 4.0) <= 0.2
 
     dt_min = dt_list[-1]
     terminals_s = [run(resample(u0, g), dt_min) for g in grid_sizes]

@@ -17,6 +17,8 @@ at least twice the size, so their retained modes carry no aliasing error:
 `_to_grid` pads a half spectrum and transforms it, `_from_grid` transforms
 back and truncates.  :func:`dealiased_product` pads each factor; the model
 right-hand sides pad u and its derivatives once and truncate once per stage.
+:func:`mollify` convolves with one built-in kernel, the rescaled bump
+exp(-1/(y(1-y))) on [0, 1].
 
 Fields are immutable value objects and every operation is a pure function,
 so they can be shared freely across threads or processes.
@@ -27,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -343,17 +344,14 @@ def l2_norm(field: SpectralField) -> float:
     return sobolev_norm(field, 0.0)
 
 
-def sup_norm(field: SpectralField, refinement: int = 4) -> float:
-    """max |u| evaluated on a refined grid (default refinement factor 4)."""
-    if refinement < 1:
-        raise ValueError("refinement factor must be at least 1")
-    m = refinement * field.grid.n_points
-    return float(np.max(np.abs(_to_grid(field.coef, m))))
+def sup_norm(field: SpectralField) -> float:
+    """max |u| evaluated on the grid refined by a factor 4."""
+    return float(np.max(np.abs(_to_grid(field.coef, 4 * field.grid.n_points))))
 
 
-def sup_norm_dx(field: SpectralField, refinement: int = 4) -> float:
+def sup_norm_dx(field: SpectralField) -> float:
     """max |u_x| on the refined grid; the wave-breaking monitor."""
-    return sup_norm(derivative(field, 1), refinement)
+    return sup_norm(derivative(field, 1))
 
 
 def spectral_tail(field: SpectralField) -> float:
@@ -366,19 +364,6 @@ def spectral_tail(field: SpectralField) -> float:
 # mollification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mollifier:
-    """Smooth kernel supported in [0, 1] with unit integral.
-
-    ``profile`` is evaluated on arrays of points in [0, 1] and must vanish
-    at both endpoints (all derivatives included) for spectral accuracy of
-    the quadrature used here.
-    """
-
-    name: str
-    profile: Callable[[np.ndarray], np.ndarray]
-
-
 def _bump_raw(y: np.ndarray) -> np.ndarray:
     out = np.zeros_like(y)
     inside = (y > 0.0) & (y < 1.0)
@@ -388,12 +373,19 @@ def _bump_raw(y: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def default_mollifier() -> Mollifier:
-    """The standard bump exp(-1/(y(1-y))), numerically normalized to mass 1."""
+def _bump_scale() -> float:
     m = 1 << 16
-    mass = float(np.mean(_bump_raw(np.arange(m) / m)))
-    scale = 1.0 / mass
-    return Mollifier("bump", lambda y: scale * _bump_raw(np.asarray(y, dtype=np.float64)))
+    return 1.0 / float(np.mean(_bump_raw(np.arange(m) / m)))
+
+
+def _bump(y: np.ndarray) -> np.ndarray:
+    """Mollifier profile: the bump exp(-1/(y(1-y))) on [0, 1], normalized to mass 1.
+
+    The mass is computed numerically.  The bump vanishes with all its
+    derivatives at both endpoints, which makes the quadrature in `mollify`
+    spectrally accurate.
+    """
+    return _bump_scale() * _bump_raw(y)
 
 
 def _kernel_fine_size(n_points: int, n: int) -> int:
@@ -401,35 +393,28 @@ def _kernel_fine_size(n_points: int, n: int) -> int:
     return 1 << max(13, int(math.ceil(math.log2(target))))
 
 
-def kernel_coefficients(kernel: Mollifier, n: int, m: int) -> np.ndarray:
-    """Fourier coefficients of the rescaled kernel n*rho(n*x) on a fine grid."""
-    x = np.arange(m) / m
-    y = n * x
-    vals = np.zeros(m)
-    mask = y <= 1.0
-    vals[mask] = n * kernel.profile(y[mask])
-    return np.fft.rfft(vals) / m
+def mollify(field: SpectralField, n: int) -> SpectralField:
+    """Periodic convolution with the rescaled bump rho_n(x) = n*rho(n*x).
 
-
-def mollify(field: SpectralField, n: int, kernel: Mollifier | None = None) -> SpectralField:
-    """Periodic convolution with the rescaled kernel rho_n(x) = n*rho(n*x).
-
-    The kernel must carry unit mass to within 1e-10 (InvalidKernel
-    otherwise); after an exact renormalization the mean of the field is
-    preserved bit-for-bit.  Output coefficients decay super-algebraically.
+    rho is the built-in bump kernel exp(-1/(y(1-y))) on [0, 1] (`_bump`).
+    Its symbol comes from a quadrature on a fine grid; the quadrature must
+    give unit mass to within 1e-10 (InvalidKernel otherwise).  After an
+    exact renormalization the mean of the field is preserved bit-for-bit.
+    Output coefficients decay super-algebraically.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"mollification index must be a positive integer, got {n!r}")
-    if kernel is None:
-        kernel = default_mollifier()
+    n = int(n)
     npts = field.grid.n_points
-    fine = _kernel_fine_size(npts, int(n))
-    sig = kernel_coefficients(kernel, int(n), fine)
+    m = _kernel_fine_size(npts, n)
+    y = n * (np.arange(m) / m)
+    vals = np.zeros(m)
+    mask = y <= 1.0
+    vals[mask] = n * _bump(y[mask])
+    sig = np.fft.rfft(vals) / m
     mass = sig[0].real
     if abs(mass - 1.0) > 1e-10:
-        raise InvalidKernel(
-            f"kernel {kernel.name!r} has integral {mass:.12g}, expected 1 within 1e-10"
-        )
+        raise InvalidKernel(f"bump kernel has integral {mass:.12g}, expected 1 within 1e-10")
     sig = sig / mass
     ny = npts // 2
     mult = sig[: ny + 1].copy()

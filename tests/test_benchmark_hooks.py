@@ -1,9 +1,12 @@
-"""The benchmark's tracer rebinds package functions by name; they must exist."""
+"""The benchmark's tracer rebinds package functions by name; they must exist,
+and a traced op of each workload must still reach every layer it measures."""
 
 import importlib
+import json
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
 
 
 def test_traced_targets_resolve(monkeypatch):
@@ -16,3 +19,36 @@ def test_traced_targets_resolve(monkeypatch):
         if not callable(getattr(mod, attr, None))
     ]
     assert not missing, f"traced names not found: {missing}"
+
+
+def test_traced_toy_ops_yield_every_per_layer_metric(monkeypatch, tmp_path):
+    """What `--trace 1` reports: the micro-table plus one traced op per workload.
+
+    A layer that stops being called through the names the tracer rebinds,
+    or a micro-table call that stops matching a signature, drops or breaks
+    a metric here.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    worker = importlib.import_module("worker")
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(workloads, "OUT", tmp_path)
+
+    def one_call(fn, *args, **kwargs):
+        fn()
+        return 1.0
+
+    monkeypatch.setattr(tracing, "per_call_us", one_call)
+    names = set(tracing.micro_table())
+    references = workloads.load_references()
+    for cls in workloads.WORKLOADS.values():
+        wl = cls("toy", references)
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            _, failure, root = worker.run_op(wl, workloads.WARMUP_KEY, tracer)
+        assert failure is None, (cls.name, failure)
+        names |= set(worker.profile(tracer, wl, root))
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    expected = {m["name"] for m in spec["per_layer"]} - {"trace.overhead_frac"}
+    assert not expected - names, f"per-layer metrics not measured: {sorted(expected - names)}"

@@ -62,7 +62,6 @@ class TestValidation:
         c = ModelCoefficients(mu=1.0, gamma1=1.0, gamma2=0.0, gamma3=0.0)
         with pytest.raises(GammaRelationViolated):
             validate(c)
-        validate(c, require_conservative=False)  # direct form does not care
 
     def test_mu_rejected(self):
         with pytest.raises(InvalidMu):
@@ -77,10 +76,6 @@ class TestValidation:
             RegimeParameters(delta=-1.0)
         with pytest.raises(InvalidRegime):
             RegimeParameters(z0=1.5)
-
-    def test_round_trip_dict(self):
-        c = preset_large_amplitude(RegimeParameters(eps=0.3, delta=0.2))
-        assert ModelCoefficients.from_dict(c.to_dict()) == c
 
 
 class TestSurveyPresets:

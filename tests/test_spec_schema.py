@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lasw.errors
+import lasw.evolve
 from lasw.cli import main, sweep_command
 from lasw.config import RunConfig
 from lasw.errors import ConfigInvalid, InvalidControls, InvalidProbeInput, LaswError
@@ -221,15 +222,17 @@ class TestStepBudget:
         assert not (tmp_path / "out" / "run.json").exists()
 
     @pytest.mark.parametrize("dt", [None, 0.01])
-    def test_estimate_precedes_the_first_step(self, dt):
+    def test_estimate_precedes_the_first_step(self, dt, monkeypatch):
+        monkeypatch.setattr(lasw.evolve, "_MAX_STEPS", 5)
         u0 = from_physical([0.0] * 16, Grid(16))
-        controls = IntegrationControls(dt=dt, max_steps=5)
+        controls = IntegrationControls(dt=dt)
         with pytest.raises(InvalidControls, match="step budget 5"):
             integrate(u0, preset_normalized(), 1.0, controls)
 
-    def test_budget_that_covers_the_run_passes(self):
+    def test_budget_that_covers_the_run_passes(self, monkeypatch):
+        monkeypatch.setattr(lasw.evolve, "_MAX_STEPS", 12)
         u0 = from_physical([0.0] * 16, Grid(16))
-        controls = IntegrationControls(dt=0.01, sample_interval=0.05, max_steps=12)
+        controls = IntegrationControls(dt=0.01, sample_interval=0.05)
         assert integrate(u0, preset_normalized(), 0.1, controls).state.t == pytest.approx(0.1)
 
     def test_semigroup_budget_fails_fast_via_cli(self, tmp_path):
@@ -255,6 +258,20 @@ def test_mollified_data_defaults_pass(tmp_path):
     result = invoke(tmp_path, "probe", {"probe": "mollified_data"}, "--out", str(tmp_path / "out"))
     assert result.exit_code == 0, (result.stderr, result.exception)
     assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"]
+
+
+@pytest.mark.parametrize("probe", ["continuous_dependence", "mollified_data"])
+def test_solution_map_probes_take_the_dispersive_dt_for_mu_zero(tmp_path, probe):
+    # kdv has mu = 0, so there is no transport field; dt comes from the stiff bound
+    spec = {"probe": probe, "model": {"preset": "kdv", "eps": 0.5, "delta": 0.5},
+            "grid": 32, "t_end": 0.001}
+    result = invoke(tmp_path, "probe", spec, "--out", str(tmp_path / "out"))
+    assert result.exit_code == 0, (result.stderr, result.exception)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"]
+    # cfl 0.4 times the RK4 bound 2.8 / (|alpha2| * xi_max^3), alpha2 = -delta^2/6
+    stiff_dt = 0.4 * 2.8 / (0.5 ** 2 / 6.0 * (math.pi * 32) ** 3)
+    assert report["details"]["dt"] == pytest.approx(stiff_dt, rel=1e-12)
 
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)

@@ -14,13 +14,12 @@ from lasw.errors import (
     InvalidMu,
     LaswError,
 )
+from lasw import spectral
 from lasw.spectral import (
     Grid,
-    Mollifier,
     SpectralField,
     constant,
     dealiased_product,
-    default_mollifier,
     derivative,
     from_physical,
     l2_norm,
@@ -299,19 +298,14 @@ class TestNorms:
         f = from_physical(np.sin(TWO_PI * g.x), g)
         assert sup_norm(f) == pytest.approx(1.0, abs=1e-6)
 
-    def test_unrefined_sup_norm_reads_the_samples(self):
-        # the Nyquist mode counts in full on the unpadded grid
-        samples = np.random.default_rng(5).standard_normal(16)
-        assert sup_norm(from_physical(samples), 1) == pytest.approx(np.max(np.abs(samples)), rel=1e-14)
-
 
 class TestMollify:
-    def quad_kernel_coefficient(self, kernel, k, n):
+    def quad_kernel_coefficient(self, k, n):
         """Gauss-Legendre oracle for the symbol at mode k, scale n."""
         nodes, weights = np.polynomial.legendre.leggauss(600)
         y = 0.5 * (nodes + 1.0)  # [0, 1]
         w = 0.5 * weights
-        vals = kernel.profile(y)
+        vals = spectral._bump(y)
         xi = TWO_PI * k / n
         return np.sum(w * vals * np.exp(-1j * xi * y))
 
@@ -337,10 +331,9 @@ class TestMollify:
 
     def test_single_mode_scaling_matches_quadrature(self):
         g = Grid(64)
-        kernel = default_mollifier()
         f = from_physical(np.cos(3 * TWO_PI * g.x), g)
-        out = mollify(f, 1, kernel)
-        sigma = self.quad_kernel_coefficient(kernel, 3, 1)
+        out = mollify(f, 1)
+        sigma = self.quad_kernel_coefficient(3, 1)
         assert out.mode(3) == pytest.approx(0.5 * sigma, abs=1e-9)
 
     def test_no_l2_expansion(self):
@@ -356,13 +349,13 @@ class TestMollify:
         spectrum = np.abs(out.coef)
         assert spectrum[60] < 1e-6 * spectrum[1]
 
-    def test_invalid_kernel(self):
+    def test_invalid_kernel(self, monkeypatch):
         g = Grid(32)
         f = from_physical(np.sin(TWO_PI * g.x), g)
-        doubled = default_mollifier()
-        bad = Mollifier("double-mass", lambda y: 2.0 * doubled.profile(y))
+        bump = spectral._bump
+        monkeypatch.setattr(spectral, "_bump", lambda y: 2.0 * bump(y))
         with pytest.raises(InvalidKernel):
-            mollify(f, 2, bad)
+            mollify(f, 2)
         with pytest.raises(ValueError):
             mollify(f, 0)
 
