@@ -18,9 +18,12 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+import numpy as np
+
 from .errors import InvalidControls, InvalidField, InvalidMu
-from .models import ModelCoefficients, tendency, tendency_direct, transport_field, validate
+from .models import ModelCoefficients, tendency, tendency_direct, transport_field
 from .spectral import (
+    Grid,
     SpectralField,
     mean,
     sobolev_norm,
@@ -147,23 +150,30 @@ def detect_blowup(
 # stepping
 # ---------------------------------------------------------------------------
 
-def _rk4(u, rhs: Callable, dt: float):
-    """One classical RK4 step of u' = rhs(u), for fields or plain coefficient arrays.
+def _rk4(h: np.ndarray, rhs: Callable, dt: float) -> np.ndarray | None:
+    """One classical RK4 step of h' = rhs(h) on rfft half spectra.
 
-    Returns None if an intermediate field went non-finite.
+    Returns None if a stage raised InvalidField or the result is not finite.
     """
     try:
-        k1 = rhs(u)
-        k2 = rhs(u + (0.5 * dt) * k1)
-        k3 = rhs(u + (0.5 * dt) * k2)
-        k4 = rhs(u + dt * k3)
-        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(h)
+        k2 = rhs(h + (0.5 * dt) * k1)
+        k3 = rhs(h + (0.5 * dt) * k2)
+        k4 = rhs(h + dt * k3)
     except InvalidField:
         return None
+    h = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return h if np.all(np.isfinite(h)) else None
+
+
+def _tendency_of(grid: Grid, coeffs: ModelCoefficients) -> Callable:
+    """h -> du/dt at h, by `tendency` where it applies, else by `tendency_direct`."""
+    form = tendency if coeffs.mu > 0.0 and not coeffs.has_extended_terms else tendency_direct
+    return lambda h: form(SpectralField(grid, h), coeffs).coef
 
 
 def step_rk4(state: SimulationState, coeffs: ModelCoefficients, dt: float) -> SimulationState:
-    """Advance one RK4 step of the nonlocal tendency.
+    """Advance one RK4 step of any model that `integrate` accepts.
 
     The tendency has exactly zero mean, and the RK4 update is a linear
     combination of stages, so the mean of u is preserved to round-off.
@@ -172,10 +182,10 @@ def step_rk4(state: SimulationState, coeffs: ModelCoefficients, dt: float) -> Si
         raise InvalidControls(f"dt must be positive, got {dt}")
     if state.status is not RunStatus.RUNNING:
         raise InvalidControls(f"cannot step a state with status {state.status.value}")
-    u_new = _rk4(state.u, lambda v: tendency(v, coeffs), dt)
-    if u_new is None:
+    h = _rk4(state.u.coef, _tendency_of(state.u.grid, coeffs), dt)
+    if h is None:
         return replace(state, dt=dt, status=RunStatus.NONFINITE)
-    return SimulationState(state.t + dt, u_new, dt, RunStatus.RUNNING)
+    return SimulationState(state.t + dt, SpectralField(state.u.grid, h), dt, RunStatus.RUNNING)
 
 
 def _stable_dt(u: SpectralField, coeffs: ModelCoefficients, cfl: float) -> float:
@@ -240,11 +250,7 @@ def integrate(
     stiff = coeffs.mu == 0.0
     if coeffs.mu < 0.0:
         raise InvalidMu(f"mu must be nonnegative, got {coeffs.mu}")
-    if stiff or coeffs.has_extended_terms:
-        rhs = lambda v: tendency_direct(v, coeffs)
-    else:
-        validate(coeffs)
-        rhs = lambda v: tendency(v, coeffs)
+    rhs = _tendency_of(u0.grid, coeffs)
 
     def dt_bound(u: SpectralField) -> float:
         dt = controls.dt if controls.dt is not None else _stable_dt(u, coeffs, controls.cfl)
@@ -281,12 +287,12 @@ def integrate(
                     f"step budget {_MAX_STEPS} exhausted at t={t:.6g}"
                 )
             dt_last = min(dt_first if steps == 1 else dt_bound(u), ev - t)
-            u_new = _rk4(u, rhs, dt_last)
-            if u_new is None:
+            h = _rk4(u.coef, rhs, dt_last)
+            if h is None:
                 status = RunStatus.NONFINITE
                 break
             t = ev if ev - (t + dt_last) < 1e-13 else t + dt_last
-            u = u_new
+            u = SpectralField(u0.grid, h)
             decision = detect_blowup(
                 SimulationState(t, u, dt_last), controls.thresholds, controls.s_exponent
             )

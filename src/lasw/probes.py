@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidExponents, InvalidField, InvalidProbeInput, ProbeUnresolved
+from .errors import GridMismatch, InvalidExponents, InvalidProbeInput, ProbeUnresolved
 from .evolve import _MAX_STEPS, IntegrationControls, RunStatus, _rk4, _stable_dt, integrate
 from .models import ModelCoefficients, RegimeParameters, preset_large_amplitude
 from .spectral import (
@@ -118,8 +118,8 @@ def semigroup_probe(
     advective CFL step; omega = sup|a_x|/2.  Passing means the ratio
     ||w(t)|| / (exp(omega*t) ||w0||), sampled at 40 evenly spaced times,
     never exceeds 1 + tolerance.
-    Raises ProbeUnresolved if the spectral tail of w crosses
-    tail_rel_max * ||w||, i.e. the grid stopped resolving the solution.
+    Raises ProbeUnresolved at the first step that goes non-finite, or if the
+    spectral tail of w crosses tail_rel_max * ||w|| (the grid lost w).
     """
     if a.grid != w0.grid:
         raise GridMismatch("a and w0 must share a grid")
@@ -151,14 +151,11 @@ def semigroup_probe(
         while t < ts - 1e-13:
             step = min(dt, ts - t)
             h = _rk4(h, rhs, step)
+            if h is None:
+                raise ProbeUnresolved(f"non-finite evolution at t={t + step:.6g}")
             t = ts if ts - (t + step) < 1e-13 else t + step
-        try:
-            w = SpectralField(grid, h)
-            wn = l2_norm(w)
-        except InvalidField:  # non-finite coefficients
-            wn = math.nan
-        if not math.isfinite(wn):
-            raise ProbeUnresolved(f"non-finite evolution at t={t:.6g}")
+        w = SpectralField(grid, h)
+        wn = l2_norm(w)
         if wn > 0.0 and spectral_tail(w) > tail_rel_max * wn:
             raise ProbeUnresolved(
                 f"spectral tail exceeded {tail_rel_max:g} * ||w|| at t={t:.6g}"
@@ -497,20 +494,28 @@ def convergence_study(
     order, which must lie within 0.2 of 4.  Spatial: runs at each grid with
     the smallest dt; consecutive terminal differences (compared on the finer
     grid) must decay or sit at round-off.  Degenerate zero-error cases
-    (e.g. constant data) pass with order reported as None.
+    (e.g. constant data) pass with order reported as None.  The grids, and
+    the step counts of the adjusted dts, must be distinct.
     """
     grid_sizes = sorted(int(g) for g in grids)
     dt_list = sorted((float(d) for d in dts), reverse=True)
     if len(grid_sizes) < 3 or len(dt_list) < 3:
         raise InvalidProbeInput("need at least 3 grids and 3 dts")
+    if not t_end > 0.0:
+        raise InvalidProbeInput("t_end must be positive")
+    steps = [max(1, round(t_end / dt)) for dt in dt_list]
+    if len(set(grid_sizes)) < len(grid_sizes) or len(set(steps)) < len(steps):
+        raise InvalidProbeInput(
+            f"grids must be distinct and dts must give distinct step counts to t_end={t_end:g}; "
+            f"got grids {grid_sizes} and {steps} steps"
+        )
 
-    def run(u_init, dt):
-        n_steps = max(1, int(round(t_end / dt)))
+    def run(u_init, n_steps):
         return _solve_sampled(u_init, coeffs, t_end, t_end / n_steps, [t_end])[0]
 
     fine = grid_sizes[-1]
     u_fine = resample(u0, fine)
-    terminals_t = [run(u_fine, dt) for dt in dt_list]
+    terminals_t = [run(u_fine, n) for n in steps]
     errors_t = [
         l2_norm(a - b) for a, b in zip(terminals_t, terminals_t[1:])
     ]
@@ -520,15 +525,14 @@ def convergence_study(
         temporal_pass = True
     else:
         orders = [
-            math.log(e1 / e2) / math.log(d1 / d2)
-            for e1, e2, d1, d2 in zip(errors_t, errors_t[1:], dt_list, dt_list[1:])
+            math.log(e1 / e2) / math.log(n2 / n1)
+            for e1, e2, n1, n2 in zip(errors_t, errors_t[1:], steps, steps[1:])
             if e2 > 0.0
         ]
         order = orders[-1] if orders else math.nan
         temporal_pass = bool(orders) and abs(order - 4.0) <= 0.2
 
-    dt_min = dt_list[-1]
-    terminals_s = [run(resample(u0, g), dt_min) for g in grid_sizes]
+    terminals_s = [run(resample(u0, g), steps[-1]) for g in grid_sizes]
     errors_s = []
     for (ga, ua), (gb, ub) in zip(
         zip(grid_sizes, terminals_s), zip(grid_sizes[1:], terminals_s[1:])

@@ -52,3 +52,24 @@ def test_traced_toy_ops_yield_every_per_layer_metric(monkeypatch, tmp_path):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     expected = {m["name"] for m in spec["per_layer"]} - {"trace.overhead_frac"}
     assert not expected - names, f"per-layer metrics not measured: {sorted(expected - names)}"
+
+
+def test_semigroup_workload_counts_the_probe_steps(monkeypatch):
+    """`SemigroupN4096.implied_steps` copies the probe's step rule; it must match it."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    probes = workloads.probes
+    rk4 = probes._rk4
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return rk4(*args)
+
+    monkeypatch.setattr(probes, "_rk4", counted)
+    references = workloads.load_references()
+    for size in ("toy", "full"):
+        wl = workloads.SemigroupN4096(size, references)
+        calls.clear()
+        wl.run(wl.prepare(workloads.WARMUP_KEY))
+        assert len(calls) == wl.implied_steps(), size

@@ -90,6 +90,23 @@ class TestStepRK4:
         with pytest.raises(InvalidControls):
             step_rk4(done, preset_normalized(), 0.1)
 
+    @pytest.mark.parametrize("model", ["normalized", "kdv", "se"])
+    def test_steps_every_model_integrate_steps(self, model):
+        # one right-hand-side chooser and one RK4 step serve both, bit for bit
+        if model == "normalized":
+            c = preset_normalized()
+        else:
+            c = preset_survey(model, RegimeParameters(eps=0.5, delta=0.5))
+        u0 = random_trig_polynomial(Grid(32), 5, 8, 2.0)
+        dt = 2.0 ** -16
+        state = SimulationState(0.0, u0, 0.0)
+        for _ in range(8):
+            state = step_rk4(state, c, dt)
+        res = integrate(u0, c, 8 * dt, IntegrationControls(dt=dt, sample_interval=8 * dt))
+        assert res.state.status is RunStatus.COMPLETED
+        assert res.state.t == state.t
+        assert res.state.u.coef.tobytes() == state.u.coef.tobytes()
+
     def test_overflow_goes_nonfinite(self):
         g = Grid(32)
         huge = constant(g, 1e160) + cosine(g, 1e160)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lasw.errors import GammaRelationViolated, InvalidMu, InvalidRegime
+from lasw.evolve import IntegrationControls, integrate
 from lasw.models import (
     ModelCoefficients,
     RegimeParameters,
@@ -325,6 +326,28 @@ class TestPaddedEvaluation:
         assert count(tendency, large) == 6
         assert count(tendency_direct, large) <= 5
         assert count(tendency_direct, kdv) <= 3
+
+    def test_field_count_per_integrate_step(self, monkeypatch):
+        # per fixed-dt step: 4 stage inputs, 4 tendency outputs, the accepted
+        # state and one derivative in detect_blowup; the stages are arrays
+        built = []
+        post_init = SpectralField.__post_init__
+
+        def counting(field):
+            built.append(field)
+            post_init(field)
+
+        monkeypatch.setattr(SpectralField, "__post_init__", counting)
+        u = random_trig_polynomial(Grid(128), 1, 10, 2.0)
+        large = preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1))
+        dt = 2.0 ** -10
+
+        def count(steps):
+            built.clear()
+            integrate(u, large, steps * dt, IntegrationControls(dt=dt, sample_interval=steps * dt))
+            return len(built)
+
+        assert count(3) - count(2) == 10
 
     def test_tendency_mean_is_exactly_zero(self):
         c = preset_normalized()

@@ -1,6 +1,7 @@
 """Operator-estimate and solution-map probes at desk scale."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,16 @@ class TestSemigroupProbe:
         w0 = random_trig_polynomial(g, 2, 8, 1.0)
         with np.errstate(all="ignore"), pytest.raises(ProbeUnresolved, match="non-finite"):
             semigroup_probe(a, w0, 4000.0, cfl=50.0)
+
+    def test_non_finite_step_stops_the_probe(self):
+        # the first sample time is 1e4; the run must not step on past the overflow
+        g = Grid(64)
+        a = from_physical(np.sin(TWO_PI * g.x), g)
+        w0 = random_trig_polynomial(g, 2, 8, 1.0)
+        with np.errstate(all="ignore"), pytest.raises(ProbeUnresolved) as err:
+            semigroup_probe(a, w0, 4e5, cfl=50.0)
+        t = float(re.fullmatch(r"non-finite evolution at t=(\S+)", str(err.value)).group(1))
+        assert t < 1e4
 
     def test_deterministic(self):
         g = Grid(128)
