@@ -159,13 +159,13 @@ MALFORMED = [
     ("probe", {"grid": 16}),
     ("run", dict(TINY_RUN, initial_data={"profile": ["random"]})),
     ("converge", {"grids": []}),
+    ("sweep", {"base": 5}),
     # coinciding grids, or dts that round to the same number of steps to t_end
     ("converge", {"dts": [0.01, 0.01, 0.005], "t_end": 0.05}),
     ("converge", {"dts": [0.01, 0.0099, 0.005], "t_end": 0.05}),
     ("converge", {"dts": [0.01, 0.005, 0.005], "t_end": 0.05}),
     ("converge", {"dts": [0.02, 0.01, 0.005], "t_end": 0.005}),
     ("converge", {"grids": [32, 32, 64], "t_end": 0.05}),
-    ("sweep", {"base": 5}),
 ]
 
 
