@@ -153,7 +153,8 @@ def detect_blowup(
 def _rk4(h: np.ndarray, rhs: Callable, dt: float) -> np.ndarray | None:
     """One classical RK4 step of h' = rhs(h) on rfft half spectra.
 
-    Returns None if a stage raised InvalidField or the result is not finite.
+    Returns None if a stage raised InvalidField or the result is not finite;
+    SpectralField repeats that scan, but `semigroup_probe`'s rhs builds no field.
     """
     try:
         k1 = rhs(h)
@@ -277,15 +278,11 @@ def integrate(
     status = RunStatus.RUNNING
     steps = 0
 
-    for ev, is_sample, is_snap in _event_times(
-        t_end, controls.sample_interval, controls.snapshot_times
-    ):
+    for ev, is_sample, is_snap in _event_times(t_end, controls.sample_interval, controls.snapshot_times):
         while t < ev - 1e-13 and status is RunStatus.RUNNING:
             steps += 1
             if steps > _MAX_STEPS:
-                raise InvalidControls(
-                    f"step budget {_MAX_STEPS} exhausted at t={t:.6g}"
-                )
+                raise InvalidControls(f"step budget {_MAX_STEPS} exhausted at t={t:.6g}")
             dt_last = min(dt_first if steps == 1 else dt_bound(u), ev - t)
             h = _rk4(u.coef, rhs, dt_last)
             if h is None:

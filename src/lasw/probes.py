@@ -118,8 +118,8 @@ def semigroup_probe(
     advective CFL step; omega = sup|a_x|/2.  Passing means the ratio
     ||w(t)|| / (exp(omega*t) ||w0||), sampled at 40 evenly spaced times,
     never exceeds 1 + tolerance.
-    Raises ProbeUnresolved at the first step that goes non-finite, or if the
-    spectral tail of w crosses tail_rel_max * ||w|| (the grid lost w).
+    Raises ProbeUnresolved once w or ||w|| goes non-finite, or if the spectral
+    tail of w crosses tail_rel_max * ||w|| (the grid lost w).
     """
     if a.grid != w0.grid:
         raise GridMismatch("a and w0 must share a grid")
@@ -156,6 +156,8 @@ def semigroup_probe(
             t = ts if ts - (t + step) < 1e-13 else t + step
         w = SpectralField(grid, h)
         wn = l2_norm(w)
+        if not math.isfinite(wn):  # finite coefficients whose norm overflows
+            raise ProbeUnresolved(f"non-finite evolution at t={t:.6g}")
         if wn > 0.0 and spectral_tail(w) > tail_rel_max * wn:
             raise ProbeUnresolved(
                 f"spectral tail exceeded {tail_rel_max:g} * ||w|| at t={t:.6g}"

@@ -91,6 +91,14 @@ class TestSemigroupProbe:
         t = float(re.fullmatch(r"non-finite evolution at t=(\S+)", str(err.value)).group(1))
         assert t < 1e4
 
+    def test_overflowing_norm_raises(self):
+        # finite coefficients of size 1e160 square past the float range
+        g = Grid(64)
+        a = from_physical(np.sin(TWO_PI * g.x), g)
+        w0 = from_physical(1e160 * np.cos(TWO_PI * g.x), g)
+        with np.errstate(all="ignore"), pytest.raises(ProbeUnresolved, match="non-finite"):
+            semigroup_probe(a, w0, 0.1)
+
     def test_deterministic(self):
         g = Grid(128)
         a = from_physical(np.sin(TWO_PI * g.x), g)
