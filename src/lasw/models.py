@@ -29,7 +29,8 @@ and the derivatives its products use are padded once, the products of
 each stage (a(u), the bracket of f(u), P(u), a(u)*u_x) are summed on that
 grid and truncated once.  A product is a (coefficient, derivative orders)
 term, so (beta2, (0, 3)) is beta2*u*u_xxx; zero coefficients are dropped
-before padding.  a(u) is truncated before it multiplies u_x.
+before padding.  a(u) is truncated before it multiplies u_x; a constant
+a(u) (beta2 = gamma2 = 0, as in bbm) multiplies the coefficients of u_x.
 """
 
 from __future__ import annotations
@@ -348,9 +349,13 @@ def tendency(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
             "use tendency_direct"
         )
     n = u.grid.n_points
+    constant_a = coeffs.beta2 == 0.0 and coeffs.gamma2 == 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = _pad(u, _bracket(coeffs) + _square(coeffs), orders=(1,))
-        a_ux = _from_grid(_to_grid(_transport(u, coeffs, grid), grid[1].size) * grid[1], n)
+        grid = _pad(u, _bracket(coeffs) + _square(coeffs), orders=() if constant_a else (1,))
+        if constant_a:  # a(u) = alpha2/mu: a*u_x is a coefficient multiply
+            a_ux = (coeffs.alpha2 / coeffs.mu) * u.coef * _dx_sigma(n, 1)
+        else:
+            a_ux = _from_grid(_to_grid(_transport(u, coeffs, grid), grid[1].size) * grid[1], n)
         rhs = _semilinear_bracket(u, coeffs, grid) * _dx_sigma(n, 1) - a_ux
     rhs[0] = 0.0
     return SpectralField(u.grid, rhs)

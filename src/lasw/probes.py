@@ -58,6 +58,14 @@ _SEMIGROUP_SAMPLES = 40
 _DEPENDENCE_SAMPLES = 10
 _DISPERSION_RECORDS = 50
 
+# Widest band K of a(x) that the semigroup probe convolves on the half
+# spectrum; up to K = 4 that is no slower than the 2n-point FFT pair at every
+# n from 64 to 4096 (measured on a 2-vCPU VM).
+_BAND_MAX = 4
+# Coefficients of a(x) at or under this multiple of eps * max|a_k| are
+# round-off (sampling sin 2 pi x leaves ~2.8e-16 * max|a_k| in every mode).
+_BAND_FLOOR = 64.0 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class ProbeReport:
@@ -103,6 +111,62 @@ def _summarize(name, seed, values, passed, details) -> ProbeReport:
 # frozen-coefficient semigroup growth
 # ---------------------------------------------------------------------------
 
+def _band(a: np.ndarray) -> int:
+    """Largest mode k with |a[k]| above the round-off floor; 0 if there is none."""
+    mag = np.abs(a)
+    above = np.flatnonzero(mag > _BAND_FLOOR * np.max(mag))
+    return int(above[-1]) if above.size else 0
+
+
+def _padded_transport(a: np.ndarray, n: int):
+    """h -> P_n(a * h_x) through one 2n-point transform pair per call."""
+    m = 2 * n
+    a_pad = _to_grid(a, m)
+    dx = _dx_sigma(n, 1)
+    return lambda h: _from_grid(a_pad * _to_grid(h * dx, m), n)
+
+
+def _banded_transport(a: np.ndarray, n: int):
+    """h -> P_n(a * h_x) for a with modes 0..K only (K = len(a) - 1 < n/2).
+
+    The truncated product is a (2K+1)-diagonal convolution: mode k of the
+    output is sum_j a_j g_{k-j} over |j| <= K, with g = h_x, a_{-j} =
+    conj(a_j) and g_{-m} = conj(g_m).  The Nyquist entry of g is zero (so is
+    the first-derivative symbol there), so g extended by K conjugated modes
+    below 0 and K zeros past n/2 holds every g_{k-j} the output needs.  As
+    in `_from_grid`, the +-n/2 pair folds into the Nyquist slot and the mean
+    is real.
+    """
+    band = a.shape[0] - 1
+    half = n // 2
+    dx = _dx_sigma(n, 1)
+    # (a_j, start of g_{k-j} in ext) for j = +-1..+-K
+    shifts = [(complex(a[j]), band - j) for j in range(1, band + 1)]
+    shifts += [(complex(np.conj(a[j])), band + j) for j in range(1, band + 1)]
+    ext = np.zeros(half + 1 + 2 * band, dtype=np.complex128)
+    g = ext[band: band + half + 1]
+
+    def rhs(h):
+        np.multiply(h, dx, out=g)
+        ext[:band] = np.conj(ext[2 * band: band: -1])
+        out = a[0] * g
+        for coef, start in shifts:
+            out += coef * ext[start: start + half + 1]
+        out[0] = out[0].real
+        out[half] = 2.0 * out[half].real
+        return out
+
+    return rhs
+
+
+def _transport_rhs(a: np.ndarray, n: int):
+    """h -> P_n(a * h_x): banded when a has at most _BAND_MAX modes, else padded."""
+    band = _band(a)
+    if band <= _BAND_MAX and band < n // 2:
+        return _banded_transport(a[: band + 1], n)
+    return _padded_transport(a, n)
+
+
 def semigroup_probe(
     a: SpectralField,
     w0: SpectralField,
@@ -115,9 +179,11 @@ def semigroup_probe(
     """Check ||w(t)||_0 <= exp(omega*t) ||w0||_0 for w_t = a(x) w_x.
 
     The linear flow is advanced pseudospectrally with RK4 under an
-    advective CFL step; omega = sup|a_x|/2.  Passing means the ratio
-    ||w(t)|| / (exp(omega*t) ||w0||), sampled at 40 evenly spaced times,
-    never exceeds 1 + tolerance.
+    advective CFL step; omega = sup|a_x|/2.  The right-hand side P_n(a*w_x)
+    is a banded convolution on the half spectrum when a has at most
+    _BAND_MAX modes above 64*eps*max|a_k|, else a 2n-point transform pair.
+    Passing means the ratio ||w(t)|| / (exp(omega*t) ||w0||), sampled at 40
+    evenly spaced times, never exceeds 1 + tolerance.
     Raises ProbeUnresolved once w or ||w|| goes non-finite, or if the spectral
     tail of w crosses tail_rel_max * ||w|| (the grid lost w).
     """
@@ -130,13 +196,7 @@ def semigroup_probe(
     omega = 0.5 * sup_norm_dx(a)
     w0_norm = l2_norm(w0)
 
-    m = 2 * n
-    a_pad = _to_grid(a.coef, m)
-    dx = _dx_sigma(n, 1)
-
-    def rhs(h):
-        return _from_grid(a_pad * _to_grid(h * dx, m), n)
-
+    rhs = _transport_rhs(a.coef, n)
     dt = cfl * grid.spacing / max(1.0, sup_norm(a))
     if t_end / dt > _MAX_STEPS:
         raise InvalidProbeInput(

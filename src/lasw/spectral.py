@@ -326,18 +326,27 @@ def dealiased_product(f: SpectralField, g: SpectralField, *more: SpectralField) 
 # norms
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=128)
+def _sobolev_weight(n: int, s: float) -> np.ndarray:
+    """(1 + xi_k^2)^s on the half spectrum, doubled where mode k stands for -k too."""
+    half = n // 2
+    xi = TWO_PI * np.arange(half + 1)
+    weight = (1.0 + xi * xi) ** s
+    weight[1:half] *= 2.0
+    weight.flags.writeable = False
+    return weight
+
+
 def sobolev_norm(field: SpectralField, s: float) -> float:
     """H^s norm: sqrt(sum_n (1 + xi_n^2)^s |u_hat[n]|^2) with xi_n = 2*pi*n.
 
     The sum runs over all modes -n/2 <= n < n/2; each stored mode
     0 < k < n/2 stands for itself and its conjugate -k.
     """
-    half = field.grid.n_points // 2
-    xi = TWO_PI * np.arange(half + 1)
-    weight = (1.0 + xi * xi) ** float(s)
-    weight[1:half] *= 2.0
-    power = field.coef.real ** 2 + field.coef.imag ** 2
-    return float(math.sqrt(np.sum(weight * power)))
+    weight = _sobolev_weight(field.grid.n_points, float(s))
+    with np.errstate(over="ignore"):  # an overflowing field has norm inf
+        power = field.coef.real ** 2 + field.coef.imag ** 2
+        return float(math.sqrt(np.sum(weight * power)))
 
 
 def l2_norm(field: SpectralField) -> float:

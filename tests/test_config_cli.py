@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,20 @@ class TestRunCommand:
         assert info["status"] == "BlowUpSuspected"
         assert info["blowup"]["trigger"] == "sup_ux"
         assert info["blowup"]["t"] > 0.0
+
+    def test_overflowing_run_is_nonfinite_without_warning(self, tmp_path):
+        # coefficients of size 1e160 square past the float range in sobolev_norm
+        path = write_config(tmp_path, minimal_config(
+            tmp_path / "out", grid=32, dt=0.1,
+            initial_data={"profile": "cosine", "amplitude": 1e160, "mode": 1},
+        ))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 1
+        assert "NonFinite" in result.output
+        assert "RuntimeWarning" not in result.stderr
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestProbeAndConverge:

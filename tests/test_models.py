@@ -317,6 +317,7 @@ class TestPaddedEvaluation:
         u = random_trig_polynomial(Grid(128), 1, 10, 2.0)
         large = preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1))
         kdv = LOCAL_FORM_MODELS["kdv"]
+        bbm = LOCAL_FORM_MODELS["bbm"]
 
         def count(fn, c):
             calls.clear()
@@ -324,6 +325,8 @@ class TestPaddedEvaluation:
             return len(calls)
 
         assert count(tendency, large) == 6
+        # constant a(u): only u^2 is padded and truncated
+        assert count(tendency, bbm) == 2
         assert count(tendency_direct, large) <= 5
         assert count(tendency_direct, kdv) <= 3
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from lasw import probes
 from lasw.errors import InvalidExponents, ProbeUnresolved
 from lasw.models import preset_normalized
 from lasw.probes import (
@@ -106,6 +107,86 @@ class TestSemigroupProbe:
         r1 = semigroup_probe(a, w0, 0.2)
         r2 = semigroup_probe(a, w0, 0.2)
         assert r1 == r2
+
+
+def full_band(half, seed):
+    """Random half spectrum of modes 0..half with every slot set, half real."""
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal(half + 1) + 1j * rng.standard_normal(half + 1)
+    h[0] = h[0].real
+    h[half] = h[half].real
+    return h
+
+
+def rel_diff(x, y):
+    return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+
+class TestTransportRightHandSides:
+    """The banded and padded forms of P_n(a * h_x) are each other's oracle."""
+
+    @pytest.mark.parametrize("n", [16, 64, 512, 4096])
+    def test_banded_matches_padded(self, n):
+        for band in range(probes._BAND_MAX + 1):
+            a = np.zeros(n // 2 + 1, dtype=np.complex128)
+            a[: band + 1] = full_band(band + 1, [n, band])[: band + 1]
+            h = full_band(n // 2, [n, band, 1])
+            banded = probes._banded_transport(a[: band + 1], n)(h)
+            assert rel_diff(banded, probes._padded_transport(a, n)(h)) <= 1e-14, band
+
+    @pytest.mark.parametrize("n", [16, 64, 512, 4096])
+    def test_sampled_sine_sits_on_the_floor(self, n):
+        # sampling leaves round-off in every mode; the floor still finds band 1
+        a = from_physical(np.sin(TWO_PI * Grid(n).x), Grid(n)).coef
+        assert np.any(a[2:] != 0.0)
+        assert probes._band(a) == 1
+        h = full_band(n // 2, n)
+        banded = probes._transport_rhs(a, n)(h)
+        assert rel_diff(banded, probes._padded_transport(a, n)(h)) <= 1e-14
+
+    @pytest.mark.parametrize("a_of, per_stage", [
+        (lambda g: from_physical(np.sin(TWO_PI * g.x), g), 0),
+        (lambda g: from_physical(
+            0.8 * np.sin(TWO_PI * g.x) + 0.3 * np.cos(2 * TWO_PI * g.x), g), 0),
+        (lambda g: random_trig_polynomial(g, 4, 20, 1.0), 2),
+    ], ids=["sine", "mixed", "twenty-modes"])
+    def test_transforms_inside_the_step_loop(self, monkeypatch, a_of, per_stage):
+        inside, ffts, steps = [False], [], []
+        rk4 = probes._rk4
+
+        def stepped(*args):
+            steps.append(1)
+            inside[0] = True
+            try:
+                return rk4(*args)
+            finally:
+                inside[0] = False
+
+        def counted(fn):
+            def wrapped(*args, **kwargs):
+                if inside[0]:
+                    ffts.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        monkeypatch.setattr(probes, "_rk4", stepped)
+        g = Grid(128)
+        semigroup_probe(a_of(g), random_trig_polynomial(g, 1, 3, 1.0), 0.02)
+        assert steps
+        assert len(ffts) == 4 * per_stage * len(steps)
+
+    def test_forced_padded_path_gives_the_same_ratios(self, monkeypatch):
+        grid = Grid(4096)
+        a = from_physical(np.sin(TWO_PI * grid.x), grid)
+        draws = [random_trig_polynomial(grid, seed, 1, 1.0) for seed in range(2)]
+        banded = [semigroup_probe(a, w0, 0.05, cfl=0.5) for w0 in draws]
+        monkeypatch.setattr(probes, "_BAND_MAX", -1)
+        padded = [semigroup_probe(a, w0, 0.05, cfl=0.5) for w0 in draws]
+        for rb, rp in zip(banded, padded):
+            assert rb.details == rp.details
+            np.testing.assert_allclose(rb.values, rp.values, rtol=1e-13, atol=0.0)
 
 
 class TestEstimateProbes:
