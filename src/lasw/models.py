@@ -25,12 +25,11 @@ the equation is a scalar conservation law, so the spatial mean is
 conserved exactly; `flux` builds the corresponding flux function.
 
 Each right-hand side is one padded evaluation (the transform method): u
-and the derivatives its products use are padded once, the products of
-each stage (a(u), the bracket of f(u), P(u), a(u)*u_x) are summed on that
-grid and truncated once.  A product is a (coefficient, derivative orders)
-term, so (beta2, (0, 3)) is beta2*u*u_xxx; zero coefficients are dropped
-before padding.  a(u) is truncated before it multiplies u_x; a constant
-a(u) (beta2 = gamma2 = 0, as in bbm) multiplies the coefficients of u_x.
+and the derivatives its products use are padded once, and the products
+(the powers in a(u) or P(u), the bracket of f(u)) are summed on that grid
+and truncated once.  A product is a (coefficient, derivative orders) term,
+so (beta2, (0, 3)) is beta2*u*u_xxx; zero coefficients are dropped before
+padding.  `tendency` is -d/dx of the truncated flux, with a Nyquist slot of 0.
 """
 
 from __future__ import annotations
@@ -276,11 +275,11 @@ def _terms(*terms):
     return [(c, orders) for c, orders in terms if c != 0.0]
 
 
-def _pad(u: SpectralField, terms, orders=()) -> dict:
-    """Samples on the padded grid of each derivative of u the terms (or `orders`) use."""
+def _pad(u: SpectralField, terms) -> dict:
+    """Samples on the padded grid of each derivative of u the terms use."""
     n = u.grid.n_points
     m = _dealias_size(n, max((len(o) for _, o in terms), default=2))
-    needed = set(orders).union(*(o for _, o in terms))
+    needed = set().union(*(o for _, o in terms))
     return {k: _to_grid(u.coef * _dx_sigma(n, k) if k else u.coef, m) for k in needed}
 
 
@@ -335,12 +334,11 @@ def semilinear_term(u: SpectralField, coeffs: ModelCoefficients) -> SpectralFiel
 
 
 def tendency(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
-    """du/dt of the nonlocal form: f(u) - a(u)*u_x.
+    """du/dt of the nonlocal form: f(u) - a(u)*u_x = -d/dx of `flux`.
 
     Requires validated conservative coefficients with mu > 0 and no
-    extension slots.  The output is -d/dx of `flux`, so its mean is set to
-    exactly zero; the truncated a(u)*u_x would otherwise carry round-off
-    into it through the unpaired Nyquist mode.
+    extension slots.  The first-derivative symbol vanishes at mode 0 and
+    at the Nyquist mode, so both slots of the output are exactly zero.
     """
     validate(coeffs)
     if coeffs.has_extended_terms:
@@ -348,17 +346,8 @@ def tendency(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
             "extension slots alpha4/alpha5 are outside the nonlocal form; "
             "use tendency_direct"
         )
-    n = u.grid.n_points
-    constant_a = coeffs.beta2 == 0.0 and coeffs.gamma2 == 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = _pad(u, _bracket(coeffs) + _square(coeffs), orders=() if constant_a else (1,))
-        if constant_a:  # a(u) = alpha2/mu: a*u_x is a coefficient multiply
-            a_ux = (coeffs.alpha2 / coeffs.mu) * u.coef * _dx_sigma(n, 1)
-        else:
-            a_ux = _from_grid(_to_grid(_transport(u, coeffs, grid), grid[1].size) * grid[1], n)
-        rhs = _semilinear_bracket(u, coeffs, grid) * _dx_sigma(n, 1) - a_ux
-    rhs[0] = 0.0
-    return SpectralField(u.grid, rhs)
+        return SpectralField(u.grid, -_flux(u, coeffs) * _dx_sigma(u.grid.n_points, 1))
 
 
 def tendency_direct(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
@@ -386,6 +375,14 @@ def tendency_direct(u: SpectralField, coeffs: ModelCoefficients) -> SpectralFiel
         return SpectralField(u.grid, rhs)
 
 
+def _flux(u: SpectralField, c: ModelCoefficients):
+    """Half spectrum of Phi = P(u) - Lam^{-2}[semilinear bracket]."""
+    powers = _terms((0.5 * c.beta2 / c.mu, (0, 0)), (c.gamma2 / (3.0 * c.mu), (0, 0, 0)))
+    grid = _pad(u, _bracket(c) + powers)
+    p = (c.alpha2 / c.mu) * u.coef + _truncated_sum(grid, powers, u.grid.n_points)
+    return p - _semilinear_bracket(u, c, grid)
+
+
 def flux(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
     """Flux Phi with tendency(u) = -d/dx Phi(u).
 
@@ -393,9 +390,5 @@ def flux(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
     u-antiderivative of a(u): P(u) = (alpha2*u + beta2*u^2/2 + gamma2*u^3/3)/mu.
     """
     validate(coeffs)
-    c = coeffs
-    powers = _terms((0.5 * c.beta2 / c.mu, (0, 0)), (c.gamma2 / (3.0 * c.mu), (0, 0, 0)))
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = _pad(u, _bracket(c) + powers)
-        p = (c.alpha2 / c.mu) * u.coef + _truncated_sum(grid, powers, u.grid.n_points)
-        return SpectralField(u.grid, p - _semilinear_bracket(u, c, grid))
+        return SpectralField(u.grid, _flux(u, coeffs))

@@ -393,8 +393,13 @@ def continuous_dependence_experiment(
     if any(b > a for a, b in zip(etas, etas[1:])):
         raise InvalidProbeInput("perturbation sizes must be non-increasing")
     grid = u0.grid
-    phi = random_trig_polynomial(grid, seed, min(10, grid.n_points // 2 - 1), s_exp + 0.51)
-    phi = phi / sobolev_norm(phi, s_exp)
+    phi = random_trig_polynomial(
+        grid, seed, min(10, grid.n_points // 2 - 1), max(s_exp + 0.51, 0.0)
+    )
+    norm = sobolev_norm(phi, s_exp)
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise InvalidProbeInput(f"the H^{s_exp} norm of the perturbation direction is {norm}")
+    phi = phi / norm
 
     if dt is None:
         dt = _stable_dt(u0, coeffs, cfl)
@@ -462,8 +467,8 @@ def dispersion_probe(
     """
     if mode < 1:
         raise InvalidProbeInput("mode must be a positive integer")
-    if amplitude > 1e-6:
-        raise InvalidProbeInput("amplitude must stay in the linear regime (<= 1e-6)")
+    if abs(amplitude) > 1e-6:
+        raise InvalidProbeInput("amplitude must stay in the linear regime (|amplitude| <= 1e-6)")
     grid = Grid(n_points)
     if mode >= grid.n_points // 2:
         raise ProbeUnresolved(f"mode {mode} not resolved on {n_points} points")

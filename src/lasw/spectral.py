@@ -331,8 +331,9 @@ def _sobolev_weight(n: int, s: float) -> np.ndarray:
     """(1 + xi_k^2)^s on the half spectrum, doubled where mode k stands for -k too."""
     half = n // 2
     xi = TWO_PI * np.arange(half + 1)
-    weight = (1.0 + xi * xi) ** s
-    weight[1:half] *= 2.0
+    with np.errstate(over="ignore"):  # a weight past the float range is inf
+        weight = (1.0 + xi * xi) ** s
+        weight[1:half] *= 2.0
     weight.flags.writeable = False
     return weight
 
@@ -344,9 +345,12 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     0 < k < n/2 stands for itself and its conjugate -k.
     """
     weight = _sobolev_weight(field.grid.n_points, float(s))
-    with np.errstate(over="ignore"):  # an overflowing field has norm inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing field has norm inf
         power = field.coef.real ** 2 + field.coef.imag ** 2
-        return float(math.sqrt(np.sum(weight * power)))
+        total = np.sum(weight * power)
+        if math.isnan(total):  # an inf weight met a zero mode, which adds 0
+            total = np.sum(weight * power, where=power > 0.0)
+        return float(math.sqrt(total))
 
 
 def l2_norm(field: SpectralField) -> float:

@@ -216,6 +216,22 @@ class TestRunCommand:
         assert "RuntimeWarning" not in result.stderr
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_overflowing_hs_weight_is_hs_blowup_without_warning(self, tmp_path):
+        # the H^100 weight overflows against zero coefficients: hs is inf, not nan
+        out = tmp_path / "out"
+        path = write_config(tmp_path, minimal_config(
+            out, model={"preset": "normalized"}, grid=32, t_end=0.1, s_exponent=100,
+            initial_data={"profile": "random", "max_mode": 10, "decay_exponent": 2.0},
+        ))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 2
+        assert json.loads((out / "run.json").read_text())["blowup"]["trigger"] == "hs"
+        assert "nan" not in (out / "diagnostics.csv").read_text()
+        assert "RuntimeWarning" not in result.stderr
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
 
 class TestProbeAndConverge:
     def test_semigroup_probe_passes(self, tmp_path):
@@ -255,6 +271,24 @@ class TestProbeAndConverge:
         path.write_text(json.dumps(spec))
         result = CliRunner().invoke(main, ["probe", "--config", str(path), "--quiet"])
         assert result.exit_code == 0
+
+    def test_continuous_dependence_at_negative_s(self, tmp_path):
+        # s + 0.51 < 0 would be a negative decay for the perturbation direction
+        out = tmp_path / "dep"
+        spec = {"probe": "continuous_dependence", "s_exponent": -1.0, "t_end": 0.05,
+                "out_dir": str(out)}
+        path = write_config(tmp_path, spec, "spec.json")
+        result = CliRunner().invoke(main, ["probe", "--config", str(path), "--quiet"])
+        assert result.exit_code == 0
+        assert json.loads((out / "report.json").read_text())["passed"] is True
+
+    def test_continuous_dependence_with_overflowing_norm(self, tmp_path):
+        spec = {"probe": "continuous_dependence", "s_exponent": 100, "t_end": 0.05,
+                "out_dir": str(tmp_path / "dep")}
+        path = write_config(tmp_path, spec, "spec.json")
+        result = CliRunner().invoke(main, ["probe", "--config", str(path), "--quiet"])
+        assert result.exit_code == 1
+        assert "InvalidProbeInput" in result.output
 
     def test_probe_report_byte_identical(self, tmp_path):
         blobs = []

@@ -28,6 +28,7 @@ from lasw.models import (
 )
 from lasw.spectral import (
     Grid,
+    SpectralField,
     constant,
     from_physical,
     l2_norm,
@@ -145,13 +146,18 @@ class TestIntegrate:
         assert drift <= 1e-12 * (1.0 + 0.4)
 
     def test_mean_exact_with_nyquist_mode(self):
-        # regression: the truncated a(u)*u_x carried a mean through the
-        # unpaired Nyquist mode, so this run drifted by 2.2e-12 by t = 0.004
+        # regression: a truncated a(u)*u_x once carried a mean through the
+        # unpaired Nyquist mode, so this run drifted by 2.2e-12 by t = 0.004;
+        # tendency's Nyquist slot is 0, so the state keeps u0's Nyquist mode
         u0 = 0.07296554464299441 * random_trig_polynomial(Grid(16), 25830, 4, 1.0671711506109287)
+        coef = u0.coef.copy()
+        coef[-1] = 1e-5  # below the spectral-tail threshold
+        u0 = SpectralField(u0.grid, coef)
         res = integrate(u0, preset_normalized(), 0.004, FIXED_STEPS)
         assert res.state.status is RunStatus.COMPLETED
         assert res.state.u.coef[-1] != 0.0
         assert [r.mean for r in res.records[1:]] == [res.records[0].mean] * 2
+        assert res.state.u.coef[-1] == u0.coef[-1]
 
     def test_spatial_agreement_across_grids(self):
         c = preset_normalized()

@@ -324,7 +324,7 @@ class TestPaddedEvaluation:
             fn(u, c)
             return len(calls)
 
-        assert count(tendency, large) == 6
+        assert count(tendency, large) == 4
         # constant a(u): only u^2 is padded and truncated
         assert count(tendency, bbm) == 2
         assert count(tendency_direct, large) <= 5
@@ -351,6 +351,29 @@ class TestPaddedEvaluation:
             return len(built)
 
         assert count(3) - count(2) == 10
+
+    @pytest.mark.parametrize(
+        "name", ["bbm", "ch", "dp", "large_amplitude", "moderate", "normalized"]
+    )
+    def test_tendency_matches_direct_form_on_full_band_fields(self, name):
+        # -d/dx of the truncated flux is the Galerkin projection that
+        # tendency_direct builds term by term, also where u^2 and u^3 fill
+        # the top modes; tendency_direct folds the +-n/2 pair into the
+        # Nyquist slot, which tendency leaves at 0
+        c = preset_normalized() if name == "normalized" else LOCAL_FORM_MODELS[name]
+        for n in (32, 128):
+            for seed in range(10):
+                u = random_trig_polynomial(Grid(n), seed, n // 2 - 1, 1.0)
+                got, ref = tendency(u, c).coef[:-1], tendency_direct(u, c).coef
+                assert np.max(np.abs(got - ref[:-1])) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_tendency_is_exactly_minus_dx_of_flux(self):
+        for c in (preset_normalized(), LOCAL_FORM_MODELS["large_amplitude"]):
+            for seed in range(5):
+                u = full_band(Grid(32), seed)
+                t = tendency(u, c)
+                assert t.coef[0] == 0.0 and t.coef[-1] == 0.0
+                assert np.all((t + derivative(flux(u, c), 1)).coef == 0.0)
 
     def test_tendency_mean_is_exactly_zero(self):
         c = preset_normalized()

@@ -314,6 +314,8 @@ class TestDispersion:
     def test_linear_regime_guard(self):
         with pytest.raises(ValueError):
             dispersion_probe(1, 1.0, 0.1, 1e-3)
+        with pytest.raises(ValueError):
+            dispersion_probe(1, 1.0, 0.1, -1e-3)
 
     def test_unresolved_mode(self):
         with pytest.raises(ProbeUnresolved):

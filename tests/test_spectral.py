@@ -288,6 +288,12 @@ class TestNorms:
         quad = math.sqrt(np.mean(samples ** 2))
         assert sobolev_norm(f, 0.0) == pytest.approx(quad, rel=1e-12)
 
+    def test_overflowing_weight_gives_inf_not_nan(self):
+        # (1 + xi^2)^100 passes the float range in the top modes, where the
+        # field's coefficients are zero; inf * 0 must not turn the norm into nan
+        f = random_trig_polynomial(Grid(32), 1, 10, 2.0)
+        assert sobolev_norm(f, 100.0) == math.inf
+
     def test_sup_norm_dx_sine(self):
         g = Grid(64)
         f = from_physical(np.sin(TWO_PI * g.x), g)
