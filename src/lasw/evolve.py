@@ -4,7 +4,8 @@ The reformulated equation is first order and nonstiff once the inverse
 elliptic operator has smoothed the right-hand side, so a classical
 explicit RK4 step under an advective CFL condition is enough.  The step
 size is adjusted to land exactly on sample and snapshot times, so no
-interpolation enters the reported records.
+interpolation enters the reported records.  Each accepted state is
+measured once, by the blow-up check, and samples reuse that record.
 
 A run ends in one of four states: Completed (reached t_end),
 BlowUpSuspected (a monitored quantity crossed its threshold, wave-breaking
@@ -83,6 +84,7 @@ class BlowupDecision:
     trigger: str | None = None
     value: float | None = None
     t: float | None = None
+    record: DiagnosticsRecord | None = None  # classified, sup_u nan; None if already NonFinite
 
 
 @dataclass(frozen=True)
@@ -106,16 +108,17 @@ class IntegrationResult:
     blowup: BlowupDecision | None = None
 
 
-def diagnose(t: float, u: SpectralField, s_exponent: float = 2.0) -> DiagnosticsRecord:
+def _monitor(t: float, u: SpectralField, s_exponent: float) -> DiagnosticsRecord:
+    """A state's record but sup|u|, which no blow-up test reads: nan until a sample."""
     return DiagnosticsRecord(
-        t=t,
-        mean=mean(u),
-        l2=sobolev_norm(u, 0.0),
-        hs=sobolev_norm(u, s_exponent),
-        sup_ux=sup_norm_dx(u),
-        tail=spectral_tail(u),
-        sup_u=sup_norm(u),
+        t=t, mean=mean(u), l2=sobolev_norm(u, 0.0), hs=sobolev_norm(u, s_exponent),
+        sup_ux=sup_norm_dx(u), tail=spectral_tail(u), sup_u=math.nan,
     )
+
+
+def diagnose(t: float, u: SpectralField, s_exponent: float = 2.0) -> DiagnosticsRecord:
+    """Every monitored quantity of a state: `detect_blowup`'s record plus sup|u|."""
+    return replace(_monitor(t, u, s_exponent), sup_u=sup_norm(u))
 
 
 def detect_blowup(
@@ -123,27 +126,24 @@ def detect_blowup(
     thresholds: BlowupThresholds | None = None,
     s_exponent: float = 2.0,
 ) -> BlowupDecision:
-    """Classify the current state: Running, BlowUpSuspected or NonFinite.
+    """Classify the state's `_monitor` record: Running, BlowUpSuspected or NonFinite.
 
     Non-finite fields take precedence over threshold crossings; the
-    decision names the triggering quantity and the time.
+    decision names the triggering quantity and the time, and carries the record.
     """
     thresholds = thresholds or BlowupThresholds()
     if state.status is RunStatus.NONFINITE:
         return BlowupDecision(RunStatus.NONFINITE, t=state.t)
-    sup_ux = sup_norm_dx(state.u)
-    if not math.isfinite(sup_ux):
-        return BlowupDecision(RunStatus.NONFINITE, trigger="sup_ux", t=state.t)
-    if sup_ux > thresholds.sup_ux_max:
-        return BlowupDecision(RunStatus.BLOWUP_SUSPECTED, "sup_ux", sup_ux, state.t)
-    hs = sobolev_norm(state.u, s_exponent)
-    if hs > thresholds.hs_max:
-        return BlowupDecision(RunStatus.BLOWUP_SUSPECTED, "hs", hs, state.t)
-    tail = spectral_tail(state.u)
-    l2 = sobolev_norm(state.u, 0.0)
-    if tail > thresholds.tail_rel_max * l2 and l2 > 0.0:
-        return BlowupDecision(RunStatus.BLOWUP_SUSPECTED, "spectral_tail", tail, state.t)
-    return BlowupDecision(RunStatus.RUNNING, t=state.t)
+    r = _monitor(state.t, state.u, s_exponent)
+    if not math.isfinite(r.sup_ux):
+        return BlowupDecision(RunStatus.NONFINITE, trigger="sup_ux", t=r.t, record=r)
+    if r.sup_ux > thresholds.sup_ux_max:
+        return BlowupDecision(RunStatus.BLOWUP_SUSPECTED, "sup_ux", r.sup_ux, r.t, r)
+    if r.hs > thresholds.hs_max:
+        return BlowupDecision(RunStatus.BLOWUP_SUSPECTED, "hs", r.hs, r.t, r)
+    if r.tail > thresholds.tail_rel_max * r.l2 and r.l2 > 0.0:
+        return BlowupDecision(RunStatus.BLOWUP_SUSPECTED, "spectral_tail", r.tail, r.t, r)
+    return BlowupDecision(RunStatus.RUNNING, t=r.t, record=r)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +210,15 @@ def _stable_dt(u: SpectralField, coeffs: ModelCoefficients, cfl: float) -> float
 
 
 def _event_times(t_end: float, sample_interval: float, snapshot_times) -> list[tuple[float, bool, bool]]:
-    """Sorted (time, is_sample, is_snapshot) stops the integrator lands on."""
-    samples = set()
+    """(time, is_sample, is_snapshot) stops the integrator lands on, t = 0 first."""
+    samples = {round(t_end, 15)}
     k = 1
     while k * sample_interval < t_end - 1e-12:
         samples.add(round(k * sample_interval, 15))
         k += 1
-    samples.add(round(t_end, 15))
     snaps = {round(ts, 15) for ts in snapshot_times if ts > 0.0}
-    return [(ev, ev in samples, ev in snaps) for ev in sorted(samples | snaps)]
+    later = [(ev, ev in samples, ev in snaps) for ev in sorted(samples | snaps)]
+    return [(0.0, True, 0.0 in snapshot_times), *later]
 
 
 def integrate(
@@ -227,7 +227,7 @@ def integrate(
     t_end: float,
     controls: IntegrationControls | None = None,
 ) -> IntegrationResult:
-    """Evolve u0 to t_end with diagnostics at every sample time.
+    """Evolve u0 to t_end with diagnostics at t = 0 and every sample time.
 
     The CFL step is dt = cfl * dx / max(1, sup|a(u)|), capped by the
     sample interval and shortened to land exactly on sample/snapshot
@@ -266,13 +266,10 @@ def integrate(
             f"over the step budget {_MAX_STEPS}"
         )
 
-    records = [diagnose(0.0, u0, controls.s_exponent)]
+    records: list[DiagnosticsRecord] = []
     snapshots: list[tuple[float, SpectralField]] = []
-    if any(ts == 0.0 for ts in controls.snapshot_times):
-        snapshots.append((0.0, u0))
-
-    t = 0.0
-    u = u0
+    t, u = 0.0, u0
+    record = diagnose(t, u, controls.s_exponent)  # of the latest accepted u
     dt_last = 0.0
     blowup: BlowupDecision | None = None
     status = RunStatus.RUNNING
@@ -293,15 +290,18 @@ def integrate(
             decision = detect_blowup(
                 SimulationState(t, u, dt_last), controls.thresholds, controls.s_exponent
             )
+            record = decision.record
             if decision.status is not RunStatus.RUNNING:
                 status = decision.status
                 blowup = decision if decision.status is RunStatus.BLOWUP_SUSPECTED else None
-                records.append(diagnose(t, u, controls.s_exponent))
+                records.append(replace(record, sup_u=sup_norm(u)))
                 break
         if status is not RunStatus.RUNNING:
             break
         if is_sample:
-            records.append(diagnose(ev, u, controls.s_exponent))
+            if math.isnan(record.sup_u):  # a step's record: sup|u| is paid per sample
+                record = replace(record, sup_u=sup_norm(u))
+            records.append(replace(record, t=ev))  # an event no step reaches keeps its time
         if is_snap:
             snapshots.append((ev, u))
 

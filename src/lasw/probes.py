@@ -37,6 +37,7 @@ from .spectral import (
     TWO_PI,
     Grid,
     SpectralField,
+    _MOLLIFY_INDEX_MAX,
     _dx_sigma,
     _from_grid,
     _to_grid,
@@ -363,6 +364,11 @@ def _solve_sampled(u0, coeffs, t_end, dt, sample_ts):
         raise ProbeUnresolved(
             f"run ended with status {result.state.status.value} at t={result.state.t:.6g}"
         )
+    if len(result.snapshots) != len(sample_ts):
+        raise ProbeUnresolved(
+            f"asked for {len(sample_ts)} sampled states, got {len(result.snapshots)}; "
+            f"sample times closer than ~1e-15 merge"
+        )
     return [u for (_, u) in result.snapshots]
 
 
@@ -524,8 +530,10 @@ def mollified_data_experiment(
     `integrate`'s first-step bounds for the mollified fields at this cfl.
     """
     ns = [int(n) for n in n_sequence]
-    if not ns or any(n < 1 for n in ns):
-        raise InvalidProbeInput("n_sequence must contain positive integers")
+    if not ns or any(not 1 <= n <= _MOLLIFY_INDEX_MAX for n in ns):
+        raise InvalidProbeInput(
+            f"n_sequence must contain integers from 1 to {_MOLLIFY_INDEX_MAX}"
+        )
     fields = [mollify(u0_rough, n) for n in ns]
     if dt is None:
         dt = min(_stable_dt(f, coeffs, cfl) for f in fields)
@@ -599,7 +607,8 @@ def convergence_study(
         order = orders[-1] if orders else math.nan
         temporal_pass = bool(orders) and abs(order - 4.0) <= 0.2
 
-    terminals_s = [run(resample(u0, g), steps[-1]) for g in grid_sizes]
+    # the finest spatial run is the last temporal run
+    terminals_s = [run(resample(u0, g), steps[-1]) for g in grid_sizes[:-1]] + terminals_t[-1:]
     errors_s = []
     for (ga, ua), (gb, ub) in zip(
         zip(grid_sizes, terminals_s), zip(grid_sizes[1:], terminals_s[1:])

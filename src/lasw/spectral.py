@@ -364,7 +364,8 @@ def sup_norm(field: SpectralField) -> float:
 
 def sup_norm_dx(field: SpectralField) -> float:
     """max |u_x| on the refined grid; the wave-breaking monitor."""
-    return sup_norm(derivative(field, 1))
+    n = field.grid.n_points
+    return float(np.max(np.abs(_to_grid(field.coef * _dx_sigma(n, 1), 4 * n))))
 
 
 def spectral_tail(field: SpectralField) -> float:
@@ -401,6 +402,10 @@ def _bump(y: np.ndarray) -> np.ndarray:
     return _bump_scale() * _bump_raw(y)
 
 
+# Largest mollification index: its share 64*n of the quadrature grid stays within 2^22 points.
+_MOLLIFY_INDEX_MAX = 1 << 16
+
+
 def _kernel_fine_size(n_points: int, n: int) -> int:
     target = max(8192, 16 * n_points, 64 * n)
     return 1 << max(13, int(math.ceil(math.log2(target))))
@@ -413,10 +418,14 @@ def mollify(field: SpectralField, n: int) -> SpectralField:
     Its symbol comes from a quadrature on a fine grid; the quadrature must
     give unit mass to within 1e-10 (InvalidKernel otherwise).  After an
     exact renormalization the mean of the field is preserved bit-for-bit.
-    Output coefficients decay super-algebraically.
+    Output coefficients decay super-algebraically.  n runs from 1 to
+    2^16; on fields of up to 2^18 points that keeps the quadrature grid
+    within 2^22 points (~150 MB peak), and larger fields set it themselves.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"mollification index must be a positive integer, got {n!r}")
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= _MOLLIFY_INDEX_MAX:
+        raise ValueError(
+            f"mollification index must be an integer from 1 to {_MOLLIFY_INDEX_MAX}, got {n!r}"
+        )
     n = int(n)
     npts = field.grid.n_points
     m = _kernel_fine_size(npts, n)

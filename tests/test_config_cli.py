@@ -290,6 +290,22 @@ class TestProbeAndConverge:
         assert result.exit_code == 1
         assert "InvalidProbeInput" in result.output
 
+    @pytest.mark.parametrize("spec, error, message", [
+        # 50 and 10 sample times that round to fewer distinct event times
+        ({"probe": "dispersion", "window": 1e-14}, "ProbeUnresolved",
+         "asked for 50 sampled states, got 11"),
+        ({"probe": "continuous_dependence", "t_end": 1e-300}, "ProbeUnresolved",
+         "asked for 10 sampled states, got 1"),
+        ({"probe": "mollified_data", "n_sequence": [1000000000]}, "InvalidProbeInput", "65536"),
+    ], ids=["dispersion", "continuous_dependence", "mollified_data"])
+    def test_degenerate_probe_inputs_fail_cleanly(self, tmp_path, spec, error, message):
+        path = write_config(tmp_path, dict(spec, out_dir=str(tmp_path / "out")), "spec.json")
+        result = CliRunner().invoke(main, ["probe", "--config", str(path), "--quiet"])
+        assert result.exit_code == 1
+        assert f"error: {error}: " in result.output
+        assert message in result.output
+        assert isinstance(result.exception, SystemExit)  # handled, no traceback
+
     def test_probe_report_byte_identical(self, tmp_path):
         blobs = []
         for tag in ("a", "b"):

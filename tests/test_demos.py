@@ -1,4 +1,8 @@
-"""Smoke test: every narrative script under demos/ runs to exit 0."""
+"""Smoke test: every narrative script under demos/ runs to exit 0.
+
+Each demo runs with RuntimeWarnings as errors, since pytest's
+filterwarnings setting does not reach a subprocess.
+"""
 
 import os
 import subprocess
@@ -15,7 +19,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, MPLBACKEND="Agg", PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]

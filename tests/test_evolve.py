@@ -1,6 +1,7 @@
 """Time integration: stepping, diagnostics, detection, conservation."""
 
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lasw.evolve import (
     RunStatus,
     SimulationState,
     detect_blowup,
+    diagnose,
     integrate,
     step_rk4,
 )
@@ -30,6 +32,7 @@ from lasw.spectral import (
     Grid,
     SpectralField,
     constant,
+    derivative,
     from_physical,
     l2_norm,
     random_trig_polynomial,
@@ -259,6 +262,42 @@ class TestDetection:
         assert decision.status is RunStatus.NONFINITE
         assert decision.trigger is None
 
+    @pytest.mark.parametrize("trigger", [None, "sup_ux", "hs", "spectral_tail"])
+    def test_decision_carries_the_classified_record(self, trigger):
+        g = Grid(64)
+        u, thresholds = {
+            None: (cosine(g, 0.01), BlowupThresholds()),
+            "sup_ux": (cosine(g, 2.0), BlowupThresholds(sup_ux_max=5.0)),
+            "hs": (cosine(g, 1.0), BlowupThresholds(hs_max=1.0)),
+            "spectral_tail": (cosine(g, 1e-3, mode=28), BlowupThresholds(sup_ux_max=1e9)),
+        }[trigger]
+        decision = detect_blowup(SimulationState(0.25, u, 1e-3), thresholds, 3.0)
+        assert decision.trigger == trigger
+        # every diagnose field but sup_u, which no test reads and a sample fills in
+        assert math.isnan(decision.record.sup_u)
+        expected = diagnose(0.25, u, 3.0)
+        assert replace(decision.record, sup_u=expected.sup_u) == expected
+        if trigger is not None:
+            assert decision.value == getattr(decision.record, trigger.replace("spectral_", ""))
+
+    def test_nonfinite_sample_carries_its_record(self):
+        coef = np.zeros(17, dtype=complex)
+        coef[5] = 1e306  # finite coefficients whose u_x samples overflow
+        u = SpectralField(Grid(32), coef)
+        with np.errstate(over="ignore", invalid="ignore"):
+            decision = detect_blowup(SimulationState(0.1, u, 1e-3))
+            expected = diagnose(0.1, u)
+        assert decision.status is RunStatus.NONFINITE
+        assert decision.trigger == "sup_ux"
+        assert math.isnan(decision.record.sup_u)
+        np.testing.assert_array_equal(astuple(decision.record)[:-1], astuple(expected)[:-1])
+
+    def test_nonfinite_state_has_no_record(self):
+        state = SimulationState(0.1, cosine(Grid(32), 0.01), 1e-3, RunStatus.NONFINITE)
+        decision = detect_blowup(state)
+        assert decision.status is RunStatus.NONFINITE
+        assert decision.record is None
+
     def test_detection_time_grid_stable(self):
         c = preset_large_amplitude(RegimeParameters(eps=1.0, delta=0.5))
         thresholds = BlowupThresholds(sup_ux_max=20.0)
@@ -270,7 +309,56 @@ class TestDetection:
             assert res.state.status is RunStatus.BLOWUP_SUSPECTED
             assert res.blowup.trigger == "sup_ux"
             times.append(res.blowup.t)
+            assert res.records[-1] == diagnose(res.state.t, res.state.u)  # sup_u filled in
         assert abs(times[1] - times[0]) <= 0.1 * times[0]
+
+
+class TestDiagnose:
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512, 1024, 2048, 4096])
+    def test_sup_norms_match_separate_transforms(self, n):
+        # sup_norm_dx transforms u_x without a derivative field, bit for bit
+        g = Grid(n)
+        for seed in range(3):
+            coef = random_trig_polynomial(g, seed, n // 2 - 1, 0.5).coef.copy()
+            coef[0], coef[-1] = 0.3 - seed, 0.7 * seed - 0.2
+            u = SpectralField(g, coef)
+            record = diagnose(0.0, u)
+            assert record.sup_u == np.max(np.abs(to_physical(resample(u, 4 * n))))
+            assert record.sup_ux == np.max(np.abs(to_physical(resample(derivative(u), 4 * n))))
+
+    def test_a_sample_costs_one_transform(self, monkeypatch):
+        calls = []
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(
+                np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k)
+            )
+        u0 = random_trig_polynomial(Grid(128), 1, 10, 2.0)
+        c = preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1))
+        dt = 2.0 ** -10
+
+        def transforms(sample_interval):
+            calls.clear()
+            controls = IntegrationControls(dt=dt, sample_interval=sample_interval)
+            res = integrate(u0, c, 8 * dt, controls)
+            return len(calls), len(res.records)
+
+        # 7 more samples cost 7 sup|u| transforms; the rest of the record is reused
+        every, single = transforms(dt), transforms(8 * dt)
+        assert (every[1], single[1]) == (9, 2)
+        assert every[0] - single[0] == 7
+
+    def test_events_no_step_reaches_keep_their_times(self):
+        u0 = cosine(Grid(32), 0.05)
+        c = preset_normalized()
+        res = integrate(u0, c, 1e-14)  # below the 1e-13 landing tolerance
+        assert res.state.status is RunStatus.COMPLETED
+        assert res.records == [diagnose(0.0, u0), diagnose(1e-14, u0)]
+        # a sample within 1e-13 after a snapshot is the snapshot's state
+        res = integrate(u0, c, 0.1, IntegrationControls(snapshot_times=(0.05 - 5e-14,)))
+        [(_, u_snap)] = res.snapshots
+        assert [r.t for r in res.records] == [0.0, 0.05, 0.1]
+        assert res.records[1] == diagnose(0.05, u_snap)
 
 
 # ---------------------------------------------------------------------------

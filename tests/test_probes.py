@@ -378,6 +378,19 @@ class TestConvergenceStudy:
         assert len(spatial) == 3  # three grid doublings monitored
         assert spatial[0] > 1e-12 > spatial[-1]  # decay down to round-off
 
+    def test_finest_run_is_shared(self, monkeypatch):
+        # the last temporal run is the finest spatial run: 3 + 3 - 1 solves
+        calls = []
+        solve = probes._solve_sampled
+        monkeypatch.setattr(probes, "_solve_sampled", lambda *a: calls.append(a) or solve(*a))
+        g = Grid(16)
+        u0 = from_physical(0.05 * np.cos(TWO_PI * g.x), g)
+        report = convergence_study(
+            u0, preset_normalized(), 0.05, [16, 32, 64], [0.01, 0.005, 0.0025]
+        )
+        assert report.passed
+        assert len(calls) == 5
+
     def test_requires_three_each(self):
         g = Grid(32)
         u0 = constant(g, 0.1)

@@ -1,6 +1,7 @@
 """Spectral core: transforms, multipliers, dealiasing, norms, mollification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,6 +365,18 @@ class TestMollify:
             mollify(f, 2)
         with pytest.raises(ValueError):
             mollify(f, 0)
+
+    def test_index_bound_checked_before_allocating(self):
+        f = from_physical(np.sin(TWO_PI * Grid(32).x), Grid(32))
+        assert spectral._kernel_fine_size(32, spectral._MOLLIFY_INDEX_MAX) == 1 << 22
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="65536"):
+                mollify(f, spectral._MOLLIFY_INDEX_MAX + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRandomFields:
