@@ -30,10 +30,18 @@ and the derivatives its products use are padded once, and the products
 and truncated once.  A product is a (coefficient, derivative orders) term,
 so (beta2, (0, 3)) is beta2*u*u_xxx; zero coefficients are dropped before
 padding.  `tendency` is -d/dx of the truncated flux, with a Nyquist slot of 0.
+
+A right-hand side is built once per (grid size, coefficients): a cached
+kernel checks the coefficients, lays out the term tables, the padded size,
+the derivative orders and the symbols, and returns a function from half
+spectrum to half spectrum.  `tendency`, `tendency_direct` and `flux` take
+a SpectralField or a bare rfft half spectrum and return the same kind; the
+stepper passes bare arrays, so no field is built inside an RK4 step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -275,12 +283,12 @@ def _terms(*terms):
     return [(c, orders) for c, orders in terms if c != 0.0]
 
 
-def _pad(u: SpectralField, terms) -> dict:
-    """Samples on the padded grid of each derivative of u the terms use."""
-    n = u.grid.n_points
+def _padder(n: int, terms):
+    """h -> samples on the padded grid of each derivative of u the terms use."""
     m = _dealias_size(n, max((len(o) for _, o in terms), default=2))
-    needed = set().union(*(o for _, o in terms))
-    return {k: _to_grid(u.coef * _dx_sigma(n, k) if k else u.coef, m) for k in needed}
+    orders = sorted(set().union(*(o for _, o in terms)))
+    symbols = {k: _dx_sigma(n, k) if k else None for k in orders}
+    return lambda h: {k: _to_grid(h if s is None else h * s, m) for k, s in symbols.items()}
 
 
 def _truncated_sum(grid: dict, terms, n: int):
@@ -304,91 +312,121 @@ def _bracket(c: ModelCoefficients):
     )
 
 
-def _transport(u: SpectralField, c: ModelCoefficients, grid: dict):
-    """Half spectrum of a(u), with u^2 truncated."""
-    a = (c.beta2 / c.mu) * u.coef + _truncated_sum(grid, _square(c), u.grid.n_points)
-    a[0] += c.alpha2 / c.mu
-    return a
+def _smoothed_bracket(n: int, c: ModelCoefficients):
+    """(h, padded grid) -> half spectrum of Lam^{-2} applied to the bracket of f(u)."""
+    linear, terms = c.alpha1 + c.alpha2 / c.mu, _bracket(c)
+    smoothing = _lambda_sigma(n, -2.0, c.mu)
+    return lambda h, grid: (linear * h + _truncated_sum(grid, terms, n)) * smoothing
 
 
-def _semilinear_bracket(u: SpectralField, c: ModelCoefficients, grid: dict):
-    """Half spectrum of Lam^{-2} applied to the bracket of f(u)."""
-    n = u.grid.n_points
-    bracket = (c.alpha1 + c.alpha2 / c.mu) * u.coef + _truncated_sum(grid, _bracket(c), n)
-    return bracket * _lambda_sigma(n, -2.0, c.mu)
+@functools.lru_cache(maxsize=128)
+def _flux_kernel(n: int, c: ModelCoefficients):
+    """h -> half spectrum of Phi = P(u) - Lam^{-2}[semilinear bracket] on n points."""
+    validate(c)
+    powers = _terms((0.5 * c.beta2 / c.mu, (0, 0)), (c.gamma2 / (3.0 * c.mu), (0, 0, 0)))
+    pad, smoothed = _padder(n, _bracket(c) + powers), _smoothed_bracket(n, c)
+    linear = c.alpha2 / c.mu
+
+    def phi(h):
+        grid = pad(h)
+        return linear * h + _truncated_sum(grid, powers, n) - smoothed(h, grid)
+    return phi
+
+
+@functools.lru_cache(maxsize=128)
+def _local_kernel(n: int, c: ModelCoefficients):
+    """h -> half spectrum of the smoothed local form on n points."""
+    if c.mu < 0.0:
+        raise InvalidMu(f"mu must be nonnegative, got {c.mu}")
+    products = _terms(
+        (c.alpha3, (0, 1)), (c.beta1, (1, 2)), (c.beta2, (0, 3)), (c.gamma1, (0, 1, 2)),
+        (c.gamma2, (0, 0, 3)), (c.gamma3, (1, 1, 1)), (c.alpha4, (0, 0, 1)),
+        (c.alpha5, (0, 0, 0, 1)),
+    )
+    pad, dx1, dx3 = _padder(n, products), _dx_sigma(n, 1), _dx_sigma(n, 3)
+    smoothing = _lambda_sigma(n, -2.0, c.mu) if c.mu != 0.0 else None
+
+    def rhs(h):
+        out = c.alpha1 * (h * dx1) + c.alpha2 * (h * dx3) + _truncated_sum(pad(h), products, n)
+        return out if smoothing is None else out * smoothing
+    return rhs
+
+
+def _half_spectrum(u) -> tuple[np.ndarray, int]:
+    """(half spectrum, n) of a field or of a bare rfft half spectrum."""
+    if isinstance(u, SpectralField):
+        return u.coef, u.grid.n_points
+    return u, 2 * (u.shape[0] - 1)
+
+
+def _like(u, h: np.ndarray):
+    """h as a field on u's grid if u is a field, else h itself."""
+    return SpectralField(u.grid, h) if isinstance(u, SpectralField) else h
 
 
 def transport_field(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
     """Local transport speed a(u) = (alpha2 + beta2*u + gamma2*u^2)/mu."""
     validate(coeffs)
+    n, square = u.grid.n_points, _square(coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
-        return SpectralField(u.grid, _transport(u, coeffs, _pad(u, _square(coeffs))))
+        squared = _truncated_sum(_padder(n, square)(u.coef), square, n)
+        a = (coeffs.beta2 / coeffs.mu) * u.coef + squared
+        a[0] += coeffs.alpha2 / coeffs.mu
+        return SpectralField(u.grid, a)
 
 
 def semilinear_term(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
     """Smoothing part f(u) of the nonlocal form; its mean is exactly zero."""
     validate(coeffs)
+    n = u.grid.n_points
     with np.errstate(over="ignore", invalid="ignore"):
-        smoothed = _semilinear_bracket(u, coeffs, _pad(u, _bracket(coeffs)))
-        return SpectralField(u.grid, smoothed * _dx_sigma(u.grid.n_points, 1))
+        smoothed = _smoothed_bracket(n, coeffs)(u.coef, _padder(n, _bracket(coeffs))(u.coef))
+        return SpectralField(u.grid, smoothed * _dx_sigma(n, 1))
 
 
-def tendency(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
+def tendency(u, coeffs: ModelCoefficients):
     """du/dt of the nonlocal form: f(u) - a(u)*u_x = -d/dx of `flux`.
 
     Requires validated conservative coefficients with mu > 0 and no
     extension slots.  The first-derivative symbol vanishes at mode 0 and
     at the Nyquist mode, so both slots of the output are exactly zero.
+    A SpectralField gives a SpectralField; a bare rfft half spectrum, as
+    the stepper passes, gives a bare half spectrum and builds no field.
     """
-    validate(coeffs)
+    h, n = _half_spectrum(u)
+    phi = _flux_kernel(n, coeffs)
     if coeffs.has_extended_terms:
         raise InvalidRegime(
             "extension slots alpha4/alpha5 are outside the nonlocal form; "
             "use tendency_direct"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        return SpectralField(u.grid, -_flux(u, coeffs) * _dx_sigma(u.grid.n_points, 1))
+        return _like(u, -phi(h) * _dx_sigma(n, 1))
 
 
-def tendency_direct(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
+def tendency_direct(u, coeffs: ModelCoefficients):
     """du/dt from the local form, smoothed by (1 - mu*d^2/dx^2)^{-1}.
 
     Works for any coefficient set with mu >= 0 (mu = 0 skips the smoothing
     and leaves the stiff local equation), conservative or not.  On
     conservative sets it matches `tendency` to round-off for band-limited
-    fields, which is the standing reformulation oracle.
+    fields, which is the standing reformulation oracle.  Takes and returns
+    fields or bare half spectra, as `tendency` does.
     """
-    c = coeffs
-    if c.mu < 0.0:
-        raise InvalidMu(f"mu must be nonnegative, got {c.mu}")
-    n = u.grid.n_points
-    products = _terms(
-        (c.alpha3, (0, 1)), (c.beta1, (1, 2)), (c.beta2, (0, 3)), (c.gamma1, (0, 1, 2)),
-        (c.gamma2, (0, 0, 3)), (c.gamma3, (1, 1, 1)), (c.alpha4, (0, 0, 1)),
-        (c.alpha5, (0, 0, 0, 1)),
-    )
+    h, n = _half_spectrum(u)
+    rhs = _local_kernel(n, coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = c.alpha1 * (u.coef * _dx_sigma(n, 1)) + c.alpha2 * (u.coef * _dx_sigma(n, 3))
-        rhs = rhs + _truncated_sum(_pad(u, products), products, n)
-        if c.mu != 0.0:
-            rhs = rhs * _lambda_sigma(n, -2.0, c.mu)
-        return SpectralField(u.grid, rhs)
+        return _like(u, rhs(h))
 
 
-def _flux(u: SpectralField, c: ModelCoefficients):
-    """Half spectrum of Phi = P(u) - Lam^{-2}[semilinear bracket]."""
-    powers = _terms((0.5 * c.beta2 / c.mu, (0, 0)), (c.gamma2 / (3.0 * c.mu), (0, 0, 0)))
-    grid = _pad(u, _bracket(c) + powers)
-    p = (c.alpha2 / c.mu) * u.coef + _truncated_sum(grid, powers, u.grid.n_points)
-    return p - _semilinear_bracket(u, c, grid)
-
-
-def flux(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
+def flux(u, coeffs: ModelCoefficients):
     """Flux Phi with tendency(u) = -d/dx Phi(u).
 
     Phi = P(u) - Lam^{-2}[semilinear bracket], where P is the exact
     u-antiderivative of a(u): P(u) = (alpha2*u + beta2*u^2/2 + gamma2*u^3/3)/mu.
+    Takes and returns fields or bare half spectra, as `tendency` does.
     """
-    validate(coeffs)
+    h, n = _half_spectrum(u)
+    phi = _flux_kernel(n, coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
-        return SpectralField(u.grid, _flux(u, coeffs))
+        return _like(u, phi(h))

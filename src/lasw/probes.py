@@ -31,7 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch, InvalidExponents, InvalidProbeInput, ProbeUnresolved
-from .evolve import _MAX_STEPS, IntegrationControls, RunStatus, _rk4, _stable_dt, integrate
+from .evolve import (
+    _MAX_STEPS,
+    IntegrationControls,
+    RunStatus,
+    _event_times,
+    _rk4,
+    _stable_dt,
+    integrate,
+)
 from .models import ModelCoefficients, RegimeParameters, preset_large_amplitude
 from .spectral import (
     TWO_PI,
@@ -356,6 +364,14 @@ def product_probe(
 # ---------------------------------------------------------------------------
 
 def _solve_sampled(u0, coeffs, t_end, dt, sample_ts):
+    # a completed run lands one snapshot per distinct event, so merged
+    # sample times are known before the solve
+    landed = sum(is_snap for _, _, is_snap in _event_times(t_end, t_end, sample_ts))
+    if landed != len(sample_ts):
+        raise ProbeUnresolved(
+            f"asked for {len(sample_ts)} sampled states, got {landed}; "
+            f"sample times closer than ~1e-15 merge"
+        )
     controls = IntegrationControls(
         dt=dt, sample_interval=t_end, snapshot_times=tuple(sample_ts)
     )
@@ -363,11 +379,6 @@ def _solve_sampled(u0, coeffs, t_end, dt, sample_ts):
     if result.state.status is not RunStatus.COMPLETED:
         raise ProbeUnresolved(
             f"run ended with status {result.state.status.value} at t={result.state.t:.6g}"
-        )
-    if len(result.snapshots) != len(sample_ts):
-        raise ProbeUnresolved(
-            f"asked for {len(sample_ts)} sampled states, got {len(result.snapshots)}; "
-            f"sample times closer than ~1e-15 merge"
         )
     return [u for (_, u) in result.snapshots]
 

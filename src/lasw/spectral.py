@@ -313,7 +313,7 @@ def dealiased_product(f: SpectralField, g: SpectralField, *more: SpectralField) 
     n = f.grid.n_points
     m = _dealias_size(n, len(fields))
     # overflow is allowed to propagate: the field constructor turns it
-    # into InvalidField, which the integrator maps to a NonFinite status
+    # into InvalidField
     with np.errstate(over="ignore", invalid="ignore"):
         prod = _to_grid(f.coef, m)
         for other in fields[1:]:

@@ -5,6 +5,12 @@ import importlib
 import json
 from pathlib import Path
 
+import pytest
+
+from lasw import evolve
+from lasw.models import RegimeParameters, preset_large_amplitude, preset_survey
+from lasw.spectral import Grid, random_trig_polynomial
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 
@@ -73,3 +79,36 @@ def test_semigroup_workload_counts_the_probe_steps(monkeypatch):
         calls.clear()
         wl.run(wl.prepare(workloads.WARMUP_KEY))
         assert len(calls) == wl.implied_steps(), size
+
+
+@pytest.mark.parametrize("name, coeffs, form", [
+    ("large_amplitude", preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1)), "tendency"),
+    ("se", preset_survey("se", RegimeParameters(eps=0.5, delta=0.4)), "tendency_direct"),
+    ("kdv", preset_survey("kdv", RegimeParameters(eps=0.5, delta=0.5)), "tendency_direct"),
+])
+def test_every_stage_calls_through_the_rebound_names(monkeypatch, name, coeffs, form):
+    """The tracer's per-stage spans need each RK4 stage to look its right-hand
+    side up as `evolve.tendency` or `evolve.tendency_direct` at call time."""
+    calls = {"tendency": 0, "tendency_direct": 0}
+
+    def counted(attr):
+        fn = getattr(evolve, attr)
+
+        def wrapped(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for attr in calls:
+        monkeypatch.setattr(evolve, attr, counted(attr))
+    u0 = random_trig_polynomial(Grid(32), 1, 5, 2.0)
+    dt = 1e-6
+    for steps in (1, 3):
+        for attr in calls:
+            calls[attr] = 0
+        result = evolve.integrate(
+            u0, coeffs, steps * dt, evolve.IntegrationControls(dt=dt, sample_interval=steps * dt)
+        )
+        assert result.state.status is evolve.RunStatus.COMPLETED
+        other = "tendency" if form == "tendency_direct" else "tendency_direct"
+        assert (calls[form], calls[other]) == (4 * steps, 0), name

@@ -216,6 +216,15 @@ class TestRunCommand:
         assert "RuntimeWarning" not in result.stderr
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_t_end_within_landing_tolerance_exits_1(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, minimal_config(out, grid=32, t_end=1e-14))
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 1
+        assert "error: InvalidControls: t_end must exceed the landing tolerance" in result.output
+        assert isinstance(result.exception, SystemExit)  # handled, no traceback
+        assert not (out / "run.json").exists()
+
     def test_overflowing_hs_weight_is_hs_blowup_without_warning(self, tmp_path):
         # the H^100 weight overflows against zero coefficients: hs is inf, not nan
         out = tmp_path / "out"

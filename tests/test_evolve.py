@@ -189,6 +189,12 @@ class TestIntegrate:
         with pytest.raises(InvalidControls):
             integrate(u0, preset_normalized(), 1.0, IntegrationControls(snapshot_times=(2.0,)))
 
+    @pytest.mark.parametrize("t_end", [1e-13, 1e-14, 1e-16])
+    def test_t_end_within_landing_tolerance_rejected(self, t_end):
+        # such a run would take no step and report Completed
+        with pytest.raises(InvalidControls, match="landing tolerance"):
+            integrate(cosine(Grid(32), 0.01), preset_normalized(), t_end)
+
     def test_temporal_order(self):
         g = Grid(64)
         c = preset_normalized()
@@ -351,9 +357,12 @@ class TestDiagnose:
     def test_events_no_step_reaches_keep_their_times(self):
         u0 = cosine(Grid(32), 0.05)
         c = preset_normalized()
-        res = integrate(u0, c, 1e-14)  # below the 1e-13 landing tolerance
+        # t_end within the 1e-13 landing tolerance after a snapshot: no step
+        # reaches it, and its record is the snapshot's state
+        res = integrate(u0, c, 0.1, IntegrationControls(snapshot_times=(0.1 - 5e-14,)))
+        [(_, u_snap)] = res.snapshots
         assert res.state.status is RunStatus.COMPLETED
-        assert res.records == [diagnose(0.0, u0), diagnose(1e-14, u0)]
+        assert res.records[-1] == diagnose(0.1, u_snap)
         # a sample within 1e-13 after a snapshot is the snapshot's state
         res = integrate(u0, c, 0.1, IntegrationControls(snapshot_times=(0.05 - 5e-14,)))
         [(_, u_snap)] = res.snapshots

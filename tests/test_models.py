@@ -17,6 +17,7 @@ from lasw.models import (
     semilinear_term,
     tendency,
     tendency_direct,
+    time_reversed,
     transport_field,
     validate,
 )
@@ -331,8 +332,8 @@ class TestPaddedEvaluation:
         assert count(tendency_direct, kdv) <= 3
 
     def test_field_count_per_integrate_step(self, monkeypatch):
-        # per fixed-dt step: 4 stage inputs, 4 tendency outputs and the
-        # accepted state; the stages are arrays, and detect_blowup transforms
+        # per fixed-dt step only the accepted state: the stages pass bare half
+        # spectra through the right-hand sides, and detect_blowup transforms
         # u_x without building a derivative field
         built = []
         post_init = SpectralField.__post_init__
@@ -351,7 +352,7 @@ class TestPaddedEvaluation:
             integrate(u, large, steps * dt, IntegrationControls(dt=dt, sample_interval=steps * dt))
             return len(built)
 
-        assert count(3) - count(2) == 9
+        assert count(3) - count(2) == 1
 
     @pytest.mark.parametrize(
         "name", ["bbm", "ch", "dp", "large_amplitude", "moderate", "normalized"]
@@ -382,3 +383,56 @@ class TestPaddedEvaluation:
             u = full_band(Grid(32), seed)
             assert u.coef[-1] != 0.0
             assert tendency(u, c).coef[0] == 0.0
+
+
+ALL_PRESETS = dict(LOCAL_FORM_MODELS, normalized=preset_normalized())
+
+
+def forms_of(c):
+    """The right-hand sides that accept c: the local form always, flux on mu > 0,
+    tendency also without extension slots."""
+    forms = [tendency_direct]
+    if c.mu > 0.0:
+        forms.append(flux)
+        if not c.has_extended_terms:
+            forms.append(tendency)
+    return forms
+
+
+class TestArrayForm:
+    @pytest.mark.parametrize("name", sorted(ALL_PRESETS))
+    @pytest.mark.parametrize("n", [64, 96, 128])
+    def test_half_spectrum_in_half_spectrum_out(self, name, n):
+        # the stepper's bare-array path is the field path without the fields
+        c = ALL_PRESETS[name]
+        u = full_band(Grid(n), n)
+        for form in forms_of(c):
+            out = form(u.coef, c)
+            assert type(out) is np.ndarray
+            assert np.array_equal(out, form(u, c).coef), form.__name__
+
+    def test_kernels_keep_coefficient_sets_apart(self):
+        u = full_band(Grid(64), 7)
+        for c in (preset_normalized(), LOCAL_FORM_MODELS["large_amplitude"]):
+            for form in (tendency, tendency_direct, flux):
+                assert np.array_equal(form(u, time_reversed(c)).coef, -form(u, c).coef)
+
+    @pytest.mark.parametrize("form, c, error", [
+        (tendency, ModelCoefficients(mu=0.0, alpha1=1.0), InvalidMu),
+        (flux, ModelCoefficients(mu=-1.0, alpha1=1.0), InvalidMu),
+        (tendency_direct, ModelCoefficients(mu=-1.0, alpha1=1.0), InvalidMu),
+        (tendency, ModelCoefficients(mu=1.0, gamma1=1.0), GammaRelationViolated),
+        (flux, ModelCoefficients(mu=1.0, gamma1=1.0), GammaRelationViolated),
+        (tendency, LOCAL_FORM_MODELS["se"], InvalidRegime),
+    ], ids=["tendency-mu", "flux-mu", "direct-mu", "tendency-gamma", "flux-gamma",
+            "tendency-extension"])
+    def test_bad_coefficients_raise_on_every_call(self, form, c, error):
+        u = full_band(Grid(32), 1)
+        for arg in (u, u, u.coef, u.coef):
+            with pytest.raises(error):
+                form(arg, c)
+
+    def test_flux_accepts_extension_slots(self):
+        u = full_band(Grid(32), 2)
+        phi = flux(u, LOCAL_FORM_MODELS["se"])
+        assert np.all(np.isfinite(phi.coef))
