@@ -67,7 +67,6 @@ def run_command(config: RunConfig, quiet: bool = False) -> int:
     write_json(out / "run.json", {
         "status": result.state.status.value,
         "t_final": result.state.t,
-        "stiff": result.stiff,
         "blowup": blowup,
         "config": config.to_dict(),
         "timings": {"wall_seconds": wall},

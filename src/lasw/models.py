@@ -199,9 +199,9 @@ def preset_survey(model: str, params: RegimeParameters) -> ModelCoefficients:
     """Classical shallow-water models mapped into the family's slots.
 
     kdv has mu = 0 and is usable only through `tendency_direct` (the
-    integrator falls back to a small-step explicit scheme for it); se
-    carries the extension slots alpha4/alpha5 and is likewise restricted
-    to the direct form.
+    integrator steps it with ETDRK4, exact on alpha1*u_x + alpha2*u_xxx);
+    se carries the extension slots alpha4/alpha5 and is likewise
+    restricted to the direct form.
     """
     e, d = params.eps, params.delta
     if model == "kdv":
@@ -408,7 +408,9 @@ def tendency_direct(u, coeffs: ModelCoefficients):
     """du/dt from the local form, smoothed by (1 - mu*d^2/dx^2)^{-1}.
 
     Works for any coefficient set with mu >= 0 (mu = 0 skips the smoothing
-    and leaves the stiff local equation), conservative or not.  On
+    and leaves the local equation, whose alpha2*u_xxx term is stiff;
+    the integrator treats alpha1*u_x + alpha2*u_xxx exactly there and
+    passes the rest through this function), conservative or not.  On
     conservative sets it matches `tendency` to round-off for band-limited
     fields, which is the standing reformulation oracle.  Takes and returns
     fields or bare half spectra, as `tendency` does.

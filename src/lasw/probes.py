@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import GridMismatch, InvalidExponents, InvalidProbeInput, ProbeUnresolved
 from .evolve import (
+    _LANDING_TOL,
     _MAX_STEPS,
     IntegrationControls,
     RunStatus,
@@ -198,8 +199,10 @@ def semigroup_probe(
     """
     if a.grid != w0.grid:
         raise GridMismatch("a and w0 must share a grid")
-    if t_end <= 0.0:
-        raise InvalidProbeInput("t_end must be positive")
+    if t_end <= _LANDING_TOL:
+        raise InvalidProbeInput(
+            f"t_end must exceed the landing tolerance {_LANDING_TOL}, got {t_end}"
+        )
     grid = a.grid
     n = grid.n_points
     omega = 0.5 * sup_norm_dx(a)
@@ -217,12 +220,12 @@ def semigroup_probe(
     t = 0.0
     ratios = [1.0 if w0_norm > 0.0 else 0.0]
     for ts in sample_ts:
-        while t < ts - 1e-13:
+        while t < ts - _LANDING_TOL:
             step = min(dt, ts - t)
             h = _rk4(h, rhs, step)
             if h is None:
                 raise ProbeUnresolved(f"non-finite evolution at t={t + step:.6g}")
-            t = ts if ts - (t + step) < 1e-13 else t + step
+            t = ts if ts - (t + step) < _LANDING_TOL else t + step
         w = SpectralField(grid, h)
         wn = l2_norm(w)
         if not math.isfinite(wn):  # finite coefficients whose norm overflows

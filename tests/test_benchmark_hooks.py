@@ -112,3 +112,27 @@ def test_every_stage_calls_through_the_rebound_names(monkeypatch, name, coeffs, 
         assert result.state.status is evolve.RunStatus.COMPLETED
         other = "tendency" if form == "tendency_direct" else "tendency_direct"
         assert (calls[form], calls[other]) == (4 * steps, 0), name
+
+
+def test_kdv_workload_meets_its_reference_in_at_most_16_steps(monkeypatch):
+    """The `kdv-n64` check at full size on pool keys 0-5, read from the stored
+    references and never written: each op lands within 2e-8 of its fine-dt
+    reference, through at most 64 right-hand sides (16 steps)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    direct = evolve.tendency_direct
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "tendency_direct", counted)
+    wl = workloads.KdvN64("full", workloads.load_references())
+    for key in range(6):
+        calls.clear()
+        u0 = wl.prepare(key)
+        result = wl.run(u0)
+        assert wl.reference(key)[1] <= 2e-8
+        assert wl.check(key, u0, result) is None, key
+        assert len(calls) <= 64, (key, len(calls))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lasw import evolve
 from lasw.errors import InvalidControls
 from lasw.evolve import (
     BlowupThresholds,
@@ -119,6 +120,76 @@ class TestStepRK4:
         assert out.status is RunStatus.NONFINITE
 
 
+KDV = preset_survey("kdv", RegimeParameters(eps=0.5, delta=0.5))
+
+
+def kdv_symbol(c, n):
+    """alpha1*(i xi) + alpha2*(i xi)^3 on the half spectrum, 0 in the Nyquist slot."""
+    xi = TWO_PI * np.arange(n // 2 + 1)
+    lin = 1j * c.alpha1 * xi - 1j * c.alpha2 * xi ** 3
+    lin[-1] = 0.0
+    return lin
+
+
+class TestETDRK4:
+    """mu = 0 steps with ETDRK4: exact on alpha1*u_x + alpha2*u_xxx."""
+
+    @pytest.mark.parametrize("dt", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    def test_linear_part_is_exact(self, dt):
+        c = replace(KDV, alpha3=0.0)
+        u0 = random_trig_polynomial(Grid(64), 2, 20, 1.0)
+        out = step_rk4(SimulationState(0.0, u0, 0.0), c, dt).u.coef
+        exact = np.exp(dt * kdv_symbol(c, 64)) * u0.coef
+        assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(u0.coef))
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-2])
+    def test_weights_match_their_closed_forms(self, dt):
+        # away from z = 0 the phi-functions have no cancellation; a half
+        # contour with a real part is off by O(1) at these imaginary z.
+        # A phase of |z| up to 1e4 is exact only to about eps*|z|.
+        z = dt * kdv_symbol(KDV, 64)
+        far = np.abs(z) >= 2.0
+        z = z[far]
+        ez = np.exp(z)
+        closed = (
+            ez, np.exp(0.5 * z), dt * (np.exp(0.5 * z) - 1.0) / z,
+            dt * (-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z ** 3,
+            dt * (2.0 + z + ez * (z - 2.0)) / z ** 3,
+            dt * (-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z ** 3,
+        )
+        assert far.sum() >= 10
+        for w, ref in zip(evolve._etd_weights(64, KDV, dt), closed):
+            assert np.max(np.abs(w[far] - ref) / np.abs(ref)) <= 1e-11
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-2])
+    def test_without_a_linear_part_it_is_rk4(self, dt):
+        c = replace(KDV, alpha1=0.0, alpha2=0.0)
+        u0 = random_trig_polynomial(Grid(32), 5, 8, 2.0)
+        out = step_rk4(SimulationState(0.0, u0, 0.0), c, dt).u.coef
+        rk4 = evolve._rk4(u0.coef, lambda h: tendency_direct(h, c), dt)
+        assert np.max(np.abs(out - rk4)) <= 1e-15 * np.max(np.abs(u0.coef))
+
+    def test_kdv_richardson_order(self):
+        u0 = random_trig_polynomial(Grid(64), 1, 10, 2.0)
+        t_end = 5e-4
+
+        def terminal(dt):
+            controls = IntegrationControls(dt=dt, sample_interval=t_end)
+            return integrate(u0, KDV, t_end, controls).state.u
+        e1 = l2_norm(terminal(t_end / 8) - terminal(t_end / 16))
+        e2 = l2_norm(terminal(t_end / 16) - terminal(t_end / 32))
+        assert 3.8 <= math.log2(e1 / e2) <= 4.2
+
+    def test_small_dt_agrees_with_explicit_rk4(self):
+        u0 = random_trig_polynomial(Grid(32), 1, 8, 2.0)
+        dt = 2.0 ** -20
+        h = u0.coef
+        for _ in range(8):
+            h = evolve._rk4(h, lambda v: tendency_direct(v, KDV), dt)
+        res = integrate(u0, KDV, 8 * dt, IntegrationControls(dt=dt, sample_interval=8 * dt))
+        assert np.max(np.abs(res.state.u.coef - h)) <= 1e-12 * np.max(np.abs(h))
+
+
 class TestIntegrate:
     def test_constant_completes_unchanged(self):
         g = Grid(64)
@@ -218,12 +289,11 @@ class TestIntegrate:
         back = integrate(forward.state.u, time_reversed(lin), 1.0, controls)
         assert l2_norm(back.state.u - u0) <= 1e-8
 
-    def test_kdv_fallback_is_stiff(self):
+    def test_kdv_completes_under_its_step_rule(self):
         g = Grid(32)
         c = preset_survey("kdv", RegimeParameters(eps=1.0, delta=0.5))
         u0 = cosine(g, 0.1)
         res = integrate(u0, c, 0.01, IntegrationControls(sample_interval=0.01))
-        assert res.stiff
         assert res.state.status is RunStatus.COMPLETED
         drift = abs(res.records[-1].mean - res.records[0].mean)
         assert drift <= 1e-12
@@ -394,8 +464,8 @@ direct_models = st.one_of(
     regimes.map(lambda p: preset_survey("se", p)),
     regimes.map(lambda p: preset_survey("kdv", p)),
 )
-# the models `integrate` steps with a fixed dt (kdv needs its stiff bound)
-stepped_models = st.one_of(nonlocal_models, regimes.map(lambda p: preset_survey("se", p)))
+# the models `integrate` steps with a fixed dt: RK4, and ETDRK4 for kdv
+stepped_models = st.one_of(nonlocal_models, direct_models)
 FIXED_STEPS = IntegrationControls(dt=1e-3, sample_interval=2e-3, snapshot_times=(0.002, 0.004))
 
 

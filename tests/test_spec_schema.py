@@ -260,6 +260,16 @@ def test_semigroup_defaults_pass(tmp_path):
     assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"]
 
 
+@pytest.mark.parametrize("t_end", [1e-14, 1e-13])
+def test_semigroup_rejects_t_end_within_the_landing_tolerance(tmp_path, t_end):
+    # such a t_end takes no step, so every ratio would read exactly 1
+    spec = {"probe": "semigroup", "grid": 64, "t_end": t_end, "out_dir": str(tmp_path / "out")}
+    result = invoke(tmp_path, "probe", spec)
+    assert assert_named_error(result) is InvalidProbeInput
+    assert "landing tolerance" in result.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_mollified_data_defaults_pass(tmp_path):
     result = invoke(tmp_path, "probe", {"probe": "mollified_data"}, "--out", str(tmp_path / "out"))
     assert result.exit_code == 0, (result.stderr, result.exception)
@@ -268,16 +278,16 @@ def test_mollified_data_defaults_pass(tmp_path):
 
 @pytest.mark.parametrize("probe", ["continuous_dependence", "mollified_data"])
 def test_solution_map_probes_take_the_dispersive_dt_for_mu_zero(tmp_path, probe):
-    # kdv has mu = 0, so there is no transport field; dt comes from the stiff bound
+    # kdv has mu = 0, so there is no transport field; dt comes from the KdV bound
     spec = {"probe": probe, "model": {"preset": "kdv", "eps": 0.5, "delta": 0.5},
             "grid": 32, "t_end": 0.001}
     result = invoke(tmp_path, "probe", spec, "--out", str(tmp_path / "out"))
     assert result.exit_code == 0, (result.stderr, result.exception)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"]
-    # cfl 0.4 times the RK4 bound 2.8 / (|alpha2| * xi_max^3), alpha2 = -delta^2/6
-    stiff_dt = 0.4 * 2.8 / (0.5 ** 2 / 6.0 * (math.pi * 32) ** 3)
-    assert report["details"]["dt"] == pytest.approx(stiff_dt, rel=1e-12)
+    # cfl 0.4 times 2.8 / (|alpha2| * (xi_max/2)^3), alpha2 = -delta^2/6
+    kdv_dt = 0.4 * 2.8 / (0.5 ** 2 / 6.0 * (math.pi * 32 / 2) ** 3)
+    assert report["details"]["dt"] == pytest.approx(kdv_dt, rel=1e-12)
 
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
