@@ -10,6 +10,12 @@ size is adjusted to land exactly on sample and snapshot times, so no
 interpolation enters the reported records.  Each accepted state is
 measured once, by the blow-up check, and samples reuse that record.
 
+The probes that solve several fields on one grid at one fixed dt step
+them as a (B, n/2+1) stack through `_integrate_rows`: the same stepper,
+event times, landing tolerance, step budget and blow-up classifier as
+`integrate`, one right-hand-side call per stage for all rows.  Row-wise
+FFTs and last-axis sums give each row the bits it would get alone.
+
 A run ends in one of four states: Completed (reached t_end),
 BlowUpSuspected (a monitored quantity crossed its threshold, wave-breaking
 style), NonFinite (overflow/NaN during a step), or it is still Running.
@@ -30,6 +36,8 @@ from .models import ModelCoefficients, tendency, tendency_direct, transport_fiel
 from .spectral import (
     SpectralField,
     _dx_sigma,
+    _sobolev_norm_rows,
+    _to_grid,
     mean,
     sobolev_norm,
     spectral_tail,
@@ -125,6 +133,22 @@ def _monitor(t: float, u: SpectralField, s_exponent: float) -> DiagnosticsRecord
     )
 
 
+def _monitor_rows(t: float, h: np.ndarray, s_exponent: float) -> list[DiagnosticsRecord]:
+    """`_monitor` of each row of a finite (B, n/2+1) stack, measured for all rows at once.
+
+    Row-wise transforms, sums and maxima give each row the bits `_monitor` gives it.
+    """
+    n = 2 * (h.shape[-1] - 1)
+    l2, hs = _sobolev_norm_rows(h, n, 0.0), _sobolev_norm_rows(h, n, s_exponent)
+    sup_ux = np.max(np.abs(_to_grid(h * _dx_sigma(n, 1), 4 * n)), axis=-1)
+    tail = np.max(np.abs(h[:, math.ceil(n / 3):]), axis=-1)
+    return [
+        DiagnosticsRecord(t, float(h[i, 0].real), float(l2[i]), float(hs[i]),
+                          float(sup_ux[i]), float(tail[i]), math.nan)
+        for i in range(h.shape[0])
+    ]
+
+
 def diagnose(t: float, u: SpectralField, s_exponent: float = 2.0) -> DiagnosticsRecord:
     """Every monitored quantity of a state: `detect_blowup`'s record plus sup|u|."""
     return replace(_monitor(t, u, s_exponent), sup_u=sup_norm(u))
@@ -140,10 +164,13 @@ def detect_blowup(
     Non-finite fields take precedence over threshold crossings; the
     decision names the triggering quantity and the time, and carries the record.
     """
-    thresholds = thresholds or BlowupThresholds()
     if state.status is RunStatus.NONFINITE:
         return BlowupDecision(RunStatus.NONFINITE, t=state.t)
-    r = _monitor(state.t, state.u, s_exponent)
+    return _classify(_monitor(state.t, state.u, s_exponent), thresholds or BlowupThresholds())
+
+
+def _classify(r: DiagnosticsRecord, thresholds: BlowupThresholds) -> BlowupDecision:
+    """The verdict on one `_monitor` record: NonFinite first, then each threshold in turn."""
     if not math.isfinite(r.sup_ux):
         return BlowupDecision(RunStatus.NONFINITE, trigger="sup_ux", t=r.t, record=r)
     if r.sup_ux > thresholds.sup_ux_max:
@@ -160,7 +187,8 @@ def detect_blowup(
 # ---------------------------------------------------------------------------
 
 def _rk4(h: np.ndarray, rhs: Callable, dt: float) -> np.ndarray | None:
-    """One classical RK4 step of h' = rhs(h) on rfft half spectra; None if not finite.
+    """One classical RK4 step of h' = rhs(h) on rfft half spectra, or on a
+    (B, n/2+1) stack of them; `_finite_rows` of the result.
 
     A stage that overflows passes inf or nan on to the result, so the final
     scan is the one NonFinite test.
@@ -171,7 +199,19 @@ def _rk4(h: np.ndarray, rhs: Callable, dt: float) -> np.ndarray | None:
         k3 = rhs(h + (0.5 * dt) * k2)
         k4 = rhs(h + dt * k3)
         h = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return h if np.all(np.isfinite(h)) else None
+    return _finite_rows(h)
+
+
+def _finite_rows(h: np.ndarray) -> np.ndarray | None:
+    """h if it is finite.  Else None for one half spectrum; for a stack, its
+    rows before the first row that is not finite, or None if that is row 0."""
+    if h.ndim == 1:
+        return h if np.all(np.isfinite(h)) else None
+    finite = np.all(np.isfinite(h), axis=-1)
+    if finite.all():
+        return h
+    first = int(np.argmin(finite))
+    return h[:first] if first else None
 
 
 @functools.lru_cache(maxsize=16)
@@ -202,7 +242,7 @@ def _etd_weights(n: int, coeffs: ModelCoefficients, dt: float) -> tuple[np.ndarr
 
 
 def _etdrk4(h: np.ndarray, nonlinear: Callable, weights) -> np.ndarray | None:
-    """One ETDRK4 step (Cox & Matthews 2002) of h' = L h + nonlinear(h); None if not finite."""
+    """One ETDRK4 step (Cox & Matthews 2002) of h' = L h + nonlinear(h); `_finite_rows` of it."""
     e, e2, q, f1, f2, f3 = weights
     with np.errstate(over="ignore", invalid="ignore"):
         nu = nonlinear(h)
@@ -213,11 +253,11 @@ def _etdrk4(h: np.ndarray, nonlinear: Callable, weights) -> np.ndarray | None:
         c = e2 * a + q * (2.0 * nb - nu)
         nc = nonlinear(c)
         h = e * h + f1 * nu + 2.0 * f2 * (na + nb) + f3 * nc
-    return h if np.all(np.isfinite(h)) else None
+    return _finite_rows(h)
 
 
 def _stepper(coeffs: ModelCoefficients) -> Callable:
-    """(h, dt) -> the next half spectrum, or None if it is not finite.
+    """(h, dt) -> the next half spectrum (or stack of them), as `_finite_rows` gives it.
 
     mu > 0: RK4 on `tendency` where it applies, else on `tendency_direct`.
     mu = 0: ETDRK4 with L = alpha1*d/dx + alpha2*d^3/dx^3 and the rest of
@@ -228,7 +268,7 @@ def _stepper(coeffs: ModelCoefficients) -> Callable:
         nonlinear = lambda v: form(v, nl)
 
         def etd_step(h, dt):
-            return _etdrk4(h, nonlinear, _etd_weights(2 * (h.shape[0] - 1), coeffs, dt))
+            return _etdrk4(h, nonlinear, _etd_weights(2 * (h.shape[-1] - 1), coeffs, dt))
         return etd_step
     form = tendency_direct if coeffs.has_extended_terms else tendency
     rhs = lambda v: form(v, coeffs)
@@ -268,18 +308,22 @@ def _stable_dt(u: SpectralField, coeffs: ModelCoefficients, cfl: float) -> float
     ETDRK4 is stable at that step, but its error grows with the dispersive
     phase dt*|alpha2|*xi^3 of the modes the nonlinear term couples.  dt is
     also held to 2.8/(|alpha2|*(pi*n/2)^3), the RK4 stability limit at half
-    the Nyquist wavenumber.
+    the Nyquist wavenumber.  Where the advective step is the shorter one, dt
+    is that dispersive step halved until it fits under it, so a run draws
+    its steps, and the cached ETDRK4 weights, from a few values.
     """
     grid = u.grid
     if coeffs.mu == 0.0:
-        bound = math.inf
-        if coeffs.alpha2 != 0.0:
-            bound = 2.8 / (abs(coeffs.alpha2) * (0.5 * math.pi * grid.n_points) ** 3)
         speed = abs(coeffs.alpha1) + abs(coeffs.alpha3) * sup_norm(u)
-        bound = min(bound, grid.spacing / max(1.0, speed))
-    else:
-        bound = grid.spacing / max(1.0, sup_norm(transport_field(u, coeffs)))
-    return cfl * bound
+        advective = cfl * (grid.spacing / max(1.0, speed))
+        if coeffs.alpha2 == 0.0:
+            return advective
+        dispersive = cfl * (2.8 / (abs(coeffs.alpha2) * (0.5 * math.pi * grid.n_points) ** 3))
+        halvings = 0
+        while math.ldexp(dispersive, -halvings) > advective:
+            halvings += 1
+        return math.ldexp(dispersive, -halvings)
+    return cfl * (grid.spacing / max(1.0, sup_norm(transport_field(u, coeffs))))
 
 
 def _event_times(t_end: float, sample_interval: float, snapshot_times) -> list[tuple[float, bool, bool]]:
@@ -292,6 +336,39 @@ def _event_times(t_end: float, sample_interval: float, snapshot_times) -> list[t
     snaps = {round(ts, 15) for ts in snapshot_times if ts > 0.0}
     later = [(ev, ev in samples, ev in snaps) for ev in sorted(samples | snaps)]
     return [(0.0, True, 0.0 in snapshot_times), *later]
+
+
+def _check_run(coeffs: ModelCoefficients, t_end: float, controls: IntegrationControls) -> None:
+    """Raise InvalidControls, then InvalidMu, for a run `integrate` cannot start."""
+    if t_end <= _LANDING_TOL:
+        raise InvalidControls(
+            f"t_end must exceed the landing tolerance {_LANDING_TOL}, got {t_end}"
+        )
+    if controls.cfl <= 0.0:
+        raise InvalidControls(f"cfl must be positive, got {controls.cfl}")
+    if controls.sample_interval <= 0.0:
+        raise InvalidControls("sample_interval must be positive")
+    if controls.dt is not None and controls.dt <= 0.0:
+        raise InvalidControls("fixed dt must be positive")
+    for ts in controls.snapshot_times:
+        if not 0.0 <= ts <= t_end:
+            raise InvalidControls(f"snapshot time {ts} outside [0, {t_end}]")
+    if coeffs.mu < 0.0:
+        raise InvalidMu(f"mu must be nonnegative, got {coeffs.mu}")
+
+
+def _check_budget(t_end: float, dt_first: float) -> None:
+    """Fail now a run whose first step implies more than _MAX_STEPS steps.
+
+    The first step's bound doubles as the step-count estimate, so a run the
+    budget cannot cover fails before it starts rather than after
+    _MAX_STEPS steps.
+    """
+    if t_end / dt_first > _MAX_STEPS:
+        raise InvalidControls(
+            f"about {t_end / dt_first:.3g} steps of dt={dt_first:.3g} needed, "
+            f"over the step budget {_MAX_STEPS}"
+        )
 
 
 def integrate(
@@ -308,36 +385,15 @@ def integrate(
     ETDRK4 on `tendency_direct`'s terms, under `_stable_dt`'s KdV bound.
     """
     controls = controls or IntegrationControls()
-    if t_end <= _LANDING_TOL:
-        raise InvalidControls(
-            f"t_end must exceed the landing tolerance {_LANDING_TOL}, got {t_end}"
-        )
-    if controls.cfl <= 0.0:
-        raise InvalidControls(f"cfl must be positive, got {controls.cfl}")
-    if controls.sample_interval <= 0.0:
-        raise InvalidControls("sample_interval must be positive")
-    if controls.dt is not None and controls.dt <= 0.0:
-        raise InvalidControls("fixed dt must be positive")
-    for ts in controls.snapshot_times:
-        if not 0.0 <= ts <= t_end:
-            raise InvalidControls(f"snapshot time {ts} outside [0, {t_end}]")
-
-    if coeffs.mu < 0.0:
-        raise InvalidMu(f"mu must be nonnegative, got {coeffs.mu}")
+    _check_run(coeffs, t_end, controls)
     step = _stepper(coeffs)
 
     def dt_bound(u: SpectralField) -> float:
         dt = controls.dt if controls.dt is not None else _stable_dt(u, coeffs, controls.cfl)
         return min(dt, controls.sample_interval)
 
-    # the first step's bound doubles as the step-count estimate, so a run the
-    # budget cannot cover fails now rather than after _MAX_STEPS steps
     dt_first = dt_bound(u0)
-    if t_end / dt_first > _MAX_STEPS:
-        raise InvalidControls(
-            f"about {t_end / dt_first:.3g} steps of dt={dt_first:.3g} needed, "
-            f"over the step budget {_MAX_STEPS}"
-        )
+    _check_budget(t_end, dt_first)
 
     records: list[DiagnosticsRecord] = []
     snapshots: list[tuple[float, SpectralField]] = []
@@ -382,3 +438,58 @@ def integrate(
         status = RunStatus.COMPLETED
     state = SimulationState(t, u, dt_last, status)
     return IntegrationResult(state, records, snapshots, blowup=blowup)
+
+
+def _integrate_rows(
+    h0: np.ndarray,
+    coeffs: ModelCoefficients,
+    t_end: float,
+    controls: IntegrationControls,
+) -> tuple[list[np.ndarray], tuple[int, RunStatus, float] | None]:
+    """`integrate` of each row of a (B, n/2+1) stack at the fixed step controls.dt (not None).
+
+    The rows step as one stack: each RK4 or ETDRK4 stage makes one
+    right-hand-side call for all of them.  Each accepted row is made exactly
+    real in its mean and Nyquist slots, as a SpectralField makes it, and
+    classified as `detect_blowup` classifies it.  Returns the stacks at the
+    snapshot times and the first row, in row order, whose run would not
+    complete, with its status and the time `integrate` would stop it at; None
+    if every row completes.  When row j stops, rows j and up are dropped and
+    the rest step on, since only an earlier row can still fail first.  Once a
+    row has stopped, the snapshots are incomplete.
+    """
+    _check_run(coeffs, t_end, controls)
+    step = _stepper(coeffs)
+    dt = min(controls.dt, controls.sample_interval)
+    _check_budget(t_end, dt)
+    snapshots: list[np.ndarray] = []
+    stop: tuple[int, RunStatus, float] | None = None
+    t, h = 0.0, h0
+    steps = 0
+
+    for ev, _, is_snap in _event_times(t_end, controls.sample_interval, controls.snapshot_times):
+        while t < ev - _LANDING_TOL:
+            steps += 1
+            if steps > _MAX_STEPS:
+                raise InvalidControls(f"step budget {_MAX_STEPS} exhausted at t={t:.6g}")
+            dt_last = min(dt, ev - t)
+            nxt = step(h, dt_last)
+            finite = 0 if nxt is None else nxt.shape[0]
+            if finite < h.shape[0]:
+                stop = (finite, RunStatus.NONFINITE, t)
+            if nxt is None:
+                return snapshots, stop
+            t = ev if ev - (t + dt_last) < _LANDING_TOL else t + dt_last
+            nxt[:, 0] = nxt[:, 0].real
+            nxt[:, -1] = nxt[:, -1].real
+            for row, record in enumerate(_monitor_rows(t, nxt, controls.s_exponent)):
+                decision = _classify(record, controls.thresholds)
+                if decision.status is not RunStatus.RUNNING:
+                    stop, nxt = (row, decision.status, t), nxt[:row]
+                    break
+            if nxt.shape[0] == 0:
+                return snapshots, stop
+            h = nxt
+        if is_snap:
+            snapshots.append(h)
+    return snapshots, stop

@@ -29,14 +29,18 @@ and the derivatives its products use are padded once, and the products
 (the powers in a(u) or P(u), the bracket of f(u)) are summed on that grid
 and truncated once.  A product is a (coefficient, derivative orders) term,
 so (beta2, (0, 3)) is beta2*u*u_xxx; zero coefficients are dropped before
-padding.  `tendency` is -d/dx of the truncated flux, with a Nyquist slot of 0.
+padding.  `tendency` is -d/dx of the truncated flux, with a Nyquist slot of 0;
+`tendency_direct` also returns 0 there, the convention of real Fourier
+derivatives, so the two forms agree in every slot.
 
 A right-hand side is built once per (grid size, coefficients): a cached
 kernel checks the coefficients, lays out the term tables, the padded size,
 the derivative orders and the symbols, and returns a function from half
 spectrum to half spectrum.  `tendency`, `tendency_direct` and `flux` take
 a SpectralField or a bare rfft half spectrum and return the same kind; the
-stepper passes bare arrays, so no field is built inside an RK4 step.
+stepper passes bare arrays, so no field is built inside an RK4 step.  A
+bare (B, n/2+1) stack of half spectra goes row by row through the same
+kernel, each row bit for bit as it would go alone.
 """
 
 from __future__ import annotations
@@ -335,7 +339,7 @@ def _flux_kernel(n: int, c: ModelCoefficients):
 
 @functools.lru_cache(maxsize=128)
 def _local_kernel(n: int, c: ModelCoefficients):
-    """h -> half spectrum of the smoothed local form on n points."""
+    """h -> half spectrum of the smoothed local form on n points, 0 at the Nyquist slot."""
     if c.mu < 0.0:
         raise InvalidMu(f"mu must be nonnegative, got {c.mu}")
     products = _terms(
@@ -344,19 +348,22 @@ def _local_kernel(n: int, c: ModelCoefficients):
         (c.alpha5, (0, 0, 0, 1)),
     )
     pad, dx1, dx3 = _padder(n, products), _dx_sigma(n, 1), _dx_sigma(n, 3)
-    smoothing = _lambda_sigma(n, -2.0, c.mu) if c.mu != 0.0 else None
+    # Lam^{-2} (all ones when mu = 0), with 0 in the unpaired Nyquist mode as
+    # the odd derivatives of `tendency` have there
+    smoothing = _lambda_sigma(n, -2.0, c.mu).copy()
+    smoothing[-1] = 0.0
 
     def rhs(h):
         out = c.alpha1 * (h * dx1) + c.alpha2 * (h * dx3) + _truncated_sum(pad(h), products, n)
-        return out if smoothing is None else out * smoothing
+        return out * smoothing
     return rhs
 
 
 def _half_spectrum(u) -> tuple[np.ndarray, int]:
-    """(half spectrum, n) of a field or of a bare rfft half spectrum."""
+    """(half spectrum, n) of a field, a bare rfft half spectrum or a stack of them."""
     if isinstance(u, SpectralField):
         return u.coef, u.grid.n_points
-    return u, 2 * (u.shape[0] - 1)
+    return u, 2 * (u.shape[-1] - 1)
 
 
 def _like(u, h: np.ndarray):
@@ -411,9 +418,11 @@ def tendency_direct(u, coeffs: ModelCoefficients):
     and leaves the local equation, whose alpha2*u_xxx term is stiff;
     the integrator treats alpha1*u_x + alpha2*u_xxx exactly there and
     passes the rest through this function), conservative or not.  On
-    conservative sets it matches `tendency` to round-off for band-limited
-    fields, which is the standing reformulation oracle.  Takes and returns
-    fields or bare half spectra, as `tendency` does.
+    conservative sets it matches `tendency` to round-off in every slot,
+    which is the standing reformulation oracle: like `tendency`, it returns
+    0 in the Nyquist slot rather than folding the +-n/2 pair of its
+    products into it.  Takes and returns fields or bare half spectra, as
+    `tendency` does.
     """
     h, n = _half_spectrum(u)
     rhs = _local_kernel(n, coeffs)

@@ -16,6 +16,10 @@ predicts, on concrete sampled inputs:
   mollified rough data.
 * `convergence_study`   -- temporal order and spatial spectral decay.
 
+The solution-map probes (continuous dependence, mollified data,
+dispersion, convergence) solve through `_solve_sampled`, which steps all
+the fields of one call, on one grid at one dt, as one stack.
+
 The estimate constants are never known, so the ratio probes assert
 boundedness and stability under grid refinement rather than specific
 values; that is the strongest falsifiable form available.  All probes are
@@ -35,11 +39,11 @@ from .evolve import (
     _LANDING_TOL,
     _MAX_STEPS,
     IntegrationControls,
-    RunStatus,
     _event_times,
+    _integrate_rows,
     _rk4,
     _stable_dt,
-    integrate,
+    integrate,  # noqa: F401 -- perfbench/tracing.py traces probes.integrate
 )
 from .models import ModelCoefficients, RegimeParameters, preset_large_amplitude
 from .spectral import (
@@ -366,7 +370,13 @@ def product_probe(
 # solution-map experiments
 # ---------------------------------------------------------------------------
 
-def _solve_sampled(u0, coeffs, t_end, dt, sample_ts):
+def _solve_sampled(fields, coeffs, t_end, dt, sample_ts):
+    """The states at sample_ts of each field, as `integrate` at the fixed step dt
+    gives them; the fields share one grid and step as one stack.
+
+    Raises ProbeUnresolved for the first field, in input order, whose run
+    does not complete, with its status and time.
+    """
     # a completed run lands one snapshot per distinct event, so merged
     # sample times are known before the solve
     landed = sum(is_snap for _, _, is_snap in _event_times(t_end, t_end, sample_ts))
@@ -378,12 +388,12 @@ def _solve_sampled(u0, coeffs, t_end, dt, sample_ts):
     controls = IntegrationControls(
         dt=dt, sample_interval=t_end, snapshot_times=tuple(sample_ts)
     )
-    result = integrate(u0, coeffs, t_end, controls)
-    if result.state.status is not RunStatus.COMPLETED:
-        raise ProbeUnresolved(
-            f"run ended with status {result.state.status.value} at t={result.state.t:.6g}"
-        )
-    return [u for (_, u) in result.snapshots]
+    grid = fields[0].grid
+    stacks, stop = _integrate_rows(np.stack([u.coef for u in fields]), coeffs, t_end, controls)
+    if stop is not None:
+        _, status, t = stop
+        raise ProbeUnresolved(f"run ended with status {status.value} at t={t:.6g}")
+    return [[SpectralField(grid, h[row]) for h in stacks] for row in range(len(fields))]
 
 
 def continuous_dependence_experiment(
@@ -424,14 +434,11 @@ def continuous_dependence_experiment(
     if dt is None:
         dt = _stable_dt(u0, coeffs, cfl)
     sample_ts = [t_end * (j + 1) / _DEPENDENCE_SAMPLES for j in range(_DEPENDENCE_SAMPLES)]
-    base = _solve_sampled(u0, coeffs, t_end, dt, sample_ts)
-
-    distances = []
-    for eta in etas:
-        pert = _solve_sampled(u0 + eta * phi, coeffs, t_end, dt, sample_ts)
-        distances.append(
-            max(sobolev_norm(b - p, s_exp) for b, p in zip(base, pert))
-        )
+    fields = [u0] + [u0 + eta * phi for eta in etas]
+    base, *perturbed = _solve_sampled(fields, coeffs, t_end, dt, sample_ts)
+    distances = [
+        max(sobolev_norm(b - p, s_exp) for b, p in zip(base, pert)) for pert in perturbed
+    ]
 
     nonincreasing = all(
         d2 <= d1 * (1.0 + 1e-12) for d1, d2 in zip(distances, distances[1:])
@@ -503,7 +510,7 @@ def dispersion_probe(
     steps_per_record = max(1, int(math.ceil(record_dt / target)))
     dt = record_dt / steps_per_record
     sample_ts = [record_dt * (j + 1) for j in range(_DISPERSION_RECORDS)]
-    snapshots = _solve_sampled(u0, coeffs, window, dt, sample_ts)
+    [snapshots] = _solve_sampled([u0], coeffs, window, dt, sample_ts)
 
     ts = np.array([0.0] + sample_ts)
     phases = np.unwrap([np.angle(u.mode(mode)) for u in [u0, *snapshots]])
@@ -551,9 +558,7 @@ def mollified_data_experiment(
     fields = [mollify(u0_rough, n) for n in ns]
     if dt is None:
         dt = min(_stable_dt(f, coeffs, cfl) for f in fields)
-    terminals = [
-        _solve_sampled(f, coeffs, t_end, dt, [t_end])[0] for f in fields
-    ]
+    terminals = [states[0] for states in _solve_sampled(fields, coeffs, t_end, dt, [t_end])]
     diffs = [
         l2_norm(a - b) for a, b in zip(terminals, terminals[1:])
     ]
@@ -600,7 +605,7 @@ def convergence_study(
         )
 
     def run(u_init, n_steps):
-        return _solve_sampled(u_init, coeffs, t_end, t_end / n_steps, [t_end])[0]
+        return _solve_sampled([u_init], coeffs, t_end, t_end / n_steps, [t_end])[0][0]
 
     fine = grid_sizes[-1]
     u_fine = resample(u0, fine)

@@ -164,25 +164,36 @@ def _resize(h: np.ndarray, n: int) -> np.ndarray:
 
     Padding splits the unpaired Nyquist coefficient between modes +-n_h/2;
     truncation, its adjoint, folds the +-n/2 pair back onto the Nyquist slot.
+    A (B, n_h/2+1) stack is resized row by row.  A single half spectrum
+    keeps its own statements: indexing it along a leading axis would slow
+    the 1-D call that every single-field stage makes.
     """
-    old = 2 * (h.shape[0] - 1)
+    old = 2 * (h.shape[-1] - 1)
     if n == old:
         return h
     half = min(n, old) // 2
-    out = np.zeros(n // 2 + 1, dtype=np.complex128)
-    out[:half] = h[:half]
-    out[half] = (0.5 if n > old else 2.0) * h[half].real
+    if h.ndim == 1:
+        out = np.zeros(n // 2 + 1, dtype=np.complex128)
+        out[:half] = h[:half]
+        out[half] = (0.5 if n > old else 2.0) * h[half].real
+        return out
+    out = np.zeros((h.shape[0], n // 2 + 1), dtype=np.complex128)
+    out[:, :half] = h[:, :half]
+    out[:, half] = (0.5 if n > old else 2.0) * h[:, half].real
     return out
 
 
 def _to_grid(h: np.ndarray, m: int) -> np.ndarray:
-    """Samples on m points of the half spectrum h of a field on at most m points."""
+    """Samples on m points of the half spectrum h of a field on at most m points.
+
+    Like `_from_grid`, it acts on the last axis, so a stack goes row by row.
+    """
     return np.fft.irfft(_resize(h, m) * m, n=m)
 
 
 def _from_grid(samples: np.ndarray, n: int) -> np.ndarray:
     """Half spectrum on n points of real samples on at least n points."""
-    return _resize(np.fft.rfft(samples) / samples.shape[0], n)
+    return _resize(np.fft.rfft(samples) / samples.shape[-1], n)
 
 
 def _dealias_size(n: int, count: int) -> int:
@@ -351,6 +362,18 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
         if math.isnan(total):  # an inf weight met a zero mode, which adds 0
             total = np.sum(weight * power, where=power > 0.0)
         return float(math.sqrt(total))
+
+
+def _sobolev_norm_rows(h: np.ndarray, n: int, s: float) -> np.ndarray:
+    """`sobolev_norm` of each row of a (B, n/2+1) stack of half spectra, bit for bit."""
+    weight = _sobolev_weight(n, float(s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = h.real ** 2 + h.imag ** 2
+        total = np.sum(weight * power, axis=-1)
+        nan = np.isnan(total)
+        if nan.any():  # an inf weight met a zero mode, which adds 0
+            total[nan] = np.sum(weight * power[nan], axis=-1, where=power[nan] > 0.0)
+        return np.sqrt(total)
 
 
 def l2_norm(field: SpectralField) -> float:

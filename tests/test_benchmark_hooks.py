@@ -136,3 +136,25 @@ def test_kdv_workload_meets_its_reference_in_at_most_16_steps(monkeypatch):
         assert wl.reference(key)[1] <= 2e-8
         assert wl.check(key, u0, result) is None, key
         assert len(calls) <= 64, (key, len(calls))
+
+
+def test_ensemble_op_steps_its_fields_as_one_stack(monkeypatch):
+    """A full `ensemble-n128` op on seeds 0-3 passes its check through 80
+    `evolve.tendency` calls: 20 RK4 steps of one 4-row stack, where four
+    solves of one field each made 320."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    tendency = evolve.tendency
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return tendency(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "tendency", counted)
+    wl = workloads.EnsembleN128("full", workloads.load_references())
+    for seed in range(4):
+        calls.clear()
+        report = wl.run(wl.prepare(seed))
+        assert wl.check(seed, seed, report) is None, seed
+        assert len(calls) == 80, (seed, len(calls))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lasw import evolve
-from lasw.errors import InvalidControls
+from lasw.errors import InvalidControls, InvalidMu
 from lasw.evolve import (
     BlowupThresholds,
     IntegrationControls,
@@ -188,6 +188,110 @@ class TestETDRK4:
             h = evolve._rk4(h, lambda v: tendency_direct(v, KDV), dt)
         res = integrate(u0, KDV, 8 * dt, IntegrationControls(dt=dt, sample_interval=8 * dt))
         assert np.max(np.abs(res.state.u.coef - h)) <= 1e-12 * np.max(np.abs(h))
+
+    def test_advective_steps_reuse_the_cached_weights(self):
+        # eps 1, delta 0.01: the advective bound sets dt, and it follows
+        # sup|u| from step to step; dt is held to the dispersive step halved,
+        # so the run builds the weights for 2 values of dt, not 1 per step
+        c = preset_survey("kdv", RegimeParameters(eps=1.0, delta=0.01))
+        u0 = random_trig_polynomial(Grid(64), 0, 10, 2.0)
+        evolve._etd_weights.cache_clear()
+        res = integrate(u0, c, 0.05, IntegrationControls(sample_interval=0.05))
+        assert res.state.status is RunStatus.COMPLETED
+        info = evolve._etd_weights.cache_info()
+        assert info.misses <= 2 < info.hits
+
+    def test_step_is_the_dispersive_step_halved_to_fit(self):
+        # where the dispersive step is the shorter one it is taken as before
+        u0 = random_trig_polynomial(Grid(64), 0, 10, 2.0)
+        dispersive = 2.8 / (abs(KDV.alpha2) * (0.5 * math.pi * 64) ** 3)
+        assert evolve._stable_dt(u0, KDV, 0.5) == 0.5 * dispersive
+        fast = replace(KDV, alpha3=-1e3)
+        dt = evolve._stable_dt(u0, fast, 0.5)
+        advective = 0.5 * (Grid(64).spacing / (1.0 + 1e3 * evolve.sup_norm(u0)))
+        halvings = math.log2(0.5 * dispersive / dt)
+        assert dt <= advective < 2.0 * dt and halvings == int(halvings) >= 1
+
+
+class TestStackedSolve:
+    """`_integrate_rows` steps a stack as `integrate` steps each of its rows."""
+
+    MODELS = {
+        "large_amplitude": preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1)),
+        "normalized": preset_normalized(),
+        "ch": preset_survey("ch", RegimeParameters(kappa=1.0)),
+        "se": preset_survey("se", RegimeParameters(eps=0.5, delta=0.4)),
+        "kdv": KDV,
+    }
+
+    @staticmethod
+    def expected(fields, c, t_end, controls):
+        """Snapshots of each field's own run, and the first run that does not complete."""
+        runs = [integrate(u, c, t_end, controls) for u in fields]
+        stop = next(
+            ((i, r.state.status, r.state.t) for i, r in enumerate(runs)
+             if r.state.status is not RunStatus.COMPLETED),
+            None,
+        )
+        return runs, stop
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_rows_equal_their_own_runs_byte_for_byte(self, name, n):
+        c = self.MODELS[name]
+        fields = [random_trig_polynomial(Grid(n), seed, n // 4, 2.0) for seed in range(3)]
+        controls = IntegrationControls(dt=1e-4, snapshot_times=(0.0, 3.5e-4, 1e-3))
+        runs, stop = self.expected(fields, c, 1e-3, controls)
+        assert stop is None
+        stacks, got = evolve._integrate_rows(np.stack([u.coef for u in fields]), c, 1e-3, controls)
+        assert got is None and len(stacks) == 3
+        for row, run in enumerate(runs):
+            assert [h[row].tobytes() for h in stacks] == [
+                u.coef.tobytes() for _, u in run.snapshots
+            ]
+
+    @pytest.mark.parametrize("rows, first", [
+        ((0.3, 0.4, 0.1), (0, RunStatus.BLOWUP_SUSPECTED)),  # row 1 stops first, row 0 later
+        ((0.1, "huge", 0.4), (1, RunStatus.NONFINITE)),
+        ((0.3, "huge", 0.1), (0, RunStatus.BLOWUP_SUSPECTED)),
+        (("huge", 0.3), (0, RunStatus.NONFINITE)),
+        ((0.1, 0.15), None),
+    ], ids=["later-row-earlier", "nonfinite-row", "nonfinite-then-earlier-row",
+            "nonfinite-first", "none"])
+    def test_first_failure_in_row_order(self, rows, first):
+        g = Grid(64)
+        huge = constant(g, 1e160) + cosine(g, 1e160)
+        fields = [huge if a == "huge" else cosine(g, a) for a in rows]
+        c = preset_normalized()
+        controls = IntegrationControls(
+            dt=1e-3, sample_interval=0.1, snapshot_times=(0.05, 0.1),
+            thresholds=BlowupThresholds(sup_ux_max=2.0),
+        )
+        runs, stop = self.expected(fields, c, 0.1, controls)
+        assert (stop and stop[:2]) == first
+        _, got = evolve._integrate_rows(np.stack([u.coef for u in fields]), c, 0.1, controls)
+        assert got == stop
+        if rows[:2] == (0.3, 0.4):
+            assert runs[1].state.t < runs[0].state.t
+
+    @pytest.mark.parametrize("s_exponent", [0.0, 2.0, 100.0])
+    def test_row_records_equal_monitor(self, s_exponent):
+        # s_exponent 100 gives inf weights on the zero top modes
+        g = Grid(64)
+        fields = [random_trig_polynomial(g, seed, 20, 1.0) for seed in range(4)] + [constant(g, 0.0)]
+        got = evolve._monitor_rows(0.5, np.stack([u.coef for u in fields]), s_exponent)
+        for u, record in zip(fields, got):
+            want = evolve._monitor(0.5, u, s_exponent)
+            assert np.array(astuple(record)).tobytes() == np.array(astuple(want)).tobytes()
+
+    def test_controls_are_checked_as_integrate_checks_them(self):
+        h = np.stack([cosine(Grid(32), 0.1).coef] * 2)
+        c = preset_normalized()
+        for t_end, dt in ((1e-14, 1e-3), (0.1, 0.0), (1.0, 1e-12)):
+            with pytest.raises(InvalidControls):
+                evolve._integrate_rows(h, c, t_end, IntegrationControls(dt=dt, sample_interval=t_end))
+        with pytest.raises(InvalidMu):
+            evolve._integrate_rows(h, replace(c, mu=-1.0), 0.1, IntegrationControls(dt=1e-3))
 
 
 class TestIntegrate:

@@ -281,10 +281,10 @@ class TestContinuousDependence:
         from lasw.probes import _solve_sampled
         dt = 2e-3
         ts = [0.1 * (j + 1) for j in range(5)]
-        base = _solve_sampled(u0, preset_normalized(), 0.5, dt, ts)
+        [base] = _solve_sampled([u0], preset_normalized(), 0.5, dt, ts)
         dists = []
         for eta in etas:
-            pert = _solve_sampled((1.0 + eta) * u0, preset_normalized(), 0.5, dt, ts)
+            [pert] = _solve_sampled([(1.0 + eta) * u0], preset_normalized(), 0.5, dt, ts)
             dists.append(max(sobolev_norm(b - p, 2.0) for b, p in zip(base, pert)))
         assert dists[1] < dists[0]
 
