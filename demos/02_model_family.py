@@ -36,6 +36,7 @@ rows = {
         "moderate", RegimeParameters(eps=1, delta=1, p=0.0, z0=(1.0 / 3.0) ** 0.5)
     ),
     "kdv": preset_survey("kdv", RegimeParameters(eps=1, delta=1)),
+    "se(.5,.4)": preset_survey("se", RegimeParameters(eps=0.5, delta=0.4)),
 }
 for name, c in rows.items():
     vals = (c.mu, c.alpha1, c.alpha2, c.alpha3, c.beta1, c.beta2, c.gamma1, c.gamma2, c.gamma3)
@@ -46,7 +47,7 @@ grid = Grid(128)
 u = random_trig_polynomial(grid, seed=4, max_mode=20, decay_exponent=2.0)
 
 print("\nreformulation agreement on a random band-limited field:")
-for name in ("large_amplitude(1,1)", "normalized", "ch(kappa=1)"):
+for name in ("large_amplitude(1,1)", "normalized", "ch(kappa=1)", "se(.5,.4)"):
     c = rows[name]
     difference = l2_norm(tendency(u, c) - tendency_direct(u, c))
     print(f"  {name:24s} ||nonlocal - local||_0 = {difference:.3e}")

@@ -14,8 +14,8 @@ import click
 
 from .config import (
     RunConfig,
-    build_coefficients,
-    build_initial_field,
+    build_coefficients,  # noqa: F401 -- perfbench/tracing.py traces cli.build_*
+    build_initial_field,  # noqa: F401
     load_json,
     parse_converge_spec,
     parse_probe_spec,
@@ -31,15 +31,11 @@ from .io import (
     write_json,
     write_snapshot_csv,
 )
-from .spectral import Grid
 
 
 def run_command(config: RunConfig, quiet: bool = False) -> int:
     """Integrate per config and write diagnostics.csv, snapshots, run.json."""
     out = resolve_out_dir(config.out_dir)
-    coeffs = build_coefficients(config.model)
-    grid = Grid(config.grid)
-    u0 = build_initial_field(config.initial_data, grid, config.seed)
     controls = IntegrationControls(
         cfl=config.cfl,
         dt=config.dt,
@@ -49,7 +45,7 @@ def run_command(config: RunConfig, quiet: bool = False) -> int:
         s_exponent=config.s_exponent,
     )
     started = time.perf_counter()
-    result = integrate(u0, coeffs, config.t_end, controls)
+    result = integrate(config.initial_field, config.coefficients, config.t_end, controls)
     wall = time.perf_counter() - started
 
     write_diagnostics_csv(out / "diagnostics.csv", result.records)

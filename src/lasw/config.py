@@ -16,7 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields, asdict
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +80,15 @@ class RunConfig:
 
     def blowup_thresholds(self) -> BlowupThresholds:
         return BlowupThresholds(**self.thresholds)
+
+    # built once, by `from_dict`'s check; not fields, so asdict, == and to_dict skip them
+    @cached_property
+    def coefficients(self) -> ModelCoefficients:
+        return build_coefficients(self.model)
+
+    @cached_property
+    def initial_field(self) -> SpectralField:
+        return build_initial_field(self.initial_data, Grid(self.grid), self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +469,7 @@ def _build_run_config(raw: dict) -> RunConfig:
     for ts in config.snapshot_times:
         if ts > config.t_end:
             raise ConfigInvalid(f"snapshot_times: {ts} exceeds t_end={config.t_end}")
-    # fail fast: both blocks must construct
-    build_coefficients(config.model)
-    build_initial_field(config.initial_data, Grid(config.grid), config.seed)
+    config.coefficients, config.initial_field  # fail fast: both blocks must construct
     return config
 
 

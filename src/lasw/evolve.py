@@ -259,19 +259,18 @@ def _etdrk4(h: np.ndarray, nonlinear: Callable, weights) -> np.ndarray | None:
 def _stepper(coeffs: ModelCoefficients) -> Callable:
     """(h, dt) -> the next half spectrum (or stack of them), as `_finite_rows` gives it.
 
-    mu > 0: RK4 on `tendency` where it applies, else on `tendency_direct`.
+    The scheme and form follow from mu alone.  mu > 0: RK4 on `tendency`.
     mu = 0: ETDRK4 with L = alpha1*d/dx + alpha2*d^3/dx^3 and the rest of
     `tendency_direct` as its nonlinear part.
     """
     if coeffs.mu == 0.0:
-        form, nl = tendency_direct, _nonlinear_part(coeffs)
-        nonlinear = lambda v: form(v, nl)
+        nl = _nonlinear_part(coeffs)
+        nonlinear = lambda v: tendency_direct(v, nl)
 
         def etd_step(h, dt):
             return _etdrk4(h, nonlinear, _etd_weights(2 * (h.shape[-1] - 1), coeffs, dt))
         return etd_step
-    form = tendency_direct if coeffs.has_extended_terms else tendency
-    rhs = lambda v: form(v, coeffs)
+    rhs = lambda v: tendency(v, coeffs)
     return lambda h, dt: _rk4(h, rhs, dt)
 
 
@@ -306,23 +305,23 @@ def _stable_dt(u: SpectralField, coeffs: ModelCoefficients, cfl: float) -> float
 
     With mu = 0 the advective speed is read off the local coefficients, and
     ETDRK4 is stable at that step, but its error grows with the dispersive
-    phase dt*|alpha2|*xi^3 of the modes the nonlinear term couples.  dt is
-    also held to 2.8/(|alpha2|*(pi*n/2)^3), the RK4 stability limit at half
-    the Nyquist wavenumber.  Where the advective step is the shorter one, dt
-    is that dispersive step halved until it fits under it, so a run draws
-    its steps, and the cached ETDRK4 weights, from a few values.
+    phase dt*|alpha2|*xi^3 of the modes the nonlinear term couples.  So dt
+    starts from cfl times 2.8/(|alpha2|*(pi*n/2)^3), the RK4 stability limit
+    at half the Nyquist wavenumber, or from cfl * dx when alpha2 = 0, and is
+    halved until it fits under the advective step: a run draws its steps,
+    and the cached ETDRK4 weights, from a few values.
     """
     grid = u.grid
     if coeffs.mu == 0.0:
         speed = abs(coeffs.alpha1) + abs(coeffs.alpha3) * sup_norm(u)
         advective = cfl * (grid.spacing / max(1.0, speed))
-        if coeffs.alpha2 == 0.0:
-            return advective
-        dispersive = cfl * (2.8 / (abs(coeffs.alpha2) * (0.5 * math.pi * grid.n_points) ** 3))
+        base = cfl * grid.spacing
+        if coeffs.alpha2 != 0.0:
+            base = cfl * (2.8 / (abs(coeffs.alpha2) * (0.5 * math.pi * grid.n_points) ** 3))
         halvings = 0
-        while math.ldexp(dispersive, -halvings) > advective:
+        while math.ldexp(base, -halvings) > advective:
             halvings += 1
-        return math.ldexp(dispersive, -halvings)
+        return math.ldexp(base, -halvings)
     return cfl * (grid.spacing / max(1.0, sup_norm(transport_field(u, coeffs))))
 
 

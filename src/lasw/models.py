@@ -4,7 +4,8 @@ The family evolved here is, in local form,
 
     u_t - mu*u_xxt = alpha1*u_x + alpha2*u_xxx + alpha3*u*u_x
                      + beta1*u_x*u_xx + beta2*u*u_xxx
-                     + gamma1*u*u_x*u_xx + gamma2*u^2*u_xxx + gamma3*u_x^3.
+                     + gamma1*u*u_x*u_xx + gamma2*u^2*u_xxx + gamma3*u_x^3
+                     + alpha4*u^2*u_x + alpha5*u^3*u_x.
 
 When the cubic coefficients satisfy gamma1 = 2*(gamma2 + gamma3) the cubic
 terms are a perfect x-derivative and the equation can be rewritten, after
@@ -16,12 +17,14 @@ inverting (1 - mu*d^2/dx^2), as the nonlocal first-order system
                            + (alpha3/2 + beta2/(2*mu))*u^2
                            + gamma2/(3*mu)*u^3
                            + (beta1 - 3*beta2)/2*u_x^2
-                           + (gamma3 - 2*gamma2)*u*u_x^2 ],
+                           + (gamma3 - 2*gamma2)*u*u_x^2
+                           + alpha4/3*u^3 + alpha5/4*u^4 ],
 
-with Lam^{-2} = (1 - mu*d^2/dx^2)^{-1}.  Both forms are implemented
-(`tendency` and `tendency_direct`) and agree to round-off on band-limited
-fields; the pair doubles as a standing correctness oracle.  In this form
-the equation is a scalar conservation law, so the spatial mean is
+with Lam^{-2} = (1 - mu*d^2/dx^2)^{-1}; alpha4*u^2*u_x and alpha5*u^3*u_x
+are exact x-derivatives, so they need no relation.  Both forms are
+implemented (`tendency` and `tendency_direct`) and agree to round-off on
+band-limited fields; the pair doubles as a standing correctness oracle.  In
+this form the equation is a scalar conservation law, so the spatial mean is
 conserved exactly; `flux` builds the corresponding flux function.
 
 Each right-hand side is one padded evaluation (the transform method): u
@@ -68,9 +71,8 @@ GAMMA_RELATION_TOL = 1e-12
 class ModelCoefficients:
     """Coefficient tuple of the quasilinear family (all dimensionless).
 
-    alpha4 and alpha5 are extension slots for local u^2*u_x and u^3*u_x
-    terms that fall outside the family proper; they are honored only by
-    `tendency_direct` (the surface-elevation preset needs them).
+    alpha4 and alpha5 weigh the local u^2*u_x and u^3*u_x terms of the
+    surface-elevation preset; both forms honour them.
     """
 
     mu: float
@@ -94,10 +96,6 @@ class ModelCoefficients:
     def conservative(self) -> bool:
         """True iff gamma1 = 2*(gamma2 + gamma3) within 1e-12 (absolute)."""
         return abs(self.gamma1 - 2.0 * (self.gamma2 + self.gamma3)) <= GAMMA_RELATION_TOL
-
-    @property
-    def has_extended_terms(self) -> bool:
-        return self.alpha4 != 0.0 or self.alpha5 != 0.0
 
 
 @dataclass(frozen=True)
@@ -204,8 +202,7 @@ def preset_survey(model: str, params: RegimeParameters) -> ModelCoefficients:
 
     kdv has mu = 0 and is usable only through `tendency_direct` (the
     integrator steps it with ETDRK4, exact on alpha1*u_x + alpha2*u_xxx);
-    se carries the extension slots alpha4/alpha5 and is likewise
-    restricted to the direct form.
+    se also carries alpha4/alpha5, which both forms honour.
     """
     e, d = params.eps, params.delta
     if model == "kdv":
@@ -313,6 +310,8 @@ def _bracket(c: ModelCoefficients):
         (c.gamma2 / (3.0 * mu), (0, 0, 0)),
         (0.5 * (c.beta1 - 3.0 * c.beta2), (1, 1)),
         (c.gamma3 - 2.0 * c.gamma2, (0, 1, 1)),
+        (c.alpha4 / 3.0, (0, 0, 0)),
+        (c.alpha5 / 4.0, (0, 0, 0, 0)),
     )
 
 
@@ -394,19 +393,14 @@ def semilinear_term(u: SpectralField, coeffs: ModelCoefficients) -> SpectralFiel
 def tendency(u, coeffs: ModelCoefficients):
     """du/dt of the nonlocal form: f(u) - a(u)*u_x = -d/dx of `flux`.
 
-    Requires validated conservative coefficients with mu > 0 and no
-    extension slots.  The first-derivative symbol vanishes at mode 0 and
-    at the Nyquist mode, so both slots of the output are exactly zero.
+    Requires validated conservative coefficients with mu > 0.  The
+    first-derivative symbol vanishes at mode 0 and at the Nyquist mode, so
+    both slots of the output are exactly zero.
     A SpectralField gives a SpectralField; a bare rfft half spectrum, as
     the stepper passes, gives a bare half spectrum and builds no field.
     """
     h, n = _half_spectrum(u)
     phi = _flux_kernel(n, coeffs)
-    if coeffs.has_extended_terms:
-        raise InvalidRegime(
-            "extension slots alpha4/alpha5 are outside the nonlocal form; "
-            "use tendency_direct"
-        )
     with np.errstate(over="ignore", invalid="ignore"):
         return _like(u, -phi(h) * _dx_sigma(n, 1))
 

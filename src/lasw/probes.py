@@ -374,9 +374,12 @@ def _solve_sampled(fields, coeffs, t_end, dt, sample_ts):
     """The states at sample_ts of each field, as `integrate` at the fixed step dt
     gives them; the fields share one grid and step as one stack.
 
-    Raises ProbeUnresolved for the first field, in input order, whose run
-    does not complete, with its status and time.
+    Raises InvalidProbeInput for t_end <= 0, and ProbeUnresolved for the
+    first field, in input order, whose run does not complete, with its
+    status and time.
     """
+    if not t_end > 0.0:
+        raise InvalidProbeInput(f"t_end must be positive, got {t_end}")
     # a completed run lands one snapshot per distinct event, so merged
     # sample times are known before the solve
     landed = sum(is_snap for _, _, is_snap in _event_times(t_end, t_end, sample_ts))

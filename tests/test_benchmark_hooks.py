@@ -83,7 +83,7 @@ def test_semigroup_workload_counts_the_probe_steps(monkeypatch):
 
 @pytest.mark.parametrize("name, coeffs, form", [
     ("large_amplitude", preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1)), "tendency"),
-    ("se", preset_survey("se", RegimeParameters(eps=0.5, delta=0.4)), "tendency_direct"),
+    ("se", preset_survey("se", RegimeParameters(eps=0.5, delta=0.4)), "tendency"),
     ("kdv", preset_survey("kdv", RegimeParameters(eps=0.5, delta=0.5)), "tendency_direct"),
 ])
 def test_every_stage_calls_through_the_rebound_names(monkeypatch, name, coeffs, form):

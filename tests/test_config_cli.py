@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from lasw import config as config_module
 from lasw.cli import main, probe_command, run_command, sweep_command
 from lasw.config import RunConfig, build_initial_field, load_config
 from lasw.errors import ConfigInvalid, ConfigSyntax, IoError
@@ -216,6 +217,23 @@ class TestRunCommand:
         assert "RuntimeWarning" not in result.stderr
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_run_draws_its_initial_field_once(self, tmp_path, monkeypatch):
+        # the run integrates the field its config check built
+        draws = []
+        draw = config_module.random_trig_polynomial
+
+        def counted(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(config_module, "random_trig_polynomial", counted)
+        cfg = minimal_config(tmp_path / "out", t_end=0.01, sample_interval=0.01,
+                             initial_data={"profile": "random", "max_mode": 8})
+        path = write_config(tmp_path, cfg)
+        result = CliRunner().invoke(main, ["run", "--config", str(path), "--quiet"])
+        assert result.exit_code == 0
+        assert len(draws) == 1
+
     def test_t_end_within_landing_tolerance_exits_1(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, minimal_config(out, grid=32, t_end=1e-14))
@@ -306,7 +324,11 @@ class TestProbeAndConverge:
         ({"probe": "continuous_dependence", "t_end": 1e-300}, "ProbeUnresolved",
          "asked for 10 sampled states, got 1"),
         ({"probe": "mollified_data", "n_sequence": [1000000000]}, "InvalidProbeInput", "65536"),
-    ], ids=["dispersion", "continuous_dependence", "mollified_data"])
+        ({"probe": "continuous_dependence", "t_end": -1}, "InvalidProbeInput",
+         "t_end must be positive"),
+        ({"probe": "mollified_data", "t_end": -0.5}, "InvalidProbeInput", "t_end must be positive"),
+    ], ids=["dispersion", "continuous_dependence", "mollified_data",
+            "continuous_dependence-negative-t_end", "mollified_data-negative-t_end"])
     def test_degenerate_probe_inputs_fail_cleanly(self, tmp_path, spec, error, message):
         path = write_config(tmp_path, dict(spec, out_dir=str(tmp_path / "out")), "spec.json")
         result = CliRunner().invoke(main, ["probe", "--config", str(path), "--quiet"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lasw import evolve
-from lasw.errors import InvalidControls, InvalidMu
+from lasw.errors import GammaRelationViolated, InvalidControls, InvalidMu
 from lasw.evolve import (
     BlowupThresholds,
     IntegrationControls,
@@ -195,6 +195,20 @@ class TestETDRK4:
         # so the run builds the weights for 2 values of dt, not 1 per step
         c = preset_survey("kdv", RegimeParameters(eps=1.0, delta=0.01))
         u0 = random_trig_polynomial(Grid(64), 0, 10, 2.0)
+        evolve._etd_weights.cache_clear()
+        res = integrate(u0, c, 0.05, IntegrationControls(sample_interval=0.05))
+        assert res.state.status is RunStatus.COMPLETED
+        info = evolve._etd_weights.cache_info()
+        assert info.misses <= 2 < info.hits
+
+    def test_steps_without_alpha2_reuse_the_cached_weights(self):
+        # alpha2 = 0 has no dispersive step: dt is cfl * dx halved to fit
+        # under the advective step, so it too takes few values
+        c = ModelCoefficients(mu=0.0, alpha1=-1.0, alpha3=-1.0)
+        u0 = random_trig_polynomial(Grid(64), 0, 10, 2.0)
+        dt = evolve._stable_dt(u0, c, 0.5)
+        halvings = math.log2(0.5 * Grid(64).spacing / dt)
+        assert halvings == int(halvings) >= 1
         evolve._etd_weights.cache_clear()
         res = integrate(u0, c, 0.05, IntegrationControls(sample_interval=0.05))
         assert res.state.status is RunStatus.COMPLETED
@@ -403,10 +417,17 @@ class TestIntegrate:
         assert drift <= 1e-12
 
     def test_se_direct_route(self):
+        # se steps with RK4 on `tendency`, as every mu > 0 model does
         g = Grid(64)
         c = preset_survey("se", RegimeParameters(eps=0.3, delta=0.3))
         res = integrate(cosine(g, 0.02), c, 0.2)
         assert res.state.status is RunStatus.COMPLETED
+
+    def test_fixed_dt_rejects_nonconservative_sets_with_alpha4(self):
+        # every mu > 0 set steps on the nonlocal form, which needs the cubic relation
+        c = ModelCoefficients(mu=1.0, alpha2=1.0, gamma1=1.0, alpha4=1.0)
+        with pytest.raises(GammaRelationViolated):
+            integrate(cosine(Grid(32), 0.02), c, 0.01, IntegrationControls(dt=1e-3))
 
 
 class TestDetection:
@@ -555,19 +576,17 @@ regimes = st.builds(
     eps=st.floats(min_value=0.05, max_value=1.0),
     delta=st.floats(min_value=0.1, max_value=1.0),
 )
-# members that `tendency` accepts (conservative, mu > 0, no extension slots)
+# members that `tendency` accepts (conservative, mu > 0)
 nonlocal_models = st.one_of(
     st.just(preset_normalized()),
     regimes.map(preset_large_amplitude),
     st.floats(min_value=0.0, max_value=2.0).map(
         lambda kappa: preset_survey("ch", RegimeParameters(kappa=kappa))
     ),
-)
-# members that only `tendency_direct` accepts
-direct_models = st.one_of(
     regimes.map(lambda p: preset_survey("se", p)),
-    regimes.map(lambda p: preset_survey("kdv", p)),
 )
+# members that only `tendency_direct` accepts (mu = 0)
+direct_models = regimes.map(lambda p: preset_survey("kdv", p))
 # the models `integrate` steps with a fixed dt: RK4, and ETDRK4 for kdv
 stepped_models = st.one_of(nonlocal_models, direct_models)
 FIXED_STEPS = IntegrationControls(dt=1e-3, sample_interval=2e-3, snapshot_times=(0.002, 0.004))
@@ -595,6 +614,14 @@ def assert_hermitian(u):
 
 
 class TestInvariants:
+    @PROPERTY
+    @given(u0=small_fields(), coeffs=nonlocal_models)
+    def test_two_forms_agree(self, u0, coeffs):
+        # the reformulation oracle; 1e-13 absolute covers constant fields,
+        # where both forms are round-off
+        got, ref = tendency(u0, coeffs).coef, tendency_direct(u0, coeffs).coef
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)) + 1e-13
+
     @PROPERTY
     @given(u0=small_fields(), coeffs=stepped_models)
     def test_integrate_conserves_mean(self, u0, coeffs):

@@ -122,7 +122,7 @@ class TestSurveyPresets:
         c = preset_survey("se", RegimeParameters(eps=0.5, delta=0.4))
         assert c.alpha4 == pytest.approx(3.0 * 0.25 / 8.0)
         assert c.alpha5 == pytest.approx(-3.0 * 0.125 / 16.0)
-        assert c.has_extended_terms and c.conservative
+        assert c.conservative
 
     def test_unknown_model(self):
         with pytest.raises(InvalidRegime):
@@ -188,15 +188,6 @@ class TestRightHandSides:
         u = random_trig_polynomial(g, 5, 10, 1.0)
         out = tendency_direct(u, c)
         assert abs(mean(out)) > 1e-8  # cubic terms are not a derivative here
-
-    def test_tendency_rejects_extension_slots(self):
-        g = Grid(32)
-        c = preset_survey("se", RegimeParameters(eps=0.5, delta=0.4))
-        u = random_trig_polynomial(g, 1, 5, 1.0)
-        with pytest.raises(InvalidRegime):
-            tendency(u, c)
-        out = tendency_direct(u, c)  # the supported route
-        assert np.all(np.isfinite(out.coef))
 
     def test_se_constant_fixed_point(self):
         g = Grid(32)
@@ -359,7 +350,7 @@ class TestPaddedEvaluation:
         assert count(3) - count(2) == 1
 
     @pytest.mark.parametrize(
-        "name", ["bbm", "ch", "dp", "large_amplitude", "moderate", "normalized"]
+        "name", ["bbm", "ch", "dp", "large_amplitude", "moderate", "normalized", "se"]
     )
     def test_tendency_matches_direct_form_on_full_band_fields(self, name):
         # -d/dx of the truncated flux is the Galerkin projection that
@@ -375,7 +366,7 @@ class TestPaddedEvaluation:
                 assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_tendency_is_exactly_minus_dx_of_flux(self):
-        for c in (preset_normalized(), LOCAL_FORM_MODELS["large_amplitude"]):
+        for c in (preset_normalized(), LOCAL_FORM_MODELS["large_amplitude"], LOCAL_FORM_MODELS["se"]):
             for seed in range(5):
                 u = full_band(Grid(32), seed)
                 t = tendency(u, c)
@@ -394,14 +385,9 @@ ALL_PRESETS = dict(LOCAL_FORM_MODELS, normalized=preset_normalized())
 
 
 def forms_of(c):
-    """The right-hand sides that accept c: the local form always, flux on mu > 0,
-    tendency also without extension slots."""
-    forms = [tendency_direct]
-    if c.mu > 0.0:
-        forms.append(flux)
-        if not c.has_extended_terms:
-            forms.append(tendency)
-    return forms
+    """The right-hand sides that accept c: the local form always, flux and
+    tendency on mu > 0."""
+    return [tendency_direct, flux, tendency] if c.mu > 0.0 else [tendency_direct]
 
 
 class TestArrayForm:
@@ -428,9 +414,7 @@ class TestArrayForm:
         (tendency_direct, ModelCoefficients(mu=-1.0, alpha1=1.0), InvalidMu),
         (tendency, ModelCoefficients(mu=1.0, gamma1=1.0), GammaRelationViolated),
         (flux, ModelCoefficients(mu=1.0, gamma1=1.0), GammaRelationViolated),
-        (tendency, LOCAL_FORM_MODELS["se"], InvalidRegime),
-    ], ids=["tendency-mu", "flux-mu", "direct-mu", "tendency-gamma", "flux-gamma",
-            "tendency-extension"])
+    ], ids=["tendency-mu", "flux-mu", "direct-mu", "tendency-gamma", "flux-gamma"])
     def test_bad_coefficients_raise_on_every_call(self, form, c, error):
         u = full_band(Grid(32), 1)
         for arg in (u, u, u.coef, u.coef):
@@ -438,6 +422,12 @@ class TestArrayForm:
                 form(arg, c)
 
     def test_flux_accepts_extension_slots(self):
-        u = full_band(Grid(32), 2)
-        phi = flux(u, LOCAL_FORM_MODELS["se"])
-        assert np.all(np.isfinite(phi.coef))
+        # -d/dx flux is the local form for se too: u^2*u_x and u^3*u_x are
+        # the x-derivatives of u^3/3 and u^4/4 in the bracket of f(u)
+        c = LOCAL_FORM_MODELS["se"]
+        for n in (32, 128):
+            for seed in range(10):
+                u = random_trig_polynomial(Grid(n), seed, n // 2 - 1, 1.0)
+                ref = tendency_direct(u, c)
+                residual = (ref + derivative(flux(u, c), 1)).coef
+                assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(ref.coef))
