@@ -31,8 +31,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidControls, InvalidMu
-from .models import ModelCoefficients, tendency, tendency_direct, transport_field
+from .errors import InvalidControls, InvalidField, InvalidMu
+# transport_field is off the step path; perfbench/tracing.py rebinds evolve.transport_field
+from .models import (  # noqa: F401
+    ModelCoefficients, tendency, tendency_direct, transport_field, validate,
+)
 from .spectral import (
     SpectralField,
     _dx_sigma,
@@ -169,6 +172,13 @@ def detect_blowup(
     return _classify(_monitor(state.t, state.u, s_exponent), thresholds or BlowupThresholds())
 
 
+def _initial_verdict(r: DiagnosticsRecord, thresholds: BlowupThresholds) -> BlowupDecision:
+    """The verdict on u0's record: NonFinite if its l2 norm overflows, else `_classify`'s."""
+    if not math.isfinite(r.l2):
+        return BlowupDecision(RunStatus.NONFINITE, t=r.t, record=r)
+    return _classify(r, thresholds)
+
+
 def _classify(r: DiagnosticsRecord, thresholds: BlowupThresholds) -> BlowupDecision:
     """The verdict on one `_monitor` record: NonFinite first, then each threshold in turn."""
     if not math.isfinite(r.sup_ux):
@@ -303,6 +313,10 @@ def step_rk4(state: SimulationState, coeffs: ModelCoefficients, dt: float) -> Si
 def _stable_dt(u: SpectralField, coeffs: ModelCoefficients, cfl: float) -> float:
     """Explicit step cfl * dx / max(1, sup|a(u)|), or the KdV bound when mu = 0.
 
+    With mu > 0, sup|a(u)| is taken over the 4n samples v of u, where the
+    polynomial a(v) = (alpha2 + beta2*v + gamma2*v^2)/mu needs no transform;
+    a speed past the float range raises InvalidField.
+
     With mu = 0 the advective speed is read off the local coefficients, and
     ETDRK4 is stable at that step, but its error grows with the dispersive
     phase dt*|alpha2|*xi^3 of the modes the nonlinear term couples.  So dt
@@ -322,7 +336,13 @@ def _stable_dt(u: SpectralField, coeffs: ModelCoefficients, cfl: float) -> float
         while math.ldexp(base, -halvings) > advective:
             halvings += 1
         return math.ldexp(base, -halvings)
-    return cfl * (grid.spacing / max(1.0, sup_norm(transport_field(u, coeffs))))
+    c = coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _to_grid(u.coef, 4 * grid.n_points)
+        speed = float(np.max(np.abs(c.alpha2 + (c.beta2 + c.gamma2 * v) * v))) / c.mu
+    if not math.isfinite(speed):
+        raise InvalidField(f"transport speed sup|a(u)| is not finite: {speed}")
+    return cfl * (grid.spacing / max(1.0, speed))
 
 
 def _event_times(t_end: float, sample_interval: float, snapshot_times) -> list[tuple[float, bool, bool]]:
@@ -338,7 +358,8 @@ def _event_times(t_end: float, sample_interval: float, snapshot_times) -> list[t
 
 
 def _check_run(coeffs: ModelCoefficients, t_end: float, controls: IntegrationControls) -> None:
-    """Raise InvalidControls, then InvalidMu, for a run `integrate` cannot start."""
+    """Raise InvalidControls, then InvalidMu or GammaRelationViolated, for a run
+    `integrate` cannot start."""
     if t_end <= _LANDING_TOL:
         raise InvalidControls(
             f"t_end must exceed the landing tolerance {_LANDING_TOL}, got {t_end}"
@@ -354,6 +375,8 @@ def _check_run(coeffs: ModelCoefficients, t_end: float, controls: IntegrationCon
             raise InvalidControls(f"snapshot time {ts} outside [0, {t_end}]")
     if coeffs.mu < 0.0:
         raise InvalidMu(f"mu must be nonnegative, got {coeffs.mu}")
+    if coeffs.mu > 0.0:
+        validate(coeffs)  # before u0's verdict, which can end a run without a step
 
 
 def _check_budget(t_end: float, dt_first: float) -> None:
@@ -378,6 +401,10 @@ def integrate(
 ) -> IntegrationResult:
     """Evolve u0 to t_end with diagnostics at t = 0 and every sample time.
 
+    u0 is classified before the first step: a u0 whose l2 norm overflows
+    ends the run NonFinite at t = 0, and one past a blow-up threshold ends
+    it BlowUpSuspected there, each with its one diagnostics row.
+
     The CFL step is dt = cfl * dx / max(1, sup|a(u)|), capped by the
     sample interval and shortened to land exactly on sample/snapshot
     times.  Models with mu = 0 (pure dispersive local form) step with
@@ -391,13 +418,17 @@ def integrate(
         dt = controls.dt if controls.dt is not None else _stable_dt(u, coeffs, controls.cfl)
         return min(dt, controls.sample_interval)
 
+    t, u = 0.0, u0
+    record = diagnose(t, u, controls.s_exponent)  # of the latest accepted u
+    first = _initial_verdict(record, controls.thresholds)
+    if first.status is not RunStatus.RUNNING:
+        blowup = first if first.status is RunStatus.BLOWUP_SUSPECTED else None
+        return IntegrationResult(SimulationState(t, u, 0.0, first.status), [record], [], blowup)
     dt_first = dt_bound(u0)
     _check_budget(t_end, dt_first)
 
     records: list[DiagnosticsRecord] = []
     snapshots: list[tuple[float, SpectralField]] = []
-    t, u = 0.0, u0
-    record = diagnose(t, u, controls.s_exponent)  # of the latest accepted u
     dt_last = 0.0
     blowup: BlowupDecision | None = None
     status = RunStatus.RUNNING
@@ -448,9 +479,10 @@ def _integrate_rows(
     """`integrate` of each row of a (B, n/2+1) stack at the fixed step controls.dt (not None).
 
     The rows step as one stack: each RK4 or ETDRK4 stage makes one
-    right-hand-side call for all of them.  Each accepted row is made exactly
-    real in its mean and Nyquist slots, as a SpectralField makes it, and
-    classified as `detect_blowup` classifies it.  Returns the stacks at the
+    right-hand-side call for all of them.  Each row of h0 is classified as
+    `integrate` classifies u0.  Each accepted row is made exactly real in its
+    mean and Nyquist slots, as a SpectralField makes it, and classified as
+    `detect_blowup` classifies it.  Returns the stacks at the
     snapshot times and the first row, in row order, whose run would not
     complete, with its status and the time `integrate` would stop it at; None
     if every row completes.  When row j stops, rows j and up are dropped and
@@ -465,6 +497,13 @@ def _integrate_rows(
     stop: tuple[int, RunStatus, float] | None = None
     t, h = 0.0, h0
     steps = 0
+    for row, record in enumerate(_monitor_rows(t, h, controls.s_exponent)):
+        decision = _initial_verdict(record, controls.thresholds)
+        if decision.status is not RunStatus.RUNNING:
+            stop, h = (row, decision.status, t), h[:row]
+            break
+    if h.shape[0] == 0:
+        return snapshots, stop
 
     for ev, _, is_snap in _event_times(t_end, controls.sample_interval, controls.snapshot_times):
         while t < ev - _LANDING_TOL:

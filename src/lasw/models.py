@@ -27,12 +27,13 @@ band-limited fields; the pair doubles as a standing correctness oracle.  In
 this form the equation is a scalar conservation law, so the spatial mean is
 conserved exactly; `flux` builds the corresponding flux function.
 
-Each right-hand side is one padded evaluation (the transform method): u
-and the derivatives its products use are padded once, and the products
-(the powers in a(u) or P(u), the bracket of f(u)) are summed on that grid
-and truncated once.  A product is a (coefficient, derivative orders) term,
-so (beta2, (0, 3)) is beta2*u*u_xxx; zero coefficients are dropped before
-padding.  `tendency` is -d/dx of the truncated flux, with a Nyquist slot of 0;
+Each right-hand side is one padded evaluation (the transform method) with
+one stacked transform per padded grid: one irfft pads u and every
+derivative its products use, and one rfft truncates every sum of products
+(the powers in a(u) or P(u), the bracket of f(u)) formed on that grid.  A
+product is a (coefficient, derivative orders) term, so (beta2, (0, 3)) is
+beta2*u*u_xxx; zero coefficients are dropped before padding.  `tendency`
+is -d/dx of the truncated flux, with a Nyquist slot of 0;
 `tendency_direct` also returns 0 there, the convention of real Fourier
 derivatives, so the two forms agree in every slot.
 
@@ -42,8 +43,8 @@ the derivative orders and the symbols, and returns a function from half
 spectrum to half spectrum.  `tendency`, `tendency_direct` and `flux` take
 a SpectralField or a bare rfft half spectrum and return the same kind; the
 stepper passes bare arrays, so no field is built inside an RK4 step.  A
-bare (B, n/2+1) stack of half spectra goes row by row through the same
-kernel, each row bit for bit as it would go alone.
+bare (B, n/2+1) stack of half spectra goes through the same kernel and
+the same two transforms, each row bit for bit as it would go alone.
 """
 
 from __future__ import annotations
@@ -59,9 +60,7 @@ from .spectral import (
     SpectralField,
     _dealias_size,
     _dx_sigma,
-    _from_grid,
     _lambda_sigma,
-    _to_grid,
 )
 
 GAMMA_RELATION_TOL = 1e-12
@@ -284,19 +283,40 @@ def _terms(*terms):
     return [(c, orders) for c, orders in terms if c != 0.0]
 
 
-def _padder(n: int, terms):
-    """h -> samples on the padded grid of each derivative of u the terms use."""
-    m = _dealias_size(n, max((len(o) for _, o in terms), default=2))
-    orders = sorted(set().union(*(o for _, o in terms)))
-    symbols = {k: _dx_sigma(n, k) if k else None for k in orders}
-    return lambda h: {k: _to_grid(h if s is None else h * s, m) for k, s in symbols.items()}
+def _padded_sums(n: int, *term_lists):
+    """h -> the half spectrum on n points of each list's sum of products (0.0 if empty).
 
-
-def _truncated_sum(grid: dict, terms, n: int):
-    """Half spectrum on n points of the sum of the terms' products; 0.0 if none."""
+    One irfft pads h and every derivative the terms use, as a (..., k, n/2+1)
+    stack: each row of the symbol is an order's `_dx_sigma` times m, with its
+    Nyquist entry halved, as padding splits that mode between +-n/2, and
+    irfft's own zero padding fills the modes past n/2.  One rfft truncates
+    the stack of nonempty sums, folding the +-n/2 pair onto the Nyquist slot.
+    """
+    terms = [t for table in term_lists for t in table]
     if not terms:
-        return 0.0
-    return _from_grid(sum(math.prod((grid[k] for k in o), start=c) for c, o in terms), n)
+        return lambda h: (0.0,) * len(term_lists)
+    m = _dealias_size(n, max(len(o) for _, o in terms))
+    orders = sorted(set().union(*(o for _, o in terms)))
+    half, row = n // 2, {k: i for i, k in enumerate(orders)}
+    symbols = np.array([_dx_sigma(n, k) for k in orders]) * m
+    symbols[:, half] *= 0.5
+    tables = [[(c, tuple(row[k] for k in o)) for c, o in table] for table in term_lists]
+    # row of each list's sum in the truncated stack, None for an empty list
+    slots = [sum(map(bool, tables[:j])) if table else None for j, table in enumerate(tables)]
+
+    def sums(h):
+        spec = h[..., None, :] * symbols
+        spec[..., half].imag = 0.0  # the Nyquist coefficient is real
+        grid = np.fft.irfft(spec, n=m)
+        factors = [grid[..., i, :] for i in range(len(orders))]
+        products = np.array([
+            sum(math.prod((factors[r] for r in rows), start=c) for c, rows in table)
+            for table in tables if table
+        ])
+        spec = np.fft.rfft(products)[..., :half + 1] / m
+        spec[..., half] = 2.0 * spec[..., half].real
+        return tuple(0.0 if j is None else spec[j] for j in slots)
+    return sums
 
 
 def _square(c: ModelCoefficients):
@@ -316,10 +336,9 @@ def _bracket(c: ModelCoefficients):
 
 
 def _smoothed_bracket(n: int, c: ModelCoefficients):
-    """(h, padded grid) -> half spectrum of Lam^{-2} applied to the bracket of f(u)."""
-    linear, terms = c.alpha1 + c.alpha2 / c.mu, _bracket(c)
-    smoothing = _lambda_sigma(n, -2.0, c.mu)
-    return lambda h, grid: (linear * h + _truncated_sum(grid, terms, n)) * smoothing
+    """(h, truncated bracket sum) -> half spectrum of Lam^{-2} applied to the bracket of f(u)."""
+    linear, smoothing = c.alpha1 + c.alpha2 / c.mu, _lambda_sigma(n, -2.0, c.mu)
+    return lambda h, bracket: (linear * h + bracket) * smoothing
 
 
 @functools.lru_cache(maxsize=128)
@@ -327,12 +346,12 @@ def _flux_kernel(n: int, c: ModelCoefficients):
     """h -> half spectrum of Phi = P(u) - Lam^{-2}[semilinear bracket] on n points."""
     validate(c)
     powers = _terms((0.5 * c.beta2 / c.mu, (0, 0)), (c.gamma2 / (3.0 * c.mu), (0, 0, 0)))
-    pad, smoothed = _padder(n, _bracket(c) + powers), _smoothed_bracket(n, c)
+    sums, smoothed = _padded_sums(n, powers, _bracket(c)), _smoothed_bracket(n, c)
     linear = c.alpha2 / c.mu
 
     def phi(h):
-        grid = pad(h)
-        return linear * h + _truncated_sum(grid, powers, n) - smoothed(h, grid)
+        t_p, t_b = sums(h)
+        return linear * h + t_p - smoothed(h, t_b)
     return phi
 
 
@@ -341,20 +360,20 @@ def _local_kernel(n: int, c: ModelCoefficients):
     """h -> half spectrum of the smoothed local form on n points, 0 at the Nyquist slot."""
     if c.mu < 0.0:
         raise InvalidMu(f"mu must be nonnegative, got {c.mu}")
-    products = _terms(
+    sums = _padded_sums(n, _terms(
         (c.alpha3, (0, 1)), (c.beta1, (1, 2)), (c.beta2, (0, 3)), (c.gamma1, (0, 1, 2)),
         (c.gamma2, (0, 0, 3)), (c.gamma3, (1, 1, 1)), (c.alpha4, (0, 0, 1)),
         (c.alpha5, (0, 0, 0, 1)),
-    )
-    pad, dx1, dx3 = _padder(n, products), _dx_sigma(n, 1), _dx_sigma(n, 3)
+    ))
+    dx1, dx3 = _dx_sigma(n, 1), _dx_sigma(n, 3)
     # Lam^{-2} (all ones when mu = 0), with 0 in the unpaired Nyquist mode as
     # the odd derivatives of `tendency` have there
     smoothing = _lambda_sigma(n, -2.0, c.mu).copy()
     smoothing[-1] = 0.0
 
     def rhs(h):
-        out = c.alpha1 * (h * dx1) + c.alpha2 * (h * dx3) + _truncated_sum(pad(h), products, n)
-        return out * smoothing
+        (products,) = sums(h)
+        return (c.alpha1 * (h * dx1) + c.alpha2 * (h * dx3) + products) * smoothing
     return rhs
 
 
@@ -373,9 +392,8 @@ def _like(u, h: np.ndarray):
 def transport_field(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
     """Local transport speed a(u) = (alpha2 + beta2*u + gamma2*u^2)/mu."""
     validate(coeffs)
-    n, square = u.grid.n_points, _square(coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
-        squared = _truncated_sum(_padder(n, square)(u.coef), square, n)
+        (squared,) = _padded_sums(u.grid.n_points, _square(coeffs))(u.coef)
         a = (coeffs.beta2 / coeffs.mu) * u.coef + squared
         a[0] += coeffs.alpha2 / coeffs.mu
         return SpectralField(u.grid, a)
@@ -386,7 +404,8 @@ def semilinear_term(u: SpectralField, coeffs: ModelCoefficients) -> SpectralFiel
     validate(coeffs)
     n = u.grid.n_points
     with np.errstate(over="ignore", invalid="ignore"):
-        smoothed = _smoothed_bracket(n, coeffs)(u.coef, _padder(n, _bracket(coeffs))(u.coef))
+        (bracket,) = _padded_sums(n, _bracket(coeffs))(u.coef)
+        smoothed = _smoothed_bracket(n, coeffs)(u.coef, bracket)
         return SpectralField(u.grid, smoothed * _dx_sigma(n, 1))
 
 

@@ -14,9 +14,11 @@ The linear operators :func:`derivative` and :func:`lambda_pow` act
 diagonally on the coefficients through symbol arrays cached per grid
 size (Fourier multipliers).  Products are formed on a grid zero-padded to
 at least twice the size, so their retained modes carry no aliasing error:
-`_to_grid` pads a half spectrum and transforms it, `_from_grid` transforms
-back and truncates.  :func:`dealiased_product` pads each factor; the model
-right-hand sides pad u and its derivatives once and truncate once per stage.
+`_to_grid` pads a half spectrum (`_resize`) and transforms it, `_from_grid`
+transforms back and truncates.  :func:`dealiased_product` pads each factor.
+The model right-hand sides make one stacked transform per padded grid: they
+fold the scale m and `_resize`'s Nyquist split into their derivative
+symbols, let irfft zero-pad, and truncate all their sums in one rfft.
 :func:`mollify` convolves with one built-in kernel, the rescaled bump
 exp(-1/(y(1-y))) on [0, 1].
 
@@ -164,22 +166,15 @@ def _resize(h: np.ndarray, n: int) -> np.ndarray:
 
     Padding splits the unpaired Nyquist coefficient between modes +-n_h/2;
     truncation, its adjoint, folds the +-n/2 pair back onto the Nyquist slot.
-    A (B, n_h/2+1) stack is resized row by row.  A single half spectrum
-    keeps its own statements: indexing it along a leading axis would slow
-    the 1-D call that every single-field stage makes.
+    A (B, n_h/2+1) stack is resized row by row.
     """
     old = 2 * (h.shape[-1] - 1)
     if n == old:
         return h
     half = min(n, old) // 2
-    if h.ndim == 1:
-        out = np.zeros(n // 2 + 1, dtype=np.complex128)
-        out[:half] = h[:half]
-        out[half] = (0.5 if n > old else 2.0) * h[half].real
-        return out
-    out = np.zeros((h.shape[0], n // 2 + 1), dtype=np.complex128)
-    out[:, :half] = h[:, :half]
-    out[:, half] = (0.5 if n > old else 2.0) * h[:, half].real
+    out = np.zeros(h.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    out[..., :half] = h[..., :half]
+    out[..., half] = (0.5 if n > old else 2.0) * h[..., half].real
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from lasw import config as config_module
+from lasw import evolve
 from lasw.cli import main, probe_command, run_command, sweep_command
 from lasw.config import RunConfig, build_initial_field, load_config
 from lasw.errors import ConfigInvalid, ConfigSyntax, IoError
@@ -258,6 +259,24 @@ class TestRunCommand:
         assert "nan" not in (out / "diagnostics.csv").read_text()
         assert "RuntimeWarning" not in result.stderr
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_initial_state_past_a_threshold_stops_before_the_first_step(self, tmp_path, monkeypatch):
+        # u0 is classified from its t = 0 record: hs = inf under the H^100
+        # weight stops the run at t = 0, with no step and one diagnostics row
+        steps = []
+        monkeypatch.setattr(evolve, "_stepper", lambda c: lambda h, dt: steps.append(dt))
+        out = tmp_path / "out"
+        path = write_config(tmp_path, minimal_config(
+            out, model={"preset": "normalized"}, grid=32, t_end=0.1, s_exponent=100,
+            initial_data={"profile": "random", "max_mode": 10, "decay_exponent": 2.0},
+        ))
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 2 and steps == []
+        run = json.loads((out / "run.json").read_text())
+        assert run["status"] == "BlowUpSuspected" and run["t_final"] == 0.0
+        assert run["blowup"]["trigger"] == "hs" and run["blowup"]["t"] == 0.0
+        rows = (out / "diagnostics.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1 and float(rows[0].split(",")[0]) == 0.0
 
 
 class TestProbeAndConverge:

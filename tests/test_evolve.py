@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lasw import evolve
-from lasw.errors import GammaRelationViolated, InvalidControls, InvalidMu
+from lasw.errors import GammaRelationViolated, InvalidControls, InvalidField, InvalidMu
 from lasw.evolve import (
     BlowupThresholds,
     IntegrationControls,
@@ -28,6 +28,7 @@ from lasw.models import (
     tendency,
     tendency_direct,
     time_reversed,
+    transport_field,
 )
 from lasw.spectral import (
     Grid,
@@ -38,6 +39,7 @@ from lasw.spectral import (
     l2_norm,
     random_trig_polynomial,
     resample,
+    sup_norm,
     to_physical,
 )
 
@@ -288,6 +290,24 @@ class TestStackedSolve:
         if rows[:2] == (0.3, 0.4):
             assert runs[1].state.t < runs[0].state.t
 
+    def test_rows_past_a_threshold_at_t0_stop_there(self):
+        # u0 is classified before the first step, row by row as integrate classifies it
+        g = Grid(64)
+        fields = [cosine(g, 0.1), cosine(g, 0.4), constant(g, 1e160) + cosine(g, 1e160)]
+        c = preset_normalized()
+        controls = IntegrationControls(dt=1e-3, sample_interval=0.1,
+                                       thresholds=BlowupThresholds(sup_ux_max=2.0))
+        runs = [integrate(u, c, 0.1, controls) for u in fields]
+        assert [(r.state.status, r.state.t, len(r.records)) for r in runs[1:]] == [
+            (RunStatus.BLOWUP_SUSPECTED, 0.0, 1), (RunStatus.NONFINITE, 0.0, 1)]
+        assert runs[1].blowup.trigger == "sup_ux" and runs[2].blowup is None
+        for first in (1, 2):
+            _, got = evolve._integrate_rows(
+                np.stack([u.coef for u in fields[:first + 1]]), c, 0.1, controls)
+            assert got == (1, RunStatus.BLOWUP_SUSPECTED, 0.0)
+        _, got = evolve._integrate_rows(np.stack([fields[0].coef, fields[2].coef]), c, 0.1, controls)
+        assert got == (1, RunStatus.NONFINITE, 0.0)
+
     @pytest.mark.parametrize("s_exponent", [0.0, 2.0, 100.0])
     def test_row_records_equal_monitor(self, s_exponent):
         # s_exponent 100 gives inf weights on the zero top modes
@@ -428,6 +448,16 @@ class TestIntegrate:
         c = ModelCoefficients(mu=1.0, alpha2=1.0, gamma1=1.0, alpha4=1.0)
         with pytest.raises(GammaRelationViolated):
             integrate(cosine(Grid(32), 0.02), c, 0.01, IntegrationControls(dt=1e-3))
+
+    def test_nonconservative_set_is_rejected_before_the_verdict_on_u0(self):
+        # u0 past a threshold ends a run without a step, so the set is checked first
+        c = ModelCoefficients(mu=1.0, alpha2=1.0, gamma1=1.0)
+        u0, fixed = cosine(Grid(32), 1e3), IntegrationControls(dt=1e-3)
+        for run in (lambda: integrate(u0, c, 0.01, IntegrationControls()),
+                    lambda: integrate(u0, c, 0.01, fixed),
+                    lambda: evolve._integrate_rows(u0.coef[None], c, 0.01, fixed)):
+            with pytest.raises(GammaRelationViolated):
+                run()
 
 
 class TestDetection:
@@ -663,3 +693,47 @@ class TestInvariants:
         assert [(t, u.coef.tobytes()) for t, u in first.snapshots] == [
             (t, u.coef.tobytes()) for t, u in second.snapshots
         ]
+
+
+def transport_dt(u, coeffs, cfl):
+    """The CFL step through the padded a(u) field: cfl*dx / max(1, sup|a(u)|)."""
+    return cfl * (u.grid.spacing / max(1.0, sup_norm(transport_field(u, coeffs))))
+
+
+@st.composite
+def scaled_fields(draw, n_points, max_mode, sup_max):
+    """Random field on one of n_points, modes up to max_mode(n), scaled to sup|u| in (0, sup_max]."""
+    g = Grid(draw(st.sampled_from(n_points)))
+    u = random_trig_polynomial(
+        g, draw(st.integers(0, 2 ** 16)), draw(st.integers(1, max_mode(g.n_points))),
+        draw(st.floats(min_value=0.0, max_value=3.0)),
+    )
+    return (draw(st.floats(min_value=0.01, max_value=sup_max)) / sup_norm(u)) * u
+
+
+class TestStableDt:
+    """The CFL bound from the 4n samples of u against the one through `transport_field`."""
+
+    @PROPERTY
+    @given(u=scaled_fields((64, 128, 1024), lambda n: n // 2 - 1, 2.0),
+           cfl=st.floats(min_value=0.05, max_value=1.0))
+    def test_pinned_speed_is_bit_identical(self, u, cfl):
+        # sup|a(u)| < 1 for |u| <= 2, so max(1, .) pins dt, full band or not
+        c = preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1))
+        assert evolve._stable_dt(u, c, cfl) == transport_dt(u, c, cfl) == cfl * u.grid.spacing
+
+    @PROPERTY
+    @given(u=scaled_fields((64, 128, 1024), lambda n: n // 4 - 1, 4.0),
+           cfl=st.floats(min_value=0.05, max_value=1.0))
+    def test_band_limited_speed_agrees_to_round_off(self, u, cfl):
+        # below n/4, u^2 loses nothing to truncation, so the two routes
+        # differ by round-off alone; a(u) = 1 + u + u^2 exceeds 1 where u > 0
+        c = preset_normalized()
+        got, want = evolve._stable_dt(u, c, cfl), transport_dt(u, c, cfl)
+        assert want < cfl * u.grid.spacing
+        assert abs(got - want) <= 1e-15 * want
+
+    def test_overflowing_speed_raises(self):
+        u = cosine(Grid(32), 1e160)
+        with pytest.raises(InvalidField):
+            evolve._stable_dt(u, preset_normalized(), 0.5)

@@ -299,7 +299,9 @@ class TestPaddedEvaluation:
                 ref = direct_reference(u, c)
                 assert l2_norm(tendency_direct(u, c) - ref) <= 1e-12 * l2_norm(ref)
 
-    def test_transform_counts(self, monkeypatch):
+    @staticmethod
+    def counting_ffts(monkeypatch):
+        """A list that gets one entry per numpy FFT call from here on."""
         calls = []
 
         def counted(fn):
@@ -310,6 +312,10 @@ class TestPaddedEvaluation:
 
         for name in ("rfft", "irfft", "fft", "ifft"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        return calls
+
+    def test_transform_counts(self, monkeypatch):
+        calls = self.counting_ffts(monkeypatch)
         u = random_trig_polynomial(Grid(128), 1, 10, 2.0)
         large = preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1))
         kdv = LOCAL_FORM_MODELS["kdv"]
@@ -320,11 +326,53 @@ class TestPaddedEvaluation:
             fn(u, c)
             return len(calls)
 
-        assert count(tendency, large) == 4
+        # one stacked irfft pads u and u_x, one stacked rfft truncates P(u) and the bracket
+        assert count(tendency, large) == 2
         # constant a(u): only u^2 is padded and truncated
         assert count(tendency, bbm) == 2
         assert count(tendency_direct, large) <= 5
-        assert count(tendency_direct, kdv) <= 3
+        assert count(tendency_direct, kdv) == 2
+
+    @pytest.mark.parametrize("rows", [1, 4, 16])
+    def test_stack_costs_two_transforms_and_keeps_each_row(self, monkeypatch, rows):
+        large = preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1))
+        h = np.stack([random_trig_polynomial(Grid(128), seed, 40, 1.0).coef for seed in range(rows)])
+        calls = self.counting_ffts(monkeypatch)
+        out = tendency(h, large)
+        assert len(calls) == 2 and out.shape == h.shape
+        for row in range(rows):
+            assert out[row].tobytes() == tendency(h[row], large).tobytes()
+
+    @pytest.mark.parametrize("dt, per_step", [(None, 10), (2.0 ** -8, 9)], ids=["cfl", "fixed"])
+    def test_transforms_per_integrate_step(self, monkeypatch, dt, per_step):
+        # 2 per RK4 stage, 1 for sup|u_x| in the blow-up check, and with the
+        # CFL step 1 for the samples of u that sup|a(u)| is read from; the
+        # large-amplitude CFL step at n = 128 is 0.5/128 = 2^-8 throughout
+        u = random_trig_polynomial(Grid(128), 1, 10, 2.0)
+        large = preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1))
+        calls = self.counting_ffts(monkeypatch)
+
+        def count(steps):
+            calls.clear()
+            t_end = steps * 2.0 ** -8
+            integrate(u, large, t_end, IntegrationControls(cfl=0.5, dt=dt, sample_interval=t_end))
+            return len(calls)
+
+        assert count(3) - count(2) == per_step
+
+    @pytest.mark.parametrize("n", [32, 128, 320])
+    @pytest.mark.parametrize("name", ["large_amplitude", "se"])
+    def test_nyquist_imaginary_part_is_ignored(self, name, n):
+        # a bare half spectrum may carry an imaginary part in slot n/2; the
+        # padded evaluation reads only its real part, as a field would hold it
+        c = LOCAL_FORM_MODELS[name]
+        real = full_band(Grid(n), n).coef
+        skewed = real.copy()
+        skewed[-1] += 0.3j
+        for form in (tendency, tendency_direct):
+            assert np.array_equal(form(skewed, c), form(real, c)), form.__name__
+        # flux keeps the linear term alpha2/mu*h, which carries the part into slot n/2
+        assert np.array_equal(flux(skewed, c)[:-1], flux(real, c)[:-1])
 
     def test_field_count_per_integrate_step(self, monkeypatch):
         # per fixed-dt step only the accepted state: the stages pass bare half
