@@ -10,11 +10,13 @@ size is adjusted to land exactly on sample and snapshot times, so no
 interpolation enters the reported records.  Each accepted state is
 measured once, by the blow-up check, and samples reuse that record.
 
-The probes that solve several fields on one grid at one fixed dt step
-them as a (B, n/2+1) stack through `_integrate_rows`: the same stepper,
-event times, landing tolerance, step budget and blow-up classifier as
-`integrate`, one right-hand-side call per stage for all rows.  Row-wise
-FFTs and last-axis sums give each row the bits it would get alone.
+There is one step loop, `_solve`.  It steps a bare half spectrum, or a
+(B, n/2+1) stack of them when a probe solves several fields on one grid
+at one dt, with one right-hand-side call per stage for all rows and one
+`detect_blowup` call per accepted step.  `integrate` is its one-row case:
+it wraps u0's half spectrum and builds SpectralFields only for the
+snapshots and the final state.  Row-wise FFTs and last-axis sums give
+each row of a stack the bits it would get alone.
 
 A run ends in one of four states: Completed (reached t_end),
 BlowUpSuspected (a monitored quantity crossed its threshold, wave-breaking
@@ -36,17 +38,7 @@ from .errors import InvalidControls, InvalidField, InvalidMu
 from .models import (  # noqa: F401
     ModelCoefficients, tendency, tendency_direct, transport_field, validate,
 )
-from .spectral import (
-    SpectralField,
-    _dx_sigma,
-    _sobolev_norm_rows,
-    _to_grid,
-    mean,
-    sobolev_norm,
-    spectral_tail,
-    sup_norm,
-    sup_norm_dx,
-)
+from .spectral import SpectralField, _dx_sigma, _sobolev_norm_rows, _to_grid, sup_norm
 
 
 # Step budget of one run; a run whose first step implies more fails at once.
@@ -68,8 +60,11 @@ class RunStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class SimulationState:
+    """A state at time t reached by a step dt; inside the step loop, u is the
+    bare half spectrum or (B, n/2+1) stack that `_solve` passes on."""
+
     t: float
-    u: SpectralField
+    u: SpectralField | np.ndarray
     dt: float
     status: RunStatus = RunStatus.RUNNING
 
@@ -105,7 +100,7 @@ class BlowupDecision:
     trigger: str | None = None
     value: float | None = None
     t: float | None = None
-    record: DiagnosticsRecord | None = None  # classified, sup_u nan; None if already NonFinite
+    record: DiagnosticsRecord | None = None  # sup_u nan from detect_blowup; None if already NonFinite
 
 
 @dataclass(frozen=True)
@@ -128,48 +123,58 @@ class IntegrationResult:
     blowup: BlowupDecision | None = None
 
 
-def _monitor(t: float, u: SpectralField, s_exponent: float) -> DiagnosticsRecord:
-    """A state's record but sup|u|, which no blow-up test reads: nan until a sample."""
-    return DiagnosticsRecord(
-        t=t, mean=mean(u), l2=sobolev_norm(u, 0.0), hs=sobolev_norm(u, s_exponent),
-        sup_ux=sup_norm_dx(u), tail=spectral_tail(u), sup_u=math.nan,
-    )
-
-
 def _monitor_rows(t: float, h: np.ndarray, s_exponent: float) -> list[DiagnosticsRecord]:
-    """`_monitor` of each row of a finite (B, n/2+1) stack, measured for all rows at once.
+    """The record of a finite half spectrum, or of each row of a (B, n/2+1) stack,
+    but sup|u|, which no blow-up test reads: nan until a sample.
 
-    Row-wise transforms, sums and maxima give each row the bits `_monitor` gives it.
+    Row-wise transforms, sums and maxima give each row the bits it gets alone.
     """
     n = 2 * (h.shape[-1] - 1)
-    l2, hs = _sobolev_norm_rows(h, n, 0.0), _sobolev_norm_rows(h, n, s_exponent)
-    sup_ux = np.max(np.abs(_to_grid(h * _dx_sigma(n, 1), 4 * n)), axis=-1)
-    tail = np.max(np.abs(h[:, math.ceil(n / 3):]), axis=-1)
-    return [
-        DiagnosticsRecord(t, float(h[i, 0].real), float(l2[i]), float(hs[i]),
-                          float(sup_ux[i]), float(tail[i]), math.nan)
-        for i in range(h.shape[0])
-    ]
+    columns = (
+        h[..., 0].real,
+        _sobolev_norm_rows(h, n, 0.0),
+        _sobolev_norm_rows(h, n, s_exponent),
+        np.max(np.abs(_to_grid(h * _dx_sigma(n, 1), 4 * n)), axis=-1),
+        np.max(np.abs(h[..., math.ceil(n / 3):]), axis=-1),
+    )
+    # a list, not a generator, under the star: unpacking a generator leaves a
+    # resized tuple per call on the interpreter's free list, ~0.15 MB of peak RSS
+    return [DiagnosticsRecord(t, *row, math.nan)
+            for row in zip(*[np.atleast_1d(c).tolist() for c in columns])]
+
+
+def _with_sup_u(records: list[DiagnosticsRecord], h: np.ndarray) -> list[DiagnosticsRecord]:
+    """The records of the rows of h with sup|u| filled in, as `sup_norm` gives it."""
+    n = 2 * (h.shape[-1] - 1)
+    sup = np.atleast_1d(np.max(np.abs(_to_grid(h, 4 * n)), axis=-1)).tolist()
+    return [replace(r, sup_u=v) for r, v in zip(records, sup)]
 
 
 def diagnose(t: float, u: SpectralField, s_exponent: float = 2.0) -> DiagnosticsRecord:
     """Every monitored quantity of a state: `detect_blowup`'s record plus sup|u|."""
-    return replace(_monitor(t, u, s_exponent), sup_u=sup_norm(u))
+    [record] = _monitor_rows(t, u.coef, s_exponent)
+    return replace(record, sup_u=sup_norm(u))
 
 
 def detect_blowup(
     state: SimulationState,
     thresholds: BlowupThresholds | None = None,
     s_exponent: float = 2.0,
-) -> BlowupDecision:
-    """Classify the state's `_monitor` record: Running, BlowUpSuspected or NonFinite.
+) -> BlowupDecision | list[BlowupDecision]:
+    """Classify the state's record: Running, BlowUpSuspected or NonFinite.
 
     Non-finite fields take precedence over threshold crossings; the
-    decision names the triggering quantity and the time, and carries the record.
+    decision names the triggering quantity and the time, and carries the
+    record, whose sup_u is nan.  A state whose u is a bare half spectrum or
+    (B, n/2+1) stack, as the step loop passes it, gets one decision per row.
     """
     if state.status is RunStatus.NONFINITE:
         return BlowupDecision(RunStatus.NONFINITE, t=state.t)
-    return _classify(_monitor(state.t, state.u, s_exponent), thresholds or BlowupThresholds())
+    thresholds = thresholds or BlowupThresholds()
+    bare = isinstance(state.u, np.ndarray)
+    records = _monitor_rows(state.t, state.u if bare else state.u.coef, s_exponent)
+    decisions = [_classify(r, thresholds) for r in records]
+    return decisions if bare else decisions[0]
 
 
 def _initial_verdict(r: DiagnosticsRecord, thresholds: BlowupThresholds) -> BlowupDecision:
@@ -180,7 +185,7 @@ def _initial_verdict(r: DiagnosticsRecord, thresholds: BlowupThresholds) -> Blow
 
 
 def _classify(r: DiagnosticsRecord, thresholds: BlowupThresholds) -> BlowupDecision:
-    """The verdict on one `_monitor` record: NonFinite first, then each threshold in turn."""
+    """The verdict on one `_monitor_rows` record: NonFinite first, then each threshold in turn."""
     if not math.isfinite(r.sup_ux):
         return BlowupDecision(RunStatus.NONFINITE, trigger="sup_ux", t=r.t, record=r)
     if r.sup_ux > thresholds.sup_ux_max:
@@ -310,8 +315,9 @@ def step_rk4(state: SimulationState, coeffs: ModelCoefficients, dt: float) -> Si
     return SimulationState(state.t + dt, SpectralField(state.u.grid, h), dt, RunStatus.RUNNING)
 
 
-def _stable_dt(u: SpectralField, coeffs: ModelCoefficients, cfl: float) -> float:
-    """Explicit step cfl * dx / max(1, sup|a(u)|), or the KdV bound when mu = 0.
+def _stable_dt(h: np.ndarray, coeffs: ModelCoefficients, cfl: float) -> float:
+    """Explicit step cfl * dx / max(1, sup|a(u)|), or the KdV bound when mu = 0,
+    for the half spectrum h of u; for a (B, n/2+1) stack, at its largest speed.
 
     With mu > 0, sup|a(u)| is taken over the 4n samples v of u, where the
     polynomial a(v) = (alpha2 + beta2*v + gamma2*v^2)/mu needs no transform;
@@ -325,24 +331,27 @@ def _stable_dt(u: SpectralField, coeffs: ModelCoefficients, cfl: float) -> float
     halved until it fits under the advective step: a run draws its steps,
     and the cached ETDRK4 weights, from a few values.
     """
-    grid = u.grid
-    if coeffs.mu == 0.0:
-        speed = abs(coeffs.alpha1) + abs(coeffs.alpha3) * sup_norm(u)
-        advective = cfl * (grid.spacing / max(1.0, speed))
-        base = cfl * grid.spacing
-        if coeffs.alpha2 != 0.0:
-            base = cfl * (2.8 / (abs(coeffs.alpha2) * (0.5 * math.pi * grid.n_points) ** 3))
+    n = 2 * (h.shape[-1] - 1)
+    spacing = 1.0 / n
+    c = coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _to_grid(h, 4 * n)
+        if c.mu == 0.0:
+            speed = abs(c.alpha1) + abs(c.alpha3) * float(np.max(np.abs(v)))
+        else:
+            speed = float(np.max(np.abs(c.alpha2 + (c.beta2 + c.gamma2 * v) * v))) / c.mu
+    if not math.isfinite(speed):
+        raise InvalidField(f"transport speed sup|a(u)| is not finite: {speed}")
+    if c.mu == 0.0:
+        advective = cfl * (spacing / max(1.0, speed))
+        base = cfl * spacing
+        if c.alpha2 != 0.0:
+            base = cfl * (2.8 / (abs(c.alpha2) * (0.5 * math.pi * n) ** 3))
         halvings = 0
         while math.ldexp(base, -halvings) > advective:
             halvings += 1
         return math.ldexp(base, -halvings)
-    c = coeffs
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = _to_grid(u.coef, 4 * grid.n_points)
-        speed = float(np.max(np.abs(c.alpha2 + (c.beta2 + c.gamma2 * v) * v))) / c.mu
-    if not math.isfinite(speed):
-        raise InvalidField(f"transport speed sup|a(u)| is not finite: {speed}")
-    return cfl * (grid.spacing / max(1.0, speed))
+    return cfl * (spacing / max(1.0, speed))
 
 
 def _event_times(t_end: float, sample_interval: float, snapshot_times) -> list[tuple[float, bool, bool]]:
@@ -379,18 +388,95 @@ def _check_run(coeffs: ModelCoefficients, t_end: float, controls: IntegrationCon
         validate(coeffs)  # before u0's verdict, which can end a run without a step
 
 
-def _check_budget(t_end: float, dt_first: float) -> None:
-    """Fail now a run whose first step implies more than _MAX_STEPS steps.
+@dataclass(frozen=True)
+class _Solve:
+    """The last state `_solve` reached and the last step it tried; per sample,
+    the record of each row still running; the (time, h) snapshots; and the
+    first row, in row order, that stopped, with its decision (None if none did)."""
 
-    The first step's bound doubles as the step-count estimate, so a run the
-    budget cannot cover fails before it starts rather than after
-    _MAX_STEPS steps.
+    t: float
+    h: np.ndarray
+    dt: float
+    records: list[list[DiagnosticsRecord]]
+    snapshots: list[tuple[float, np.ndarray]]
+    stop: tuple[int, BlowupDecision] | None
+
+
+def _first_stop(decisions: list[BlowupDecision], h: np.ndarray) -> tuple[int, BlowupDecision] | None:
+    """The first row of h whose decision is not Running, with that decision, its
+    record's sup|u| filled in; None if every row runs on."""
+    for row, decision in enumerate(decisions):
+        if decision.status is not RunStatus.RUNNING:
+            [record] = _with_sup_u([decision.record], h[row] if h.ndim == 2 else h)
+            return row, replace(decision, record=record)
+    return None
+
+
+def _solve(
+    h0: np.ndarray,
+    coeffs: ModelCoefficients,
+    t_end: float,
+    controls: IntegrationControls,
+) -> _Solve:
+    """The one step loop: evolve a half spectrum, or each row of a (B, n/2+1)
+    stack, to t_end as `integrate` describes.
+
+    The rows step as one stack: each RK4 or ETDRK4 stage makes one
+    right-hand-side call for all of them, and `detect_blowup` classifies
+    each accepted stack in one call, after its mean and Nyquist slots are
+    made exactly real, as a SpectralField makes them.  The step is
+    controls.dt or `_stable_dt` of the stack.  When row j stops, rows j and
+    up are dropped and the rest step on, since only an earlier row can
+    still stop first, and the snapshots are incomplete.  The loop ends when
+    row 0 stops.
     """
-    if t_end / dt_first > _MAX_STEPS:
-        raise InvalidControls(
-            f"about {t_end / dt_first:.3g} steps of dt={dt_first:.3g} needed, "
-            f"over the step budget {_MAX_STEPS}"
-        )
+    _check_run(coeffs, t_end, controls)
+    step = _stepper(coeffs)
+    t, h, dt_last = 0.0, h0, 0.0
+    records: list[list[DiagnosticsRecord]] = []
+    snapshots: list[tuple[float, np.ndarray]] = []
+    stop: tuple[int, BlowupDecision] | None = None
+    decisions = [_initial_verdict(r, controls.thresholds)
+                 for r in _monitor_rows(t, h, controls.s_exponent)]
+    steps = 0
+
+    for ev, is_sample, is_snap in _event_times(t_end, controls.sample_interval, controls.snapshot_times):
+        while True:
+            stopped = _first_stop(decisions, h)
+            if stopped is not None:
+                stop = stopped
+                if stop[0] == 0:
+                    return _Solve(t, h, dt_last, records, snapshots, stop)
+                h, decisions = h[:stop[0]], decisions[:stop[0]]
+            if t >= ev - _LANDING_TOL:
+                break
+            steps += 1
+            if steps > _MAX_STEPS:
+                raise InvalidControls(f"step budget {_MAX_STEPS} exhausted at t={t:.6g}")
+            dt = controls.dt if controls.dt is not None else _stable_dt(h, coeffs, controls.cfl)
+            dt = min(dt, controls.sample_interval)
+            if steps == 1 and t_end / dt > _MAX_STEPS:
+                raise InvalidControls(f"about {t_end / dt:.3g} steps of dt={dt:.3g} needed, "
+                                      f"over the step budget {_MAX_STEPS}")
+            dt_last = min(dt, ev - t)
+            nxt = step(h, dt_last)
+            if nxt is None or len(nxt) < len(h):
+                stop = (0 if nxt is None else len(nxt), BlowupDecision(RunStatus.NONFINITE, t=t))
+                if nxt is None:
+                    return _Solve(t, h, dt_last, records, snapshots, stop)
+            t = ev if ev - (t + dt_last) < _LANDING_TOL else t + dt_last
+            nxt[..., 0] = nxt[..., 0].real
+            nxt[..., -1] = nxt[..., -1].real
+            h = nxt
+            decisions = detect_blowup(
+                SimulationState(t, h, dt_last), controls.thresholds, controls.s_exponent
+            )
+        if is_sample:  # a step's records: sup|u| is paid per sample
+            latest = _with_sup_u([d.record for d in decisions], h)
+            records.append([replace(r, t=ev) for r in latest])  # an event no step reaches keeps its time
+        if is_snap:
+            snapshots.append((ev, h))
+    return _Solve(t, h, dt_last, records, snapshots, stop)
 
 
 def integrate(
@@ -409,125 +495,21 @@ def integrate(
     sample interval and shortened to land exactly on sample/snapshot
     times.  Models with mu = 0 (pure dispersive local form) step with
     ETDRK4 on `tendency_direct`'s terms, under `_stable_dt`'s KdV bound.
+    u0's half spectrum steps through `_solve` as its one row.
     """
     controls = controls or IntegrationControls()
-    _check_run(coeffs, t_end, controls)
-    step = _stepper(coeffs)
-
-    def dt_bound(u: SpectralField) -> float:
-        dt = controls.dt if controls.dt is not None else _stable_dt(u, coeffs, controls.cfl)
-        return min(dt, controls.sample_interval)
-
-    t, u = 0.0, u0
-    record = diagnose(t, u, controls.s_exponent)  # of the latest accepted u
-    first = _initial_verdict(record, controls.thresholds)
-    if first.status is not RunStatus.RUNNING:
-        blowup = first if first.status is RunStatus.BLOWUP_SUSPECTED else None
-        return IntegrationResult(SimulationState(t, u, 0.0, first.status), [record], [], blowup)
-    dt_first = dt_bound(u0)
-    _check_budget(t_end, dt_first)
-
-    records: list[DiagnosticsRecord] = []
-    snapshots: list[tuple[float, SpectralField]] = []
-    dt_last = 0.0
-    blowup: BlowupDecision | None = None
-    status = RunStatus.RUNNING
-    steps = 0
-
-    for ev, is_sample, is_snap in _event_times(t_end, controls.sample_interval, controls.snapshot_times):
-        while t < ev - _LANDING_TOL and status is RunStatus.RUNNING:
-            steps += 1
-            if steps > _MAX_STEPS:
-                raise InvalidControls(f"step budget {_MAX_STEPS} exhausted at t={t:.6g}")
-            dt_last = min(dt_first if steps == 1 else dt_bound(u), ev - t)
-            h = step(u.coef, dt_last)
-            if h is None:
-                status = RunStatus.NONFINITE
-                break
-            t = ev if ev - (t + dt_last) < _LANDING_TOL else t + dt_last
-            u = SpectralField(u0.grid, h)
-            decision = detect_blowup(
-                SimulationState(t, u, dt_last), controls.thresholds, controls.s_exponent
-            )
-            record = decision.record
-            if decision.status is not RunStatus.RUNNING:
-                status = decision.status
-                blowup = decision if decision.status is RunStatus.BLOWUP_SUSPECTED else None
-                records.append(replace(record, sup_u=sup_norm(u)))
-                break
-        if status is not RunStatus.RUNNING:
-            break
-        if is_sample:
-            if math.isnan(record.sup_u):  # a step's record: sup|u| is paid per sample
-                record = replace(record, sup_u=sup_norm(u))
-            records.append(replace(record, t=ev))  # an event no step reaches keeps its time
-        if is_snap:
-            snapshots.append((ev, u))
-
-    if status is RunStatus.RUNNING and t >= t_end - _LANDING_TOL:
+    run = _solve(u0.coef, coeffs, t_end, controls)
+    records = [rows[0] for rows in run.records]
+    status, blowup = RunStatus.RUNNING, None
+    if run.stop is not None:
+        _, decision = run.stop
+        status = decision.status
+        if decision.record is not None:  # a step that overflows leaves no record
+            records.append(decision.record)
+        if status is RunStatus.BLOWUP_SUSPECTED:
+            blowup = decision
+    elif run.t >= t_end - _LANDING_TOL:
         status = RunStatus.COMPLETED
-    state = SimulationState(t, u, dt_last, status)
+    state = SimulationState(run.t, SpectralField(u0.grid, run.h), run.dt, status)
+    snapshots = [(ev, SpectralField(u0.grid, h)) for ev, h in run.snapshots]
     return IntegrationResult(state, records, snapshots, blowup=blowup)
-
-
-def _integrate_rows(
-    h0: np.ndarray,
-    coeffs: ModelCoefficients,
-    t_end: float,
-    controls: IntegrationControls,
-) -> tuple[list[np.ndarray], tuple[int, RunStatus, float] | None]:
-    """`integrate` of each row of a (B, n/2+1) stack at the fixed step controls.dt (not None).
-
-    The rows step as one stack: each RK4 or ETDRK4 stage makes one
-    right-hand-side call for all of them.  Each row of h0 is classified as
-    `integrate` classifies u0.  Each accepted row is made exactly real in its
-    mean and Nyquist slots, as a SpectralField makes it, and classified as
-    `detect_blowup` classifies it.  Returns the stacks at the
-    snapshot times and the first row, in row order, whose run would not
-    complete, with its status and the time `integrate` would stop it at; None
-    if every row completes.  When row j stops, rows j and up are dropped and
-    the rest step on, since only an earlier row can still fail first.  Once a
-    row has stopped, the snapshots are incomplete.
-    """
-    _check_run(coeffs, t_end, controls)
-    step = _stepper(coeffs)
-    dt = min(controls.dt, controls.sample_interval)
-    _check_budget(t_end, dt)
-    snapshots: list[np.ndarray] = []
-    stop: tuple[int, RunStatus, float] | None = None
-    t, h = 0.0, h0
-    steps = 0
-    for row, record in enumerate(_monitor_rows(t, h, controls.s_exponent)):
-        decision = _initial_verdict(record, controls.thresholds)
-        if decision.status is not RunStatus.RUNNING:
-            stop, h = (row, decision.status, t), h[:row]
-            break
-    if h.shape[0] == 0:
-        return snapshots, stop
-
-    for ev, _, is_snap in _event_times(t_end, controls.sample_interval, controls.snapshot_times):
-        while t < ev - _LANDING_TOL:
-            steps += 1
-            if steps > _MAX_STEPS:
-                raise InvalidControls(f"step budget {_MAX_STEPS} exhausted at t={t:.6g}")
-            dt_last = min(dt, ev - t)
-            nxt = step(h, dt_last)
-            finite = 0 if nxt is None else nxt.shape[0]
-            if finite < h.shape[0]:
-                stop = (finite, RunStatus.NONFINITE, t)
-            if nxt is None:
-                return snapshots, stop
-            t = ev if ev - (t + dt_last) < _LANDING_TOL else t + dt_last
-            nxt[:, 0] = nxt[:, 0].real
-            nxt[:, -1] = nxt[:, -1].real
-            for row, record in enumerate(_monitor_rows(t, nxt, controls.s_exponent)):
-                decision = _classify(record, controls.thresholds)
-                if decision.status is not RunStatus.RUNNING:
-                    stop, nxt = (row, decision.status, t), nxt[:row]
-                    break
-            if nxt.shape[0] == 0:
-                return snapshots, stop
-            h = nxt
-        if is_snap:
-            snapshots.append(h)
-    return snapshots, stop

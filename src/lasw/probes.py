@@ -40,8 +40,8 @@ from .evolve import (
     _MAX_STEPS,
     IntegrationControls,
     _event_times,
-    _integrate_rows,
     _rk4,
+    _solve,
     _stable_dt,
     integrate,  # noqa: F401 -- perfbench/tracing.py traces probes.integrate
 )
@@ -374,9 +374,10 @@ def _solve_sampled(fields, coeffs, t_end, dt, sample_ts):
     """The states at sample_ts of each field, as `integrate` at the fixed step dt
     gives them; the fields share one grid and step as one stack.
 
-    Raises InvalidProbeInput for t_end <= 0, and ProbeUnresolved for the
-    first field, in input order, whose run does not complete, with its
-    status and time.
+    Raises InvalidProbeInput for t_end <= 0 and, once the sample times are
+    known not to merge, for t_end within the landing tolerance; and
+    ProbeUnresolved for the first field, in input order, whose run does not
+    complete, with its status and time.
     """
     if not t_end > 0.0:
         raise InvalidProbeInput(f"t_end must be positive, got {t_end}")
@@ -388,15 +389,19 @@ def _solve_sampled(fields, coeffs, t_end, dt, sample_ts):
             f"asked for {len(sample_ts)} sampled states, got {landed}; "
             f"sample times closer than ~1e-15 merge"
         )
+    if t_end <= _LANDING_TOL:
+        raise InvalidProbeInput(
+            f"t_end must exceed the landing tolerance {_LANDING_TOL}, got {t_end}"
+        )
     controls = IntegrationControls(
         dt=dt, sample_interval=t_end, snapshot_times=tuple(sample_ts)
     )
     grid = fields[0].grid
-    stacks, stop = _integrate_rows(np.stack([u.coef for u in fields]), coeffs, t_end, controls)
-    if stop is not None:
-        _, status, t = stop
-        raise ProbeUnresolved(f"run ended with status {status.value} at t={t:.6g}")
-    return [[SpectralField(grid, h[row]) for h in stacks] for row in range(len(fields))]
+    run = _solve(np.stack([u.coef for u in fields]), coeffs, t_end, controls)
+    if run.stop is not None:
+        _, decision = run.stop
+        raise ProbeUnresolved(f"run ended with status {decision.status.value} at t={decision.t:.6g}")
+    return [[SpectralField(grid, h[row]) for _, h in run.snapshots] for row in range(len(fields))]
 
 
 def continuous_dependence_experiment(
@@ -435,7 +440,7 @@ def continuous_dependence_experiment(
     phi = phi / norm
 
     if dt is None:
-        dt = _stable_dt(u0, coeffs, cfl)
+        dt = _stable_dt(u0.coef, coeffs, cfl)
     sample_ts = [t_end * (j + 1) / _DEPENDENCE_SAMPLES for j in range(_DEPENDENCE_SAMPLES)]
     fields = [u0] + [u0 + eta * phi for eta in etas]
     base, *perturbed = _solve_sampled(fields, coeffs, t_end, dt, sample_ts)
@@ -560,7 +565,7 @@ def mollified_data_experiment(
         )
     fields = [mollify(u0_rough, n) for n in ns]
     if dt is None:
-        dt = min(_stable_dt(f, coeffs, cfl) for f in fields)
+        dt = _stable_dt(np.stack([f.coef for f in fields]), coeffs, cfl)
     terminals = [states[0] for states in _solve_sampled(fields, coeffs, t_end, dt, [t_end])]
     diffs = [
         l2_norm(a - b) for a, b in zip(terminals, terminals[1:])

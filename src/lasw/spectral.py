@@ -14,11 +14,12 @@ The linear operators :func:`derivative` and :func:`lambda_pow` act
 diagonally on the coefficients through symbol arrays cached per grid
 size (Fourier multipliers).  Products are formed on a grid zero-padded to
 at least twice the size, so their retained modes carry no aliasing error:
-`_to_grid` pads a half spectrum (`_resize`) and transforms it, `_from_grid`
-transforms back and truncates.  :func:`dealiased_product` pads each factor.
-The model right-hand sides make one stacked transform per padded grid: they
-fold the scale m and `_resize`'s Nyquist split into their derivative
-symbols, let irfft zero-pad, and truncate all their sums in one rfft.
+`_to_grid` scales a half spectrum by m, splits its Nyquist coefficient
+between modes +-n/2 and lets irfft zero-pad it; `_from_grid` transforms
+back and folds that pair onto the Nyquist slot.  :func:`dealiased_product`
+pads each factor.  The model right-hand sides fold the same scale into
+their derivative symbols, make one stacked transform per padded grid, and
+truncate all their sums in one rfft.
 :func:`mollify` convolves with one built-in kernel, the rescaled bump
 exp(-1/(y(1-y))) on [0, 1].
 
@@ -183,12 +184,19 @@ def _to_grid(h: np.ndarray, m: int) -> np.ndarray:
 
     Like `_from_grid`, it acts on the last axis, so a stack goes row by row.
     """
-    return np.fft.irfft(_resize(h, m) * m, n=m)
+    scaled = h * m
+    if m > 2 * (h.shape[-1] - 1):  # split the Nyquist coefficient between modes +-n/2
+        scaled[..., -1] = 0.5 * scaled[..., -1].real
+    return np.fft.irfft(scaled, n=m)
 
 
 def _from_grid(samples: np.ndarray, n: int) -> np.ndarray:
     """Half spectrum on n points of real samples on at least n points."""
-    return _resize(np.fft.rfft(samples) / samples.shape[-1], n)
+    m = samples.shape[-1]
+    h = np.fft.rfft(samples)[..., : n // 2 + 1] / m
+    if n < m:  # fold the +-n/2 pair onto the Nyquist slot
+        h[..., -1] = 2.0 * h[..., -1].real
+    return h
 
 
 def _dealias_size(n: int, count: int) -> int:
@@ -333,15 +341,16 @@ def dealiased_product(f: SpectralField, g: SpectralField, *more: SpectralField) 
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=128)
-def _sobolev_weight(n: int, s: float) -> np.ndarray:
-    """(1 + xi_k^2)^s on the half spectrum, doubled where mode k stands for -k too."""
+def _sobolev_weight(n: int, s: float) -> tuple[np.ndarray, bool]:
+    """(1 + xi_k^2)^s on the half spectrum, doubled where mode k stands for -k too,
+    and whether any weight is past the float range (inf)."""
     half = n // 2
     xi = TWO_PI * np.arange(half + 1)
-    with np.errstate(over="ignore"):  # a weight past the float range is inf
+    with np.errstate(over="ignore"):
         weight = (1.0 + xi * xi) ** s
         weight[1:half] *= 2.0
     weight.flags.writeable = False
-    return weight
+    return weight, bool(np.isinf(weight).any())
 
 
 def sobolev_norm(field: SpectralField, s: float) -> float:
@@ -350,25 +359,17 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     The sum runs over all modes -n/2 <= n < n/2; each stored mode
     0 < k < n/2 stands for itself and its conjugate -k.
     """
-    weight = _sobolev_weight(field.grid.n_points, float(s))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing field has norm inf
-        power = field.coef.real ** 2 + field.coef.imag ** 2
-        total = np.sum(weight * power)
-        if math.isnan(total):  # an inf weight met a zero mode, which adds 0
-            total = np.sum(weight * power, where=power > 0.0)
-        return float(math.sqrt(total))
+    return float(_sobolev_norm_rows(field.coef, field.grid.n_points, s))
 
 
 def _sobolev_norm_rows(h: np.ndarray, n: int, s: float) -> np.ndarray:
-    """`sobolev_norm` of each row of a (B, n/2+1) stack of half spectra, bit for bit."""
-    weight = _sobolev_weight(n, float(s))
-    with np.errstate(over="ignore", invalid="ignore"):
+    """`sobolev_norm` of a half spectrum, or of each row of a (B, n/2+1) stack."""
+    weight, overflows = _sobolev_weight(n, float(s))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing field has norm inf
         power = h.real ** 2 + h.imag ** 2
-        total = np.sum(weight * power, axis=-1)
-        nan = np.isnan(total)
-        if nan.any():  # an inf weight met a zero mode, which adds 0
-            total[nan] = np.sum(weight * power[nan], axis=-1, where=power[nan] > 0.0)
-        return np.sqrt(total)
+        if overflows:  # an inf weight on a zero mode adds 0, not nan
+            return np.sqrt((weight * power).sum(-1, where=power > 0.0))
+        return np.sqrt((weight * power).sum(-1))
 
 
 def l2_norm(field: SpectralField) -> float:

@@ -158,3 +158,39 @@ def test_ensemble_op_steps_its_fields_as_one_stack(monkeypatch):
         report = wl.run(wl.prepare(seed))
         assert wl.check(seed, seed, report) is None, seed
         assert len(calls) == 80, (seed, len(calls))
+
+
+@pytest.mark.parametrize("name, rows", [("run-n128", 1), ("ensemble-n128", 4)])
+def test_one_blowup_check_per_accepted_step(monkeypatch, tmp_path, name, rows):
+    """The tracer counts steps as `evolve.detect_blowup` calls and reads each
+    step's dt off the call's first argument: a full-size op of a `lasw run`
+    and of a stacked probe makes one call per accepted step, with that step's
+    dt, and gets one decision per row of the stepped half spectra."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(workloads, "OUT", tmp_path)
+    stepper, detect = evolve._stepper, evolve.detect_blowup
+    accepted, checked = [], []
+
+    def counted_stepper(coeffs):
+        step = stepper(coeffs)
+
+        def counted(h, dt):
+            out = step(h, dt)
+            if out is not None:
+                accepted.append(dt)
+            return out
+        return counted
+
+    def counted_detect(state, *args, **kwargs):
+        decisions = detect(state, *args, **kwargs)
+        assert len(decisions) == (state.u.shape[0] if state.u.ndim == 2 else 1) == rows
+        checked.append(state.dt)
+        return decisions
+
+    monkeypatch.setattr(evolve, "_stepper", counted_stepper)
+    monkeypatch.setattr(evolve, "detect_blowup", counted_detect)
+    wl = workloads.WORKLOADS[name]("full", workloads.load_references())
+    arg = wl.prepare(workloads.WARMUP_KEY)
+    assert wl.check(workloads.WARMUP_KEY, arg, wl.run(arg)) is None
+    assert accepted and checked == accepted

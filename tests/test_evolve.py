@@ -208,7 +208,7 @@ class TestETDRK4:
         # under the advective step, so it too takes few values
         c = ModelCoefficients(mu=0.0, alpha1=-1.0, alpha3=-1.0)
         u0 = random_trig_polynomial(Grid(64), 0, 10, 2.0)
-        dt = evolve._stable_dt(u0, c, 0.5)
+        dt = evolve._stable_dt(u0.coef, c, 0.5)
         halvings = math.log2(0.5 * Grid(64).spacing / dt)
         assert halvings == int(halvings) >= 1
         evolve._etd_weights.cache_clear()
@@ -221,16 +221,16 @@ class TestETDRK4:
         # where the dispersive step is the shorter one it is taken as before
         u0 = random_trig_polynomial(Grid(64), 0, 10, 2.0)
         dispersive = 2.8 / (abs(KDV.alpha2) * (0.5 * math.pi * 64) ** 3)
-        assert evolve._stable_dt(u0, KDV, 0.5) == 0.5 * dispersive
+        assert evolve._stable_dt(u0.coef, KDV, 0.5) == 0.5 * dispersive
         fast = replace(KDV, alpha3=-1e3)
-        dt = evolve._stable_dt(u0, fast, 0.5)
+        dt = evolve._stable_dt(u0.coef, fast, 0.5)
         advective = 0.5 * (Grid(64).spacing / (1.0 + 1e3 * evolve.sup_norm(u0)))
         halvings = math.log2(0.5 * dispersive / dt)
         assert dt <= advective < 2.0 * dt and halvings == int(halvings) >= 1
 
 
 class TestStackedSolve:
-    """`_integrate_rows` steps a stack as `integrate` steps each of its rows."""
+    """`_solve` steps a stack as `integrate`, its one-row case, steps each row."""
 
     MODELS = {
         "large_amplitude": preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1)),
@@ -242,7 +242,7 @@ class TestStackedSolve:
 
     @staticmethod
     def expected(fields, c, t_end, controls):
-        """Snapshots of each field's own run, and the first run that does not complete."""
+        """Each field's own run, and the first run that does not complete."""
         runs = [integrate(u, c, t_end, controls) for u in fields]
         stop = next(
             ((i, r.state.status, r.state.t) for i, r in enumerate(runs)
@@ -250,6 +250,13 @@ class TestStackedSolve:
             None,
         )
         return runs, stop
+
+    @staticmethod
+    def solve(fields, c, t_end, controls):
+        """The snapshot stacks of one stacked solve, and its stop as (row, status, t)."""
+        run = evolve._solve(np.stack([u.coef for u in fields]), c, t_end, controls)
+        stop = run.stop and (run.stop[0], run.stop[1].status, run.stop[1].t)
+        return [h for _, h in run.snapshots], stop
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -259,7 +266,7 @@ class TestStackedSolve:
         controls = IntegrationControls(dt=1e-4, snapshot_times=(0.0, 3.5e-4, 1e-3))
         runs, stop = self.expected(fields, c, 1e-3, controls)
         assert stop is None
-        stacks, got = evolve._integrate_rows(np.stack([u.coef for u in fields]), c, 1e-3, controls)
+        stacks, got = self.solve(fields, c, 1e-3, controls)
         assert got is None and len(stacks) == 3
         for row, run in enumerate(runs):
             assert [h[row].tobytes() for h in stacks] == [
@@ -285,7 +292,7 @@ class TestStackedSolve:
         )
         runs, stop = self.expected(fields, c, 0.1, controls)
         assert (stop and stop[:2]) == first
-        _, got = evolve._integrate_rows(np.stack([u.coef for u in fields]), c, 0.1, controls)
+        _, got = self.solve(fields, c, 0.1, controls)
         assert got == stop
         if rows[:2] == (0.3, 0.4):
             assert runs[1].state.t < runs[0].state.t
@@ -302,20 +309,28 @@ class TestStackedSolve:
             (RunStatus.BLOWUP_SUSPECTED, 0.0, 1), (RunStatus.NONFINITE, 0.0, 1)]
         assert runs[1].blowup.trigger == "sup_ux" and runs[2].blowup is None
         for first in (1, 2):
-            _, got = evolve._integrate_rows(
-                np.stack([u.coef for u in fields[:first + 1]]), c, 0.1, controls)
+            _, got = self.solve(fields[:first + 1], c, 0.1, controls)
             assert got == (1, RunStatus.BLOWUP_SUSPECTED, 0.0)
-        _, got = evolve._integrate_rows(np.stack([fields[0].coef, fields[2].coef]), c, 0.1, controls)
+        _, got = self.solve([fields[0], fields[2]], c, 0.1, controls)
         assert got == (1, RunStatus.NONFINITE, 0.0)
 
     @pytest.mark.parametrize("s_exponent", [0.0, 2.0, 100.0])
     def test_row_records_equal_monitor(self, s_exponent):
-        # s_exponent 100 gives inf weights on the zero top modes
+        # s_exponent 100 gives inf weights on the zero top modes; each row's
+        # record, and a bare half spectrum's, is diagnose's but for sup|u|,
+        # which a sample fills in with diagnose's bits
         g = Grid(64)
         fields = [random_trig_polynomial(g, seed, 20, 1.0) for seed in range(4)] + [constant(g, 0.0)]
         got = evolve._monitor_rows(0.5, np.stack([u.coef for u in fields]), s_exponent)
         for u, record in zip(fields, got):
-            want = evolve._monitor(0.5, u, s_exponent)
+            want = diagnose(0.5, u, s_exponent)
+            [alone] = evolve._monitor_rows(0.5, u.coef, s_exponent)
+            assert math.isnan(record.sup_u) and math.isnan(alone.sup_u)
+            for r in (record, alone):
+                assert np.array(astuple(r)[:-1]).tobytes() == np.array(astuple(want)[:-1]).tobytes()
+        filled = evolve._with_sup_u(got, np.stack([u.coef for u in fields]))
+        for u, record in zip(fields, filled):
+            want = diagnose(0.5, u, s_exponent)
             assert np.array(astuple(record)).tobytes() == np.array(astuple(want)).tobytes()
 
     def test_controls_are_checked_as_integrate_checks_them(self):
@@ -323,9 +338,18 @@ class TestStackedSolve:
         c = preset_normalized()
         for t_end, dt in ((1e-14, 1e-3), (0.1, 0.0), (1.0, 1e-12)):
             with pytest.raises(InvalidControls):
-                evolve._integrate_rows(h, c, t_end, IntegrationControls(dt=dt, sample_interval=t_end))
+                evolve._solve(h, c, t_end, IntegrationControls(dt=dt, sample_interval=t_end))
         with pytest.raises(InvalidMu):
-            evolve._integrate_rows(h, replace(c, mu=-1.0), 0.1, IntegrationControls(dt=1e-3))
+            evolve._solve(h, replace(c, mu=-1.0), 0.1, IntegrationControls(dt=1e-3))
+
+    @pytest.mark.parametrize("name", ["large_amplitude", "normalized", "kdv"])
+    def test_stack_step_is_the_smallest_row_step(self, name):
+        # _stable_dt of a stack takes its largest speed, which is the
+        # smallest of the rows' own steps, bit for bit
+        c = self.MODELS[name]
+        fields = [2.0 ** k * random_trig_polynomial(Grid(64), k, 10, 2.0) for k in range(4)]
+        h = np.stack([u.coef for u in fields])
+        assert evolve._stable_dt(h, c, 0.4) == min(evolve._stable_dt(u.coef, c, 0.4) for u in fields)
 
 
 class TestIntegrate:
@@ -455,7 +479,7 @@ class TestIntegrate:
         u0, fixed = cosine(Grid(32), 1e3), IntegrationControls(dt=1e-3)
         for run in (lambda: integrate(u0, c, 0.01, IntegrationControls()),
                     lambda: integrate(u0, c, 0.01, fixed),
-                    lambda: evolve._integrate_rows(u0.coef[None], c, 0.01, fixed)):
+                    lambda: evolve._solve(u0.coef[None], c, 0.01, fixed)):
             with pytest.raises(GammaRelationViolated):
                 run()
 
@@ -541,6 +565,7 @@ class TestDetection:
             assert res.blowup.trigger == "sup_ux"
             times.append(res.blowup.t)
             assert res.records[-1] == diagnose(res.state.t, res.state.u)  # sup_u filled in
+            assert res.blowup.record == res.records[-1]
         assert abs(times[1] - times[0]) <= 0.1 * times[0]
 
 
@@ -720,7 +745,7 @@ class TestStableDt:
     def test_pinned_speed_is_bit_identical(self, u, cfl):
         # sup|a(u)| < 1 for |u| <= 2, so max(1, .) pins dt, full band or not
         c = preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1))
-        assert evolve._stable_dt(u, c, cfl) == transport_dt(u, c, cfl) == cfl * u.grid.spacing
+        assert evolve._stable_dt(u.coef, c, cfl) == transport_dt(u, c, cfl) == cfl * u.grid.spacing
 
     @PROPERTY
     @given(u=scaled_fields((64, 128, 1024), lambda n: n // 4 - 1, 4.0),
@@ -729,11 +754,11 @@ class TestStableDt:
         # below n/4, u^2 loses nothing to truncation, so the two routes
         # differ by round-off alone; a(u) = 1 + u + u^2 exceeds 1 where u > 0
         c = preset_normalized()
-        got, want = evolve._stable_dt(u, c, cfl), transport_dt(u, c, cfl)
+        got, want = evolve._stable_dt(u.coef, c, cfl), transport_dt(u, c, cfl)
         assert want < cfl * u.grid.spacing
         assert abs(got - want) <= 1e-15 * want
 
     def test_overflowing_speed_raises(self):
         u = cosine(Grid(32), 1e160)
         with pytest.raises(InvalidField):
-            evolve._stable_dt(u, preset_normalized(), 0.5)
+            evolve._stable_dt(u.coef, preset_normalized(), 0.5)

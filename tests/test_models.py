@@ -375,9 +375,9 @@ class TestPaddedEvaluation:
         assert np.array_equal(flux(skewed, c)[:-1], flux(real, c)[:-1])
 
     def test_field_count_per_integrate_step(self, monkeypatch):
-        # per fixed-dt step only the accepted state: the stages pass bare half
-        # spectra through the right-hand sides, and detect_blowup transforms
-        # u_x without building a derivative field
+        # none per fixed-dt step: the stages pass bare half spectra through
+        # the right-hand sides, the step loop classifies the bare accepted
+        # state, and integrate builds fields only for snapshots and the end
         built = []
         post_init = SpectralField.__post_init__
 
@@ -395,7 +395,7 @@ class TestPaddedEvaluation:
             integrate(u, large, steps * dt, IntegrationControls(dt=dt, sample_interval=steps * dt))
             return len(built)
 
-        assert count(3) - count(2) == 1
+        assert count(3) - count(2) == 0
 
     @pytest.mark.parametrize(
         "name", ["bbm", "ch", "dp", "large_amplitude", "moderate", "normalized", "se"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lasw import probes
-from lasw.errors import InvalidExponents, ProbeUnresolved
+from lasw.errors import InvalidExponents, InvalidProbeInput, ProbeUnresolved
 from lasw.models import preset_normalized
 from lasw.probes import (
     commutator_probe,
@@ -295,6 +295,21 @@ class TestContinuousDependence:
             continuous_dependence_experiment(
                 u0, [1e-4, 1e-2], 0.3, 2.0, preset_normalized(), seed=0
             )
+
+
+@pytest.mark.parametrize("t_end", [1e-13, 5e-14])
+@pytest.mark.parametrize("probe", ["continuous_dependence", "mollified_data"])
+def test_t_end_within_landing_tolerance_is_invalid_probe_input(probe, t_end):
+    # as in semigroup_probe; these sample times stay distinct, so the check is reached
+    g = Grid(64)
+    u0 = from_physical(0.05 * np.cos(TWO_PI * g.x), g)
+    run = {
+        "continuous_dependence": lambda: continuous_dependence_experiment(
+            u0, [1e-2, 1e-3], t_end, 2.0, preset_normalized(), seed=1),
+        "mollified_data": lambda: mollified_data_experiment(u0, [4, 8], t_end, preset_normalized()),
+    }[probe]
+    with pytest.raises(InvalidProbeInput, match="landing tolerance"):
+        run()
 
 
 class TestDispersion:

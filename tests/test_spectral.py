@@ -442,3 +442,17 @@ class TestResample:
         f = from_physical(np.cos(TWO_PI * g.x), g)
         fine = resample(f, 64)
         assert to_physical(fine)[::2] == pytest.approx(to_physical(f), abs=1e-14)
+
+    @pytest.mark.parametrize("n, m", [(16, 16), (32, 64), (64, 256), (40, 100), (320, 1280)])
+    def test_grid_transforms_equal_resize_then_transform(self, n, m):
+        # _to_grid lets irfft zero-pad and _from_grid slices, where both once
+        # went through _resize: the same bits, on a half spectrum and a stack,
+        # also with an imaginary part in the Nyquist slot
+        rng = np.random.default_rng(n + m)
+        h = rng.standard_normal((3, n // 2 + 1)) + 1j * rng.standard_normal((3, n // 2 + 1))
+        samples = rng.standard_normal((3, m))
+        for a, x in ((h, samples), (h[1], samples[1])):
+            padded = np.fft.irfft(spectral._resize(a, m) * m, n=m)
+            assert spectral._to_grid(a, m).tobytes() == padded.tobytes()
+            folded = spectral._resize(np.fft.rfft(x) / m, n)
+            assert spectral._from_grid(x, n).tobytes() == folded.tobytes()
