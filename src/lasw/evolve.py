@@ -1,14 +1,17 @@
 """Method-of-lines evolution with step control, diagnostics and blow-up watch.
 
-The reformulated equation is first order and nonstiff once the inverse
-elliptic operator has smoothed the right-hand side, so a classical
-explicit RK4 step under an advective CFL condition is enough.  Models with
-mu = 0 (KdV) keep the dispersive term alpha2*u_xxx unsmoothed; they step
-with ETDRK4, which integrates alpha1*u_x + alpha2*u_xxx exactly, under a
-step rule that bounds its accuracy rather than its stability.  The step
-size is adjusted to land exactly on sample and snapshot times, so no
-interpolation enters the reported records.  Each accepted state is
-measured once, by the blow-up check, and samples reuse that record.
+Every model steps with ETDRK4 (Cox & Matthews 2002), which integrates the
+linear part L = Lam^{-2}(alpha1*d/dx + alpha2*d^3/dx^3) exactly: for mu > 0
+that is the dispersive part of the nonlocal form, whose constant speed
+alpha2/mu is most of a(u) on the presets, and for mu = 0 (KdV) the
+unsmoothed alpha1*u_x + alpha2*u_xxx.  The nonlinear part is `tendency`
+(mu > 0) or `tendency_direct` (mu = 0) less alpha1 and alpha2.  The step
+rule bounds accuracy rather than stability, on a power-of-two ladder of
+steps, so the cached weights serve a whole run.  RK4 (`_rk4`) is left for
+the semigroup probe's frozen-transport equation.  The step size is
+adjusted to land exactly on sample and snapshot times, so no interpolation
+enters the reported records.  Each accepted state is measured once, by the
+blow-up check, and samples reuse that record.
 
 There is one step loop, `_solve`.  It steps a bare half spectrum, or a
 (B, n/2+1) stack of them when a probe solves several fields on one grid
@@ -38,7 +41,9 @@ from .errors import InvalidControls, InvalidField, InvalidMu
 from .models import (  # noqa: F401
     ModelCoefficients, tendency, tendency_direct, transport_field, validate,
 )
-from .spectral import SpectralField, _dx_sigma, _sobolev_norm_rows, _to_grid, sup_norm
+from .spectral import (
+    SpectralField, _dx_sigma, _lambda_sigma, _sobolev_norm_rows, _to_grid, sup_norm,
+)
 
 
 # Step budget of one run; a run whose first step implies more fails at once.
@@ -47,8 +52,12 @@ _MAX_STEPS = 20_000_000
 # A step that ends this close to an event lands on it; t_end must exceed it.
 _LANDING_TOL = 1e-13
 
-# Points on the circle |z - dt*L| = 1 whose mean gives the ETDRK4 weights.
+# Points on the circle |z - dt*L| = 1 whose mean gives the ETDRK4 weights,
+# and the most modes whose points are evaluated as one array: 32 x 256
+# complex values stay under the 256 KB past which numpy reuses temporaries
+# in place, so the weights keep the bits of a sum taken one point at a time.
 _CONTOUR_POINTS = 32
+_CONTOUR_CHUNK = 256
 
 
 class RunStatus(enum.Enum):
@@ -203,7 +212,8 @@ def _classify(r: DiagnosticsRecord, thresholds: BlowupThresholds) -> BlowupDecis
 
 def _rk4(h: np.ndarray, rhs: Callable, dt: float) -> np.ndarray | None:
     """One classical RK4 step of h' = rhs(h) on rfft half spectra, or on a
-    (B, n/2+1) stack of them; `_finite_rows` of the result.
+    (B, n/2+1) stack of them; `_finite_rows` of the result.  The semigroup
+    probe steps its frozen-transport equation with it.
 
     A stage that overflows passes inf or nan on to the result, so the final
     scan is the one NonFinite test.
@@ -229,28 +239,43 @@ def _finite_rows(h: np.ndarray) -> np.ndarray | None:
     return h[:first] if first else None
 
 
+def _linear_symbol(n: int, coeffs: ModelCoefficients) -> np.ndarray:
+    """L = Lam^{-2}(alpha1*d/dx + alpha2*d^3/dx^3) on the half spectrum, 0 at
+    mode 0 and at the Nyquist slot; Lam^{-2} is all ones when mu = 0."""
+    lin = coeffs.alpha1 * _dx_sigma(n, 1) + coeffs.alpha2 * _dx_sigma(n, 3)
+    return lin * _lambda_sigma(n, -2.0, coeffs.mu)
+
+
 @functools.lru_cache(maxsize=16)
 def _etd_weights(n: int, coeffs: ModelCoefficients, dt: float) -> tuple[np.ndarray, ...]:
-    """E, E/2, Q, f1, f2, f3 of ETDRK4 for L = alpha1*d/dx + alpha2*d^3/dx^3.
+    """E, E/2, Q, f1, f2, f3 of ETDRK4 for `_linear_symbol`'s L.
 
     The phi-functions are means over a circle of radius 1 around each dt*L
     (Kassam & Trefethen 2005), which avoids their cancellation near 0.  L is
     imaginary, so the circle is the full one with a complex mean; the half
-    circle with a real part holds only for real L.
+    circle with a real part holds only for real L.  The contour points make
+    one (points, modes) array per chunk of modes, so memory stays O(n), and
+    the sums over them run in point order, as one point at a time would.
     """
-    lin = coeffs.alpha1 * _dx_sigma(n, 1) + coeffs.alpha2 * _dx_sigma(n, 3)
+    roots = np.exp(2j * np.pi * (np.arange(_CONTOUR_POINTS) + 0.5) / _CONTOUR_POINTS)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite weight fails the step
-        z = dt * lin
-        q = f1 = f2 = f3 = 0.0
-        for j in range(_CONTOUR_POINTS):  # one point at a time: O(n) memory
-            w = z + np.exp(2j * np.pi * (j + 0.5) / _CONTOUR_POINTS)
+        z = dt * _linear_symbol(n, coeffs)
+        sums = np.empty((4, z.size), dtype=complex)
+        # near-equal chunks: numpy would sum a chunk of one mode pairwise
+        edges = np.linspace(0, z.size, -(-z.size // _CONTOUR_CHUNK) + 1).astype(int)
+        for lo, hi in zip(edges, edges[1:]):
+            w = z[lo:hi] + roots
             ew, w3 = np.exp(w), w ** 3
-            q = q + (np.exp(0.5 * w) - 1.0) / w
-            f1 = f1 + (-4.0 - w + ew * (4.0 - 3.0 * w + w * w)) / w3
-            f2 = f2 + (2.0 + w + ew * (w - 2.0)) / w3
-            f3 = f3 + (-4.0 - 3.0 * w - w * w + ew * (4.0 - w)) / w3
-        mean = dt / _CONTOUR_POINTS
-        weights = (np.exp(z), np.exp(0.5 * z), mean * q, mean * f1, mean * f2, mean * f3)
+            sums[:, lo:hi] = [
+                np.sum(f, axis=0) for f in (
+                    (np.exp(0.5 * w) - 1.0) / w,
+                    (-4.0 - w + ew * (4.0 - 3.0 * w + w * w)) / w3,
+                    (2.0 + w + ew * (w - 2.0)) / w3,
+                    (-4.0 - 3.0 * w - w * w + ew * (4.0 - w)) / w3,
+                )
+            ]
+        q, f1, f2, f3 = (dt / _CONTOUR_POINTS) * sums
+        weights = (np.exp(z), np.exp(0.5 * z), q, f1, f2, f3)
     for w in weights:
         w.flags.writeable = False
     return weights
@@ -261,9 +286,10 @@ def _etdrk4(h: np.ndarray, nonlinear: Callable, weights) -> np.ndarray | None:
     e, e2, q, f1, f2, f3 = weights
     with np.errstate(over="ignore", invalid="ignore"):
         nu = nonlinear(h)
-        a = e2 * h + q * nu
+        e2h = e2 * h
+        a = e2h + q * nu
         na = nonlinear(a)
-        b = e2 * h + q * na
+        b = e2h + q * na
         nb = nonlinear(b)
         c = e2 * a + q * (2.0 * nb - nu)
         nc = nonlinear(c)
@@ -274,19 +300,19 @@ def _etdrk4(h: np.ndarray, nonlinear: Callable, weights) -> np.ndarray | None:
 def _stepper(coeffs: ModelCoefficients) -> Callable:
     """(h, dt) -> the next half spectrum (or stack of them), as `_finite_rows` gives it.
 
-    The scheme and form follow from mu alone.  mu > 0: RK4 on `tendency`.
-    mu = 0: ETDRK4 with L = alpha1*d/dx + alpha2*d^3/dx^3 and the rest of
-    `tendency_direct` as its nonlinear part.
+    Every model steps with ETDRK4, exact on `_linear_symbol`'s L, with the
+    rest of the right-hand side as its nonlinear part; mu alone picks the
+    form: `tendency` when mu > 0, `tendency_direct` when mu = 0.
     """
+    nl = _nonlinear_part(coeffs)
     if coeffs.mu == 0.0:
-        nl = _nonlinear_part(coeffs)
         nonlinear = lambda v: tendency_direct(v, nl)
+    else:
+        nonlinear = lambda v: tendency(v, nl)
 
-        def etd_step(h, dt):
-            return _etdrk4(h, nonlinear, _etd_weights(2 * (h.shape[-1] - 1), coeffs, dt))
-        return etd_step
-    rhs = lambda v: tendency(v, coeffs)
-    return lambda h, dt: _rk4(h, rhs, dt)
+    def etd_step(h, dt):
+        return _etdrk4(h, nonlinear, _etd_weights(2 * (h.shape[-1] - 1), coeffs, dt))
+    return etd_step
 
 
 @functools.lru_cache(maxsize=16)
@@ -302,8 +328,9 @@ def _nonlinear_part(coeffs: ModelCoefficients) -> ModelCoefficients:
 def step_rk4(state: SimulationState, coeffs: ModelCoefficients, dt: float) -> SimulationState:
     """Advance one step of any model that `integrate` accepts, as `integrate` steps it.
 
-    That is RK4, or ETDRK4 when mu = 0.  The nonlinear part has zero mean
-    and the mean slot of L is 0, so the mean of u is preserved to round-off.
+    That is one ETDRK4 step, whatever mu; the name is kept from when mu > 0
+    stepped with RK4.  The nonlinear part has zero mean and the mean slot of
+    L is 0, so the mean of u is preserved to round-off.
     """
     if dt <= 0.0:
         raise InvalidControls(f"dt must be positive, got {dt}")
@@ -315,21 +342,37 @@ def step_rk4(state: SimulationState, coeffs: ModelCoefficients, dt: float) -> Si
     return SimulationState(state.t + dt, SpectralField(state.u.grid, h), dt, RunStatus.RUNNING)
 
 
+@functools.lru_cache(maxsize=128)
+def _dispersive_step(n: int, coeffs: ModelCoefficients) -> float:
+    """The step per unit cfl before halving: 2.8 / max|L(xi)| over the modes
+    |xi| <= n/4, or dx when alpha2 = 0.
+
+    2.8 is about the RK4 stability limit on the imaginary axis.  With mu = 0,
+    max|L| is read as |alpha2|*(pi*n/2)^3, the dispersive term alone.
+    """
+    c = coeffs
+    if c.alpha2 == 0.0:
+        return 1.0 / n
+    if c.mu == 0.0:
+        return 2.8 / (abs(c.alpha2) * (0.5 * math.pi * n) ** 3)
+    return 2.8 / float(np.max(np.abs(_linear_symbol(n, c)[:n // 4 + 1])))
+
+
 def _stable_dt(h: np.ndarray, coeffs: ModelCoefficients, cfl: float) -> float:
-    """Explicit step cfl * dx / max(1, sup|a(u)|), or the KdV bound when mu = 0,
-    for the half spectrum h of u; for a (B, n/2+1) stack, at its largest speed.
+    """The ETDRK4 step for the half spectrum h of u; for a (B, n/2+1) stack,
+    at its largest speed.
 
-    With mu > 0, sup|a(u)| is taken over the 4n samples v of u, where the
-    polynomial a(v) = (alpha2 + beta2*v + gamma2*v^2)/mu needs no transform;
-    a speed past the float range raises InvalidField.
+    ETDRK4 is exact on L, so the step bounds its accuracy, not its
+    stability: the error grows with the dispersive phase dt*|L(xi)| of the
+    modes the nonlinear part couples, and with the nonlinear speed.  dt is
+    cfl * `_dispersive_step`, halved until it fits under the advective step
+    cfl * dx / s: a run draws its steps, and the cached ETDRK4 weights, from
+    a few values.
 
-    With mu = 0 the advective speed is read off the local coefficients, and
-    ETDRK4 is stable at that step, but its error grows with the dispersive
-    phase dt*|alpha2|*xi^3 of the modes the nonlinear term couples.  So dt
-    starts from cfl times 2.8/(|alpha2|*(pi*n/2)^3), the RK4 stability limit
-    at half the Nyquist wavenumber, or from cfl * dx when alpha2 = 0, and is
-    halved until it fits under the advective step: a run draws its steps,
-    and the cached ETDRK4 weights, from a few values.
+    With mu > 0, s = sup|(beta2 + gamma2*v)*v|/mu over the 4n samples v of
+    u, the speed of a(u) less its linear part alpha2/mu; s = 0 needs no
+    halving.  With mu = 0, s = max(1, |alpha1| + |alpha3|*sup|v|).  A speed
+    past the float range raises InvalidField.
     """
     n = 2 * (h.shape[-1] - 1)
     spacing = 1.0 / n
@@ -339,19 +382,18 @@ def _stable_dt(h: np.ndarray, coeffs: ModelCoefficients, cfl: float) -> float:
         if c.mu == 0.0:
             speed = abs(c.alpha1) + abs(c.alpha3) * float(np.max(np.abs(v)))
         else:
-            speed = float(np.max(np.abs(c.alpha2 + (c.beta2 + c.gamma2 * v) * v))) / c.mu
+            speed = float(np.max(np.abs((c.beta2 + c.gamma2 * v) * v))) / c.mu
     if not math.isfinite(speed):
-        raise InvalidField(f"transport speed sup|a(u)| is not finite: {speed}")
+        raise InvalidField(f"the step rule's speed is not finite: {speed}")
     if c.mu == 0.0:
-        advective = cfl * (spacing / max(1.0, speed))
-        base = cfl * spacing
-        if c.alpha2 != 0.0:
-            base = cfl * (2.8 / (abs(c.alpha2) * (0.5 * math.pi * n) ** 3))
-        halvings = 0
+        speed = max(1.0, speed)
+    base = cfl * _dispersive_step(n, c)
+    halvings = 0
+    if speed > 0.0:
+        advective = cfl * (spacing / speed)
         while math.ldexp(base, -halvings) > advective:
             halvings += 1
-        return math.ldexp(base, -halvings)
-    return cfl * (spacing / max(1.0, speed))
+    return math.ldexp(base, -halvings)
 
 
 def _event_times(t_end: float, sample_interval: float, snapshot_times) -> list[tuple[float, bool, bool]]:
@@ -421,7 +463,7 @@ def _solve(
     """The one step loop: evolve a half spectrum, or each row of a (B, n/2+1)
     stack, to t_end as `integrate` describes.
 
-    The rows step as one stack: each RK4 or ETDRK4 stage makes one
+    The rows step as one stack: each ETDRK4 stage makes one
     right-hand-side call for all of them, and `detect_blowup` classifies
     each accepted stack in one call, after its mean and Nyquist slots are
     made exactly real, as a SpectralField makes them.  The step is
@@ -491,11 +533,11 @@ def integrate(
     ends the run NonFinite at t = 0, and one past a blow-up threshold ends
     it BlowUpSuspected there, each with its one diagnostics row.
 
-    The CFL step is dt = cfl * dx / max(1, sup|a(u)|), capped by the
-    sample interval and shortened to land exactly on sample/snapshot
-    times.  Models with mu = 0 (pure dispersive local form) step with
-    ETDRK4 on `tendency_direct`'s terms, under `_stable_dt`'s KdV bound.
-    u0's half spectrum steps through `_solve` as its one row.
+    Every model steps with ETDRK4 (`_stepper`), at controls.dt or at
+    `_stable_dt`'s step for the cfl: cfl times the dispersive step, halved
+    to fit under cfl * dx over the nonlinear speed.  The step is capped by
+    the sample interval and shortened to land exactly on sample/snapshot
+    times.  u0's half spectrum steps through `_solve` as its one row.
     """
     controls = controls or IntegrationControls()
     run = _solve(u0.coef, coeffs, t_end, controls)

@@ -42,7 +42,7 @@ kernel checks the coefficients, lays out the term tables, the padded size,
 the derivative orders and the symbols, and returns a function from half
 spectrum to half spectrum.  `tendency`, `tendency_direct` and `flux` take
 a SpectralField or a bare rfft half spectrum and return the same kind; the
-stepper passes bare arrays, so no field is built inside an RK4 step.  A
+stepper passes bare arrays, so no field is built inside a step.  A
 bare (B, n/2+1) stack of half spectra goes through the same kernel and
 the same two transforms, each row bit for bit as it would go alone.
 """

@@ -140,7 +140,7 @@ def test_kdv_workload_meets_its_reference_in_at_most_16_steps(monkeypatch):
 
 def test_ensemble_op_steps_its_fields_as_one_stack(monkeypatch):
     """A full `ensemble-n128` op on seeds 0-3 passes its check through 80
-    `evolve.tendency` calls: 20 RK4 steps of one 4-row stack, where four
+    `evolve.tendency` calls: 20 ETDRK4 steps of one 4-row stack, where four
     solves of one field each made 320."""
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")

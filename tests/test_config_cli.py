@@ -337,11 +337,11 @@ class TestProbeAndConverge:
         assert "InvalidProbeInput" in result.output
 
     @pytest.mark.parametrize("spec, error, message", [
-        # 50 and 10 sample times that round to fewer distinct event times
-        ({"probe": "dispersion", "window": 1e-14}, "ProbeUnresolved",
-         "asked for 50 sampled states, got 11"),
-        ({"probe": "continuous_dependence", "t_end": 1e-300}, "ProbeUnresolved",
-         "asked for 10 sampled states, got 1"),
+        # a window or t_end within the landing tolerance fails before its
+        # 50 or 10 sample times are found to merge
+        ({"probe": "dispersion", "window": 1e-14}, "InvalidProbeInput", "landing tolerance"),
+        ({"probe": "continuous_dependence", "t_end": 1e-300}, "InvalidProbeInput",
+         "landing tolerance"),
         ({"probe": "mollified_data", "n_sequence": [1000000000]}, "InvalidProbeInput", "65536"),
         ({"probe": "continuous_dependence", "t_end": -1}, "InvalidProbeInput",
          "t_end must be positive"),

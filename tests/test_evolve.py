@@ -99,7 +99,7 @@ class TestStepRK4:
 
     @pytest.mark.parametrize("model", ["normalized", "kdv", "se"])
     def test_steps_every_model_integrate_steps(self, model):
-        # one right-hand-side chooser and one RK4 step serve both, bit for bit
+        # one right-hand-side chooser and one ETDRK4 step serve both, bit for bit
         if model == "normalized":
             c = preset_normalized()
         else:
@@ -227,6 +227,64 @@ class TestETDRK4:
         advective = 0.5 * (Grid(64).spacing / (1.0 + 1e3 * evolve.sup_norm(u0)))
         halvings = math.log2(0.5 * dispersive / dt)
         assert dt <= advective < 2.0 * dt and halvings == int(halvings) >= 1
+
+
+MU_PRESETS = {
+    "large_amplitude": preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1)),
+    "normalized": preset_normalized(),
+    "se": preset_survey("se", RegimeParameters(eps=0.2, delta=0.1)),
+    "bbm": preset_survey("bbm", RegimeParameters(beta=-0.5)),
+    "ch": preset_survey("ch", RegimeParameters(kappa=1.0)),
+    "dp": preset_survey("dp", RegimeParameters(kappa=1.0)),
+    "moderate": preset_survey("moderate", RegimeParameters(p=0.0, z0=0.0)),
+}
+
+# Worst terminal error of `integrate` at its default controls over the six
+# inputs of `test_error_is_no_worse_than_rk4s`, measured when mu > 0 models
+# stepped with RK4 at cfl*dx/max(1, sup|a(u)|), rounded up.
+RK4_ERRORS = {
+    "large_amplitude": 9.23e-7, "normalized": 7.10e-6, "se": 3.69e-7, "bbm": 1.50e-6,
+    "ch": 2.22e-9,
+}
+
+
+class TestNonlocalETDRK4:
+    """mu > 0 steps with ETDRK4 too, exact on L = Lam^{-2}(alpha1*d/dx + alpha2*d^3/dx^3)."""
+
+    @pytest.mark.parametrize("n", [64, 128, 1024])
+    @pytest.mark.parametrize("name", sorted(MU_PRESETS))
+    def test_symbol_is_the_linear_part_of_tendency(self, name, n):
+        c = MU_PRESETS[name]
+        linear = ModelCoefficients(mu=c.mu, alpha1=c.alpha1, alpha2=c.alpha2)
+        symbol = evolve._linear_symbol(n, c)
+        got = tendency(np.ones(n // 2 + 1, dtype=complex), linear)
+        assert np.max(np.abs(got - symbol)) <= 1e-15 * np.max(np.abs(symbol))
+
+    @pytest.mark.parametrize("name", sorted(RK4_ERRORS))
+    def test_error_is_no_worse_than_rk4s(self, name):
+        # against RK4 at 1/8 of the RK4 CFL step for u0, landed on t_end
+        c, g, t_end = MU_PRESETS[name], Grid(64), 0.25
+        worst = 0.0
+        for seed in range(6):
+            u0 = 0.5 * random_trig_polynomial(g, seed, 10, 2.0)
+            fine = 0.5 * g.spacing / max(1.0, sup_norm(transport_field(u0, c))) / 8
+            steps = math.ceil(t_end / fine)
+            h = u0.coef
+            for _ in range(steps):
+                h = evolve._rk4(h, lambda v: tendency(v, c), t_end / steps)
+            res = integrate(u0, c, t_end)
+            assert res.state.status is RunStatus.COMPLETED
+            worst = max(worst, np.max(np.abs(res.state.u.coef - h)))
+        assert worst <= RK4_ERRORS[name]
+
+    def test_a_second_identical_run_builds_no_weights(self):
+        c = MU_PRESETS["large_amplitude"]
+        u0 = random_trig_polynomial(Grid(128), 1, 10, 2.0)
+        controls = IntegrationControls(sample_interval=0.05, snapshot_times=(0.125, 0.25))
+        integrate(u0, c, 0.25, controls)
+        misses = evolve._etd_weights.cache_info().misses
+        integrate(u0, c, 0.25, controls)
+        assert evolve._etd_weights.cache_info().misses == misses
 
 
 class TestStackedSolve:
@@ -461,7 +519,7 @@ class TestIntegrate:
         assert drift <= 1e-12
 
     def test_se_direct_route(self):
-        # se steps with RK4 on `tendency`, as every mu > 0 model does
+        # se steps with ETDRK4 on `tendency`, as every mu > 0 model does
         g = Grid(64)
         c = preset_survey("se", RegimeParameters(eps=0.3, delta=0.3))
         res = integrate(cosine(g, 0.02), c, 0.2)
@@ -642,7 +700,7 @@ nonlocal_models = st.one_of(
 )
 # members that only `tendency_direct` accepts (mu = 0)
 direct_models = regimes.map(lambda p: preset_survey("kdv", p))
-# the models `integrate` steps with a fixed dt: RK4, and ETDRK4 for kdv
+# the models `integrate` steps with a fixed dt, all with ETDRK4
 stepped_models = st.one_of(nonlocal_models, direct_models)
 FIXED_STEPS = IntegrationControls(dt=1e-3, sample_interval=2e-3, snapshot_times=(0.002, 0.004))
 
@@ -676,6 +734,20 @@ class TestInvariants:
         # where both forms are round-off
         got, ref = tendency(u0, coeffs).coef, tendency_direct(u0, coeffs).coef
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)) + 1e-13
+
+    @PROPERTY
+    @given(u0=small_fields(), coeffs=nonlocal_models,
+           nyquist=st.floats(min_value=-0.1, max_value=0.1))
+    def test_etdrk4_keeps_the_mean_and_the_nyquist_slot(self, u0, coeffs, nyquist):
+        # mode 0 and the Nyquist slot of L and of `tendency` are 0
+        h = u0.coef.copy()
+        h[-1] = nyquist
+        state = SimulationState(0.0, SpectralField(u0.grid, h), 0.0)
+        for _ in range(4):
+            state = step_rk4(state, coeffs, evolve._stable_dt(state.u.coef, coeffs, 0.5))
+        assert state.status is RunStatus.RUNNING
+        assert abs(state.u.coef[0].real - h[0].real) <= 1e-12 * (1.0 + abs(h[0].real))
+        assert state.u.coef[-1] == h[-1]
 
     @PROPERTY
     @given(u0=small_fields(), coeffs=stepped_models)
@@ -720,9 +792,24 @@ class TestInvariants:
         ]
 
 
-def transport_dt(u, coeffs, cfl):
-    """The CFL step through the padded a(u) field: cfl*dx / max(1, sup|a(u)|)."""
-    return cfl * (u.grid.spacing / max(1.0, sup_norm(transport_field(u, coeffs))))
+def nonlinear_speed(u, coeffs):
+    """s = sup|(beta2 + gamma2*v)*v|/mu over the samples v of u on 4n points."""
+    v = to_physical(resample(u, 4 * u.grid.n_points))
+    return float(np.max(np.abs((coeffs.beta2 + coeffs.gamma2 * v) * v))) / coeffs.mu
+
+
+def dispersive_dt(n, coeffs, cfl):
+    """cfl * 2.8 / max|L(xi)| over the modes |xi| <= n/4."""
+    return cfl * (2.8 / np.max(np.abs(evolve._linear_symbol(n, coeffs)[:n // 4 + 1])))
+
+
+def ladder_dt(u, coeffs, cfl, speed):
+    """The mu > 0 step rule from its parts: the dispersive step, halved until
+    it fits under cfl*dx/speed."""
+    dt = dispersive_dt(u.grid.n_points, coeffs, cfl)
+    while speed > 0.0 and dt > cfl * (u.grid.spacing / speed):
+        dt *= 0.5
+    return dt
 
 
 @st.composite
@@ -737,26 +824,34 @@ def scaled_fields(draw, n_points, max_mode, sup_max):
 
 
 class TestStableDt:
-    """The CFL bound from the 4n samples of u against the one through `transport_field`."""
+    """The mu > 0 step rule against its reference formula, and its nonlinear
+    speed from the 4n samples of u against the one through `transport_field`."""
 
     @PROPERTY
     @given(u=scaled_fields((64, 128, 1024), lambda n: n // 2 - 1, 2.0),
            cfl=st.floats(min_value=0.05, max_value=1.0))
     def test_pinned_speed_is_bit_identical(self, u, cfl):
-        # sup|a(u)| < 1 for |u| <= 2, so max(1, .) pins dt, full band or not
+        # s <= 0.37 for |u| <= 2, full band or not, which pins dt to the
+        # dispersive step or its half: the speed alpha2/mu = 4/7 of a(u) no
+        # longer enters
         c = preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1))
-        assert evolve._stable_dt(u.coef, c, cfl) == transport_dt(u, c, cfl) == cfl * u.grid.spacing
+        dt, base = evolve._stable_dt(u.coef, c, cfl), dispersive_dt(u.grid.n_points, c, cfl)
+        assert dt == ladder_dt(u, c, cfl, nonlinear_speed(u, c))
+        assert dt in (base, 0.5 * base)
 
     @PROPERTY
     @given(u=scaled_fields((64, 128, 1024), lambda n: n // 4 - 1, 4.0),
            cfl=st.floats(min_value=0.05, max_value=1.0))
     def test_band_limited_speed_agrees_to_round_off(self, u, cfl):
-        # below n/4, u^2 loses nothing to truncation, so the two routes
-        # differ by round-off alone; a(u) = 1 + u + u^2 exceeds 1 where u > 0
+        # below n/4, u^2 loses nothing to truncation, so the speed of the
+        # padded (beta2*u + gamma2*u^2)/mu field differs from the sampled one
+        # by round-off alone, on the scale of sup|a(u)| = sup|1 + u + u^2|;
+        # dt is the rule's bit for bit
         c = preset_normalized()
-        got, want = evolve._stable_dt(u.coef, c, cfl), transport_dt(u, c, cfl)
-        assert want < cfl * u.grid.spacing
-        assert abs(got - want) <= 1e-15 * want
+        speed = nonlinear_speed(u, c)
+        padded = sup_norm(transport_field(u, replace(c, alpha2=0.0)))
+        assert abs(speed - padded) <= 1e-15 * sup_norm(transport_field(u, c))
+        assert evolve._stable_dt(u.coef, c, cfl) == ladder_dt(u, c, cfl, speed)
 
     def test_overflowing_speed_raises(self):
         u = cosine(Grid(32), 1e160)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lasw import evolve
 from lasw.errors import GammaRelationViolated, InvalidMu, InvalidRegime
 from lasw.evolve import IntegrationControls, integrate
 from lasw.models import (
@@ -345,16 +346,17 @@ class TestPaddedEvaluation:
 
     @pytest.mark.parametrize("dt, per_step", [(None, 10), (2.0 ** -8, 9)], ids=["cfl", "fixed"])
     def test_transforms_per_integrate_step(self, monkeypatch, dt, per_step):
-        # 2 per RK4 stage, 1 for sup|u_x| in the blow-up check, and with the
-        # CFL step 1 for the samples of u that sup|a(u)| is read from; the
-        # large-amplitude CFL step at n = 128 is 0.5/128 = 2^-8 throughout
+        # 2 per ETDRK4 stage, 1 for sup|u_x| in the blow-up check, and with
+        # the CFL step 1 for the samples of u that the nonlinear speed is
+        # read from; t_end is a whole number of the steps the rule picks
         u = random_trig_polynomial(Grid(128), 1, 10, 2.0)
         large = preset_large_amplitude(RegimeParameters(eps=0.2, delta=0.1))
+        step = dt if dt is not None else evolve._stable_dt(u.coef, large, 0.5)
         calls = self.counting_ffts(monkeypatch)
 
         def count(steps):
             calls.clear()
-            t_end = steps * 2.0 ** -8
+            t_end = steps * step
             integrate(u, large, t_end, IntegrationControls(cfl=0.5, dt=dt, sample_interval=t_end))
             return len(calls)
 
