@@ -19,7 +19,9 @@ at one dt, with one right-hand-side call per stage for all rows and one
 `detect_blowup` call per accepted step.  `integrate` is its one-row case:
 it wraps u0's half spectrum and builds SpectralFields only for the
 snapshots and the final state.  Row-wise FFTs and last-axis sums give
-each row of a stack the bits it would get alone.
+each row of a stack the bits it would get alone.  A step enters np.errstate
+at most three times: for the step rule's speed, around its four stages, whose
+bare right-hand-side calls set none of their own, and once for its record.
 
 A run ends in one of four states: Completed (reached t_end),
 BlowUpSuspected (a monitored quantity crossed its threshold, wave-breaking
@@ -42,7 +44,7 @@ from .models import (  # noqa: F401
     ModelCoefficients, tendency, tendency_direct, transport_field, validate,
 )
 from .spectral import (
-    SpectralField, _dx_sigma, _lambda_sigma, _sobolev_norm_rows, _to_grid, sup_norm,
+    SpectralField, _dx_sigma, _lambda_sigma, _sobolev_norm_of_power, _to_grid, sup_norm,
 )
 
 
@@ -136,16 +138,20 @@ def _monitor_rows(t: float, h: np.ndarray, s_exponent: float) -> list[Diagnostic
     """The record of a finite half spectrum, or of each row of a (B, n/2+1) stack,
     but sup|u|, which no blow-up test reads: nan until a sample.
 
-    Row-wise transforms, sums and maxima give each row the bits it gets alone.
+    Row-wise transforms, sums and maxima give each row the bits it gets alone;
+    |h|^2 serves both norms, under one errstate, as an overflowing state has
+    norms inf.
     """
     n = 2 * (h.shape[-1] - 1)
-    columns = (
-        h[..., 0].real,
-        _sobolev_norm_rows(h, n, 0.0),
-        _sobolev_norm_rows(h, n, s_exponent),
-        np.max(np.abs(_to_grid(h * _dx_sigma(n, 1), 4 * n)), axis=-1),
-        np.max(np.abs(h[..., math.ceil(n / 3):]), axis=-1),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = h.real ** 2 + h.imag ** 2
+        columns = (
+            h[..., 0].real,
+            _sobolev_norm_of_power(power, n, 0.0),
+            _sobolev_norm_of_power(power, n, s_exponent),
+            np.max(np.abs(_to_grid(h * _dx_sigma(n, 1), 4 * n)), axis=-1),
+            np.max(np.abs(h[..., math.ceil(n / 3):]), axis=-1),
+        )
     # a list, not a generator, under the star: unpacking a generator leaves a
     # resized tuple per call on the interpreter's free list, ~0.15 MB of peak RSS
     return [DiagnosticsRecord(t, *row, math.nan)

@@ -32,19 +32,24 @@ one stacked transform per padded grid: one irfft pads u and every
 derivative its products use, and one rfft truncates every sum of products
 (the powers in a(u) or P(u), the bracket of f(u)) formed on that grid.  A
 product is a (coefficient, derivative orders) term, so (beta2, (0, 3)) is
-beta2*u*u_xxx; zero coefficients are dropped before padding.  `tendency`
-is -d/dx of the truncated flux, with a Nyquist slot of 0;
-`tendency_direct` also returns 0 there, the convention of real Fourier
-derivatives, so the two forms agree in every slot.
+beta2*u*u_xxx; zero coefficients, and zero linear terms, are dropped.  The
+sums are straight-line numpy code built once per kernel: terms with the
+same derivative factors are Horner-factored in u, as in
+u^2*(c1 + c2*u) + u_x^2*(c3 + c4*u).  `tendency` is -d/dx of the
+truncated flux, with a Nyquist slot of 0; `tendency_direct` also returns 0
+there, the convention of real Fourier derivatives, so the two forms agree
+in every slot.
 
 A right-hand side is built once per (grid size, coefficients): a cached
 kernel checks the coefficients, lays out the term tables, the padded size,
 the derivative orders and the symbols, and returns a function from half
 spectrum to half spectrum.  `tendency`, `tendency_direct` and `flux` take
-a SpectralField or a bare rfft half spectrum and return the same kind; the
-stepper passes bare arrays, so no field is built inside a step.  A
-bare (B, n/2+1) stack of half spectra goes through the same kernel and
-the same two transforms, each row bit for bit as it would go alone.
+a SpectralField or a bare rfft half spectrum and return the same kind.  A
+field is a call at the API boundary and runs under its own np.errstate; a
+bare array is the stepper's, which builds no field inside a step and runs
+every stage under its one errstate.  A bare (B, n/2+1) stack of half
+spectra goes through the same kernel and the same two transforms, each
+row bit for bit as it would go alone.
 """
 
 from __future__ import annotations
@@ -280,42 +285,102 @@ def time_reversed(coeffs: ModelCoefficients) -> ModelCoefficients:
 # ---------------------------------------------------------------------------
 
 def _terms(*terms):
-    return [(c, orders) for c, orders in terms if c != 0.0]
+    return tuple((c, orders) for c, orders in terms if c != 0.0)
 
 
+def _product_source(table, coefficient) -> tuple[str, str, str]:
+    """(left, op, right) of one list's sum of products over the factors
+    d0 = u, d1 = u_x, ...; `coefficient(c)` names a coefficient.
+
+    Terms with the same derivative factors form one group, Horner-factored in
+    u, so u^2*(c1 + c2*u) + u_x^2*(c3 + c4*u) for four terms; a group of one
+    term keeps its own factor order, c*f1*f2..., the bits of a product taken
+    left to right.
+    """
+    groups: dict[tuple[int, ...], list] = {}
+    for c, orders in table:
+        groups.setdefault(tuple(k for k in orders if k), []).append((c, orders))
+    products = []
+    for derivatives, terms in groups.items():
+        if len(terms) == 1:
+            [(c, orders)] = terms
+            factors = [coefficient(c), *(f"d{k}" for k in orders)]
+            products.append((" * ".join(factors[:-1]), "*", factors[-1]))
+            continue
+        poly: dict[int, float] = {}
+        for c, orders in terms:
+            power = len(orders) - len(derivatives)
+            poly[power] = poly.get(power, 0.0) + c
+        low, names = min(poly), {p: coefficient(poly[p]) for p in sorted(poly)}
+        horner = names[max(poly)]
+        for p in range(max(poly) - 1, low - 1, -1):
+            horner = f"d0 * {horner}" if " " not in horner else f"d0 * ({horner})"
+            if p in names:
+                horner = f"{names[p]} + {horner}"
+        monomial = " * ".join(["d0"] * low + [f"d{k}" for k in derivatives])
+        products.append((monomial, "*", f"({horner})" if " + " in horner else horner))
+    if len(products) == 1:
+        return products[0]
+    *rest, (left, _, right) = products
+    return " + ".join(f"{a} * {b}" for a, _, b in rest), "+", f"{left} * {right}"
+
+
+def _product_kernel(orders, tables):
+    """(grid, out) -> None: each table's sum of products of the padded factors
+    grid[..., i, :] (derivative order orders[i]) written to out[..., j, :].
+
+    The sums are straight-line numpy code, built once per kernel; each one's
+    last operation writes into its row of out.
+    """
+    coefficients: list[float] = []
+
+    def coefficient(c: float) -> str:
+        coefficients.append(c)
+        return f"c{len(coefficients) - 1}"
+    lines = [f"    d{k} = grid[..., {i}, :]" for i, k in enumerate(orders)]
+    ufunc = {"*": "np.multiply", "+": "np.add"}
+    for j, table in enumerate(tables):
+        left, op, right = _product_source(table, coefficient)
+        lines.append(f"    {ufunc[op]}({left}, {right}, out=out[..., {j}, :])")
+    namespace = {"np": np, **{f"c{i}": c for i, c in enumerate(coefficients)}}
+    exec("def products(grid, out):\n" + "\n".join(lines), namespace)
+    return namespace["products"]
+
+
+@functools.lru_cache(maxsize=128)
 def _padded_sums(n: int, *term_lists):
-    """h -> the half spectrum on n points of each list's sum of products (0.0 if empty).
+    """h -> the half spectrum on n points of each list's sum of products: 0.0
+    for an empty list, or zeros shaped as h if every list is empty.
 
     One irfft pads h and every derivative the terms use, as a (..., k, n/2+1)
     stack: each row of the symbol is an order's `_dx_sigma` times m, with its
     Nyquist entry halved, as padding splits that mode between +-n/2, and
-    irfft's own zero padding fills the modes past n/2.  One rfft truncates
-    the stack of nonempty sums, folding the +-n/2 pair onto the Nyquist slot.
+    irfft's own zero padding fills the modes past n/2.  `_product_kernel`
+    writes the nonempty sums into one (..., k, m) array, and one rfft
+    truncates it, folding the +-n/2 pair onto the Nyquist slot.
     """
-    terms = [t for table in term_lists for t in table]
-    if not terms:
-        return lambda h: (0.0,) * len(term_lists)
-    m = _dealias_size(n, max(len(o) for _, o in terms))
-    orders = sorted(set().union(*(o for _, o in terms)))
-    half, row = n // 2, {k: i for i, k in enumerate(orders)}
+    tables = [table for table in term_lists if table]
+    if not tables:
+        return lambda h: (np.zeros_like(h),) * len(term_lists)
+    m = _dealias_size(n, max(len(o) for table in tables for _, o in table))
+    orders = sorted({k for table in tables for _, o in table for k in o})
+    half = n // 2
     symbols = np.array([_dx_sigma(n, k) for k in orders]) * m
     symbols[:, half] *= 0.5
-    tables = [[(c, tuple(row[k] for k in o)) for c, o in table] for table in term_lists]
+    products = _product_kernel(orders, tables)
+    shape = (len(tables), m)
     # row of each list's sum in the truncated stack, None for an empty list
-    slots = [sum(map(bool, tables[:j])) if table else None for j, table in enumerate(tables)]
+    slots = [sum(map(bool, term_lists[:j])) if table else None for j, table in enumerate(term_lists)]
 
     def sums(h):
         spec = h[..., None, :] * symbols
         spec[..., half].imag = 0.0  # the Nyquist coefficient is real
         grid = np.fft.irfft(spec, n=m)
-        factors = [grid[..., i, :] for i in range(len(orders))]
-        products = np.array([
-            sum(math.prod((factors[r] for r in rows), start=c) for c, rows in table)
-            for table in tables if table
-        ])
-        spec = np.fft.rfft(products)[..., :half + 1] / m
+        out = np.empty(h.shape[:-1] + shape)
+        products(grid, out)
+        spec = np.fft.rfft(out)[..., :half + 1] / m
         spec[..., half] = 2.0 * spec[..., half].real
-        return tuple(0.0 if j is None else spec[j] for j in slots)
+        return tuple(0.0 if j is None else spec[..., j, :] for j in slots)
     return sums
 
 
@@ -335,29 +400,34 @@ def _bracket(c: ModelCoefficients):
     )
 
 
-def _smoothed_bracket(n: int, c: ModelCoefficients):
-    """(h, truncated bracket sum) -> half spectrum of Lam^{-2} applied to the bracket of f(u)."""
-    linear, smoothing = c.alpha1 + c.alpha2 / c.mu, _lambda_sigma(n, -2.0, c.mu)
-    return lambda h, bracket: (linear * h + bracket) * smoothing
-
-
 @functools.lru_cache(maxsize=128)
 def _flux_kernel(n: int, c: ModelCoefficients):
-    """h -> half spectrum of Phi = P(u) - Lam^{-2}[semilinear bracket] on n points."""
+    """h -> half spectrum of Phi = P(u) - Lam^{-2}[semilinear bracket] on n points.
+
+    The linear terms alpha2/mu*u of P(u) and (alpha1 + alpha2/mu)*u of the
+    bracket are left out when they are zero, as in the stepper's nonlinear part.
+    """
     validate(c)
     powers = _terms((0.5 * c.beta2 / c.mu, (0, 0)), (c.gamma2 / (3.0 * c.mu), (0, 0, 0)))
-    sums, smoothed = _padded_sums(n, powers, _bracket(c)), _smoothed_bracket(n, c)
-    linear = c.alpha2 / c.mu
+    sums, smoothing = _padded_sums(n, powers, _bracket(c)), _lambda_sigma(n, -2.0, c.mu)
+    linear, bracket_linear = c.alpha2 / c.mu, c.alpha1 + c.alpha2 / c.mu
 
     def phi(h):
         t_p, t_b = sums(h)
-        return linear * h + t_p - smoothed(h, t_b)
+        if linear:
+            t_p = linear * h + t_p
+        if bracket_linear:
+            t_b = bracket_linear * h + t_b
+        return t_p - t_b * smoothing
     return phi
 
 
 @functools.lru_cache(maxsize=128)
 def _local_kernel(n: int, c: ModelCoefficients):
-    """h -> half spectrum of the smoothed local form on n points, 0 at the Nyquist slot."""
+    """h -> half spectrum of the smoothed local form on n points, 0 at the Nyquist slot.
+
+    The linear terms alpha1*u_x and alpha2*u_xxx are left out when they are zero.
+    """
     if c.mu < 0.0:
         raise InvalidMu(f"mu must be nonnegative, got {c.mu}")
     sums = _padded_sums(n, _terms(
@@ -365,7 +435,7 @@ def _local_kernel(n: int, c: ModelCoefficients):
         (c.gamma2, (0, 0, 3)), (c.gamma3, (1, 1, 1)), (c.alpha4, (0, 0, 1)),
         (c.alpha5, (0, 0, 0, 1)),
     ))
-    dx1, dx3 = _dx_sigma(n, 1), _dx_sigma(n, 3)
+    linear = [(a, _dx_sigma(n, k)) for a, k in ((c.alpha1, 1), (c.alpha2, 3)) if a]
     # Lam^{-2} (all ones when mu = 0), with 0 in the unpaired Nyquist mode as
     # the odd derivatives of `tendency` have there
     smoothing = _lambda_sigma(n, -2.0, c.mu).copy()
@@ -373,20 +443,27 @@ def _local_kernel(n: int, c: ModelCoefficients):
 
     def rhs(h):
         (products,) = sums(h)
-        return (c.alpha1 * (h * dx1) + c.alpha2 * (h * dx3) + products) * smoothing
+        if linear:
+            products = sum(a * (h * dx) for a, dx in linear) + products
+        return products * smoothing
     return rhs
 
 
-def _half_spectrum(u) -> tuple[np.ndarray, int]:
-    """(half spectrum, n) of a field, a bare rfft half spectrum or a stack of them."""
-    if isinstance(u, SpectralField):
-        return u.coef, u.grid.n_points
-    return u, 2 * (u.shape[-1] - 1)
+def _fields_at_the_boundary(rhs):
+    """A right-hand side of bare half spectra -> one that also takes a SpectralField.
 
-
-def _like(u, h: np.ndarray):
-    """h as a field on u's grid if u is a field, else h itself."""
-    return SpectralField(u.grid, h) if isinstance(u, SpectralField) else h
+    A field is a call at the API boundary: it runs under its own errstate,
+    since an overflow is the field constructor's to report.  A bare half
+    spectrum or (B, n/2+1) stack is the stepper's, which runs every stage
+    under one errstate; such a call gets none of its own.
+    """
+    @functools.wraps(rhs)
+    def either(u, coeffs: ModelCoefficients):
+        if isinstance(u, SpectralField):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return SpectralField(u.grid, rhs(u.coef, coeffs))
+        return rhs(u, coeffs)
+    return either
 
 
 def transport_field(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
@@ -405,11 +482,13 @@ def semilinear_term(u: SpectralField, coeffs: ModelCoefficients) -> SpectralFiel
     n = u.grid.n_points
     with np.errstate(over="ignore", invalid="ignore"):
         (bracket,) = _padded_sums(n, _bracket(coeffs))(u.coef)
-        smoothed = _smoothed_bracket(n, coeffs)(u.coef, bracket)
+        smoothed = ((coeffs.alpha1 + coeffs.alpha2 / coeffs.mu) * u.coef + bracket) \
+            * _lambda_sigma(n, -2.0, coeffs.mu)
         return SpectralField(u.grid, smoothed * _dx_sigma(n, 1))
 
 
-def tendency(u, coeffs: ModelCoefficients):
+@_fields_at_the_boundary
+def tendency(h, coeffs: ModelCoefficients):
     """du/dt of the nonlocal form: f(u) - a(u)*u_x = -d/dx of `flux`.
 
     Requires validated conservative coefficients with mu > 0.  The
@@ -418,13 +497,12 @@ def tendency(u, coeffs: ModelCoefficients):
     A SpectralField gives a SpectralField; a bare rfft half spectrum, as
     the stepper passes, gives a bare half spectrum and builds no field.
     """
-    h, n = _half_spectrum(u)
-    phi = _flux_kernel(n, coeffs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _like(u, -phi(h) * _dx_sigma(n, 1))
+    n = 2 * (h.shape[-1] - 1)
+    return -_flux_kernel(n, coeffs)(h) * _dx_sigma(n, 1)
 
 
-def tendency_direct(u, coeffs: ModelCoefficients):
+@_fields_at_the_boundary
+def tendency_direct(h, coeffs: ModelCoefficients):
     """du/dt from the local form, smoothed by (1 - mu*d^2/dx^2)^{-1}.
 
     Works for any coefficient set with mu >= 0 (mu = 0 skips the smoothing
@@ -437,20 +515,15 @@ def tendency_direct(u, coeffs: ModelCoefficients):
     products into it.  Takes and returns fields or bare half spectra, as
     `tendency` does.
     """
-    h, n = _half_spectrum(u)
-    rhs = _local_kernel(n, coeffs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _like(u, rhs(h))
+    return _local_kernel(2 * (h.shape[-1] - 1), coeffs)(h)
 
 
-def flux(u, coeffs: ModelCoefficients):
+@_fields_at_the_boundary
+def flux(h, coeffs: ModelCoefficients):
     """Flux Phi with tendency(u) = -d/dx Phi(u).
 
     Phi = P(u) - Lam^{-2}[semilinear bracket], where P is the exact
     u-antiderivative of a(u): P(u) = (alpha2*u + beta2*u^2/2 + gamma2*u^3/3)/mu.
     Takes and returns fields or bare half spectra, as `tendency` does.
     """
-    h, n = _half_spectrum(u)
-    phi = _flux_kernel(n, coeffs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _like(u, phi(h))
+    return _flux_kernel(2 * (h.shape[-1] - 1), coeffs)(h)

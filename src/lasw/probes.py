@@ -496,8 +496,8 @@ def dispersion_probe(
     the phase of its Fourier coefficient is tracked at 50 times over a
     short window; the fitted speed is compared with the analytic
     dispersion relation.
-    dt=None steps at about 0.05/k.  ETDRK4 integrates the linear part
-    exactly, so the phase error is round-off at any dt.
+    dt=None takes one step per record, window/50: ETDRK4 integrates the
+    linear part exactly, so the phase error is round-off at any dt.
     """
     if mode < 1:
         raise InvalidProbeInput("mode must be a positive integer")
@@ -512,8 +512,7 @@ def dispersion_probe(
 
     u0 = from_physical(amplitude * np.cos(k * grid.x), grid)
     record_dt = window / _DISPERSION_RECORDS
-    target = dt if dt is not None else 0.05 / k
-    steps_per_record = max(1, int(math.ceil(record_dt / target)))
+    steps_per_record = 1 if dt is None else max(1, math.ceil(record_dt / dt))
     dt = record_dt / steps_per_record
     sample_ts = [record_dt * (j + 1) for j in range(_DISPERSION_RECORDS)]
     [snapshots] = _solve_sampled([u0], coeffs, window, dt, sample_ts)

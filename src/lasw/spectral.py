@@ -359,17 +359,18 @@ def sobolev_norm(field: SpectralField, s: float) -> float:
     The sum runs over all modes -n/2 <= n < n/2; each stored mode
     0 < k < n/2 stands for itself and its conjugate -k.
     """
-    return float(_sobolev_norm_rows(field.coef, field.grid.n_points, s))
-
-
-def _sobolev_norm_rows(h: np.ndarray, n: int, s: float) -> np.ndarray:
-    """`sobolev_norm` of a half spectrum, or of each row of a (B, n/2+1) stack."""
-    weight, overflows = _sobolev_weight(n, float(s))
+    h = field.coef
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing field has norm inf
-        power = h.real ** 2 + h.imag ** 2
-        if overflows:  # an inf weight on a zero mode adds 0, not nan
-            return np.sqrt((weight * power).sum(-1, where=power > 0.0))
-        return np.sqrt((weight * power).sum(-1))
+        return float(_sobolev_norm_of_power(h.real ** 2 + h.imag ** 2, field.grid.n_points, s))
+
+
+def _sobolev_norm_of_power(power: np.ndarray, n: int, s: float) -> np.ndarray:
+    """`sobolev_norm` from the |h|^2 of a half spectrum, or of each row of a
+    (B, n/2+1) stack, under the caller's errstate."""
+    weight, overflows = _sobolev_weight(n, float(s))
+    if overflows:  # an inf weight on a zero mode adds 0, not nan
+        return np.sqrt((weight * power).sum(-1, where=power > 0.0))
+    return np.sqrt((weight * power).sum(-1))
 
 
 def l2_norm(field: SpectralField) -> float:

@@ -1,6 +1,7 @@
 """Time integration: stepping, diagnostics, detection, conservation."""
 
 import math
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lasw import evolve
+from lasw import models
 from lasw.errors import GammaRelationViolated, InvalidControls, InvalidField, InvalidMu
 from lasw.evolve import (
     BlowupThresholds,
@@ -120,6 +122,41 @@ class TestStepRK4:
         state = SimulationState(0.0, huge, 0.0)
         out = step_rk4(state, preset_normalized(), 0.1)
         assert out.status is RunStatus.NONFINITE
+
+
+class TestErrstate:
+    """One errstate per step covers its stages; a field call has its own at the boundary."""
+
+    # finite norms and samples, but u^3 overflows in the first stage
+    HUGE = 1e110
+    NO_THRESHOLDS = BlowupThresholds(math.inf, math.inf, math.inf)
+
+    def huge(self):
+        g = Grid(32)
+        return from_physical(self.HUGE * (1.0 + np.cos(TWO_PI * g.x)), g)
+
+    @pytest.mark.parametrize("name", ["normalized", "kdv"])
+    def test_an_overflowing_step_ends_nonfinite_without_a_warning(self, name):
+        c = preset_normalized() if name == "normalized" else KDV
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = integrate(self.huge(), c, 0.1,
+                            IntegrationControls(dt=0.01, thresholds=self.NO_THRESHOLDS))
+        assert res.state.status is RunStatus.NONFINITE and res.state.t == 0.0
+
+    @pytest.mark.parametrize("form", [models.tendency, models.tendency_direct, models.flux])
+    def test_a_field_call_warns_nowhere(self, form):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidField, match="non-finite"):
+                form(self.huge(), preset_normalized())
+
+    def test_a_bare_call_takes_its_callers_errstate(self):
+        h = self.huge().coef
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            tendency(h, preset_normalized())
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(tendency(h, preset_normalized())))
 
 
 KDV = preset_survey("kdv", RegimeParameters(eps=0.5, delta=0.5))
@@ -285,6 +322,18 @@ class TestNonlocalETDRK4:
         misses = evolve._etd_weights.cache_info().misses
         integrate(u0, c, 0.25, controls)
         assert evolve._etd_weights.cache_info().misses == misses
+
+    @pytest.mark.parametrize("name, t_end", [("large_amplitude", 0.25), ("kdv", 5e-4)])
+    def test_a_second_identical_run_builds_no_kernel(self, name, t_end):
+        # kernels and their product evaluators are built once per (n, coefficients)
+        c = MU_PRESETS.get(name, KDV)
+        u0 = random_trig_polynomial(Grid(64 if c is KDV else 128), 1, 10, 2.0)
+        controls = IntegrationControls(sample_interval=t_end / 2)
+        caches = (models._flux_kernel, models._local_kernel, models._padded_sums)
+        integrate(u0, c, t_end, controls)
+        misses = [cache.cache_info().misses for cache in caches]
+        integrate(u0, c, t_end, controls)
+        assert [cache.cache_info().misses for cache in caches] == misses
 
 
 class TestStackedSolve:

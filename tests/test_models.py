@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lasw import evolve
+from lasw import evolve, models
 from lasw.errors import GammaRelationViolated, InvalidMu, InvalidRegime
 from lasw.evolve import IntegrationControls, integrate
 from lasw.models import (
@@ -25,6 +25,8 @@ from lasw.models import (
 from lasw.spectral import (
     Grid,
     SpectralField,
+    _dealias_size,
+    _dx_sigma,
     constant,
     dealiased_product,
     derivative,
@@ -481,3 +483,119 @@ class TestArrayForm:
                 ref = tendency_direct(u, c)
                 residual = (ref + derivative(flux(u, c), 1)).coef
                 assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(ref.coef))
+
+
+def reference_padded_sums(n, *term_lists):
+    """`models._padded_sums` as a walk over the term tables: each sum of
+    products is sum(math.prod(factors, start=c)), one term at a time."""
+    terms = [t for table in term_lists for t in table]
+    if not terms:
+        return lambda h: (np.zeros_like(h),) * len(term_lists)
+    m = _dealias_size(n, max(len(o) for _, o in terms))
+    orders = sorted(set().union(*(o for _, o in terms)))
+    half, row = n // 2, {k: i for i, k in enumerate(orders)}
+    symbols = np.array([_dx_sigma(n, k) for k in orders]) * m
+    symbols[:, half] *= 0.5
+
+    def sums(h):
+        spec = h[..., None, :] * symbols
+        spec[..., half].imag = 0.0
+        grid = np.fft.irfft(spec, n=m)
+        out = []
+        for table in term_lists:
+            if not table:
+                out.append(0.0)
+                continue
+            products = sum(math.prod((grid[..., row[k], :] for k in o), start=c) for c, o in table)
+            spec = np.fft.rfft(products)[..., :half + 1] / m
+            spec[..., half] = 2.0 * spec[..., half].real
+            out.append(spec)
+        return tuple(out)
+    return sums
+
+
+class TestStraightLineProducts:
+    """The Horner-factored product kernels against the term-table walk they replace."""
+
+    FORMS = {"tendency": tendency, "tendency_direct": tendency_direct, "flux": flux,
+             "transport_field": transport_field, "semilinear_term": semilinear_term}
+
+    @staticmethod
+    def clear_kernels():
+        for cached in (models._flux_kernel, models._local_kernel, models._padded_sums):
+            cached.cache_clear()
+
+    def outputs(self, c, u):
+        return {name: form(u, c).coef for name, form in self.FORMS.items()
+                if c.mu > 0.0 or name == "tendency_direct"}
+
+    @staticmethod
+    def fields(n):
+        return [full_band(Grid(n), seed) for seed in range(3)] + \
+            [random_trig_polynomial(Grid(n), seed, 10, 2.0) for seed in range(3)]
+
+    @staticmethod
+    def coefficients(name, linear):
+        # "dropped" is the stepper's nonlinear part, alpha1 = alpha2 = 0
+        c = ALL_PRESETS[name]
+        return evolve._nonlinear_part(c) if linear == "dropped" else c
+
+    @pytest.mark.parametrize("linear", ["kept", "dropped"])
+    @pytest.mark.parametrize("name", sorted(ALL_PRESETS))
+    def test_every_sum_matches_the_term_table_walk(self, monkeypatch, name, linear):
+        # every list of terms any form's kernel pads, se's quartic one included
+        c, built, real = self.coefficients(name, linear), [], models._padded_sums
+
+        def spy(n, *term_lists):
+            built.append((n, term_lists))
+            return real(n, *term_lists)
+        self.clear_kernels()
+        try:
+            monkeypatch.setattr(models, "_padded_sums", spy)
+            for n in (32, 128):
+                self.outputs(c, full_band(Grid(n), 0))
+        finally:
+            monkeypatch.undo()
+            self.clear_kernels()
+        assert built
+        for n, term_lists in built:
+            for u in self.fields(n):
+                got = models._padded_sums(n, *term_lists)(u.coef)
+                want = reference_padded_sums(n, *term_lists)(u.coef)
+                for g, w in zip(got, want):
+                    assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w)), term_lists
+
+    @pytest.mark.parametrize("linear", ["kept", "dropped"])
+    @pytest.mark.parametrize("name", sorted(ALL_PRESETS))
+    def test_every_form_matches_the_term_table_walk(self, monkeypatch, name, linear):
+        # each form's deviation is its sums' (<= 1e-15 of the largest, above)
+        # carried through its output symbol: tendency is -d/dx of flux, and
+        # tendency_direct is Lam^{-2} of the local form's sum
+        c = self.coefficients(name, linear)
+        fields = [u for n in (32, 128) for u in self.fields(n)]
+        got = [self.outputs(c, u) for u in fields]
+        self.clear_kernels()
+        try:
+            monkeypatch.setattr(models, "_padded_sums", reference_padded_sums)
+            want = [self.outputs(c, u) for u in fields]
+        finally:
+            monkeypatch.undo()
+            self.clear_kernels()
+        for u, g, w in zip(fields, got, want):
+            xi = TWO_PI * np.arange(u.grid.n_points // 2 + 1)
+            scale = {"tendency_direct": np.max(np.abs(w["tendency_direct"] * (1.0 + c.mu * xi ** 2)))}
+            if c.mu > 0.0:
+                scale["tendency"] = np.max(np.abs(w["flux"])) * xi
+            for form, ref in w.items():
+                bound = 1e-15 * scale.get(form, np.max(np.abs(ref)))
+                assert np.all(np.abs(g[form] - ref) <= bound), form
+
+    @pytest.mark.parametrize("name", sorted(ALL_PRESETS))
+    def test_each_row_of_a_stack_is_the_row_alone(self, name):
+        c = ALL_PRESETS[name]
+        for n in (32, 128):
+            h = np.stack([full_band(Grid(n), seed).coef for seed in range(3)])
+            for form in forms_of(c):
+                out = form(h, c)
+                for row in range(3):
+                    assert out[row].tobytes() == form(h[row], c).tobytes(), form.__name__

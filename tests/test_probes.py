@@ -349,6 +349,13 @@ class TestDispersion:
         for dt in (0.01, 0.005, 0.0025):
             assert dispersion_probe(1, 1.0, 0.1, 1e-8, dt=dt).details["rel_error"] <= 1e-14
 
+    @pytest.mark.parametrize("mode", [1, 4, 10])
+    def test_default_step_is_one_per_record(self, mode):
+        # ETDRK4 is exact on the linear part, so one step per record is enough
+        report = dispersion_probe(mode, 1.0, 0.1, 1e-8, n_points=64)
+        assert report.details["dt"] == 0.5 / 50
+        assert report.details["rel_error"] <= 1e-14
+
 
 class TestMollifiedData:
     def test_smooth_data_tiny_differences(self):
