@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 import time
+from dataclasses import asdict
 
 import click
 
@@ -93,7 +94,7 @@ def converge_command(spec: dict, quiet: bool = False) -> int:
 def _report_command(fn, kwargs: dict, out_dir: str, quiet: bool) -> int:
     out = resolve_out_dir(out_dir)
     report = fn(**kwargs)
-    write_json(out / "report.json", report.to_dict())
+    write_json(out / "report.json", asdict(report))
     if not quiet:
         verdict = "pass" if report.passed else "FAIL"
         if report.name == "convergence":

@@ -16,16 +16,18 @@ blow-up check, and samples reuse that record.
 There is one step loop, `_solve`.  It steps a bare half spectrum, or a
 (B, n/2+1) stack of them when a probe solves several fields on one grid
 at one dt, with one right-hand-side call per stage for all rows and one
-`detect_blowup` call per accepted step.  `integrate` is its one-row case:
-it wraps u0's half spectrum and builds SpectralFields only for the
-snapshots and the final state.  Row-wise FFTs and last-axis sums give
-each row of a stack the bits it would get alone.  A step enters np.errstate
-at most three times: for the step rule's speed, around its four stages, whose
+`detect_blowup` call per accepted step, and ends at the first state in
+which a row stops.  `integrate` is its one-row case: it wraps u0's half
+spectrum and builds SpectralFields only for the snapshots and the final
+state.  Row-wise FFTs and last-axis sums give each row of a stack the
+bits it gets alone, so a probe names the first field to stop by
+re-solving the fields one by one.  A step enters np.errstate at most
+three times: for the step rule's speed, around its four stages, whose
 bare right-hand-side calls set none of their own, and once for its record.
 
 A run ends in one of four states: Completed (reached t_end),
 BlowUpSuspected (a monitored quantity crossed its threshold, wave-breaking
-style), NonFinite (overflow/NaN during a step), or it is still Running.
+style), NonFinite (overflow/NaN in a step, sup|u_x| or l2), or still Running.
 """
 
 from __future__ import annotations
@@ -192,17 +194,12 @@ def detect_blowup(
     return decisions if bare else decisions[0]
 
 
-def _initial_verdict(r: DiagnosticsRecord, thresholds: BlowupThresholds) -> BlowupDecision:
-    """The verdict on u0's record: NonFinite if its l2 norm overflows, else `_classify`'s."""
-    if not math.isfinite(r.l2):
-        return BlowupDecision(RunStatus.NONFINITE, t=r.t, record=r)
-    return _classify(r, thresholds)
-
-
 def _classify(r: DiagnosticsRecord, thresholds: BlowupThresholds) -> BlowupDecision:
-    """The verdict on one `_monitor_rows` record: NonFinite first, then each threshold in turn."""
+    """The verdict on one `_monitor_rows` record, u0's too: NonFinite first, then each threshold."""
     if not math.isfinite(r.sup_ux):
         return BlowupDecision(RunStatus.NONFINITE, trigger="sup_ux", t=r.t, record=r)
+    if not math.isfinite(r.l2):
+        return BlowupDecision(RunStatus.NONFINITE, t=r.t, record=r)
     if r.sup_ux > thresholds.sup_ux_max:
         return BlowupDecision(RunStatus.BLOWUP_SUSPECTED, "sup_ux", r.sup_ux, r.t, r)
     if r.hs > thresholds.hs_max:
@@ -234,15 +231,8 @@ def _rk4(h: np.ndarray, rhs: Callable, dt: float) -> np.ndarray | None:
 
 
 def _finite_rows(h: np.ndarray) -> np.ndarray | None:
-    """h if it is finite.  Else None for one half spectrum; for a stack, its
-    rows before the first row that is not finite, or None if that is row 0."""
-    if h.ndim == 1:
-        return h if np.all(np.isfinite(h)) else None
-    finite = np.all(np.isfinite(h), axis=-1)
-    if finite.all():
-        return h
-    first = int(np.argmin(finite))
-    return h[:first] if first else None
+    """h, one half spectrum or a stack of them, if every entry is finite; else None."""
+    return h if np.all(np.isfinite(h)) else None
 
 
 def _linear_symbol(n: int, coeffs: ModelCoefficients) -> np.ndarray:
@@ -416,17 +406,17 @@ def _event_times(t_end: float, sample_interval: float, snapshot_times) -> list[t
 
 def _check_run(coeffs: ModelCoefficients, t_end: float, controls: IntegrationControls) -> None:
     """Raise InvalidControls, then InvalidMu or GammaRelationViolated, for a run
-    `integrate` cannot start."""
-    if t_end <= _LANDING_TOL:
+    `integrate` cannot start.  Each test is written so that nan fails it."""
+    if not (math.isfinite(t_end) and t_end > _LANDING_TOL):
         raise InvalidControls(
-            f"t_end must exceed the landing tolerance {_LANDING_TOL}, got {t_end}"
+            f"t_end must exceed the landing tolerance {_LANDING_TOL} and be finite, got {t_end}"
         )
-    if controls.cfl <= 0.0:
+    if not controls.cfl > 0.0:
         raise InvalidControls(f"cfl must be positive, got {controls.cfl}")
-    if controls.sample_interval <= 0.0:
-        raise InvalidControls("sample_interval must be positive")
-    if controls.dt is not None and controls.dt <= 0.0:
-        raise InvalidControls("fixed dt must be positive")
+    if not controls.sample_interval > 0.0:
+        raise InvalidControls(f"sample_interval must be positive, got {controls.sample_interval}")
+    if controls.dt is not None and not controls.dt > 0.0:
+        raise InvalidControls(f"fixed dt must be positive, got {controls.dt}")
     for ts in controls.snapshot_times:
         if not 0.0 <= ts <= t_end:
             raise InvalidControls(f"snapshot time {ts} outside [0, {t_end}]")
@@ -439,25 +429,15 @@ def _check_run(coeffs: ModelCoefficients, t_end: float, controls: IntegrationCon
 @dataclass(frozen=True)
 class _Solve:
     """The last state `_solve` reached and the last step it tried; per sample,
-    the record of each row still running; the (time, h) snapshots; and the
-    first row, in row order, that stopped, with its decision (None if none did)."""
+    the record of each row; the (time, h) snapshots; and the decision that
+    stopped the loop, None if it reached t_end.  A stop record's sup|u| is nan."""
 
     t: float
     h: np.ndarray
     dt: float
     records: list[list[DiagnosticsRecord]]
     snapshots: list[tuple[float, np.ndarray]]
-    stop: tuple[int, BlowupDecision] | None
-
-
-def _first_stop(decisions: list[BlowupDecision], h: np.ndarray) -> tuple[int, BlowupDecision] | None:
-    """The first row of h whose decision is not Running, with that decision, its
-    record's sup|u| filled in; None if every row runs on."""
-    for row, decision in enumerate(decisions):
-        if decision.status is not RunStatus.RUNNING:
-            [record] = _with_sup_u([decision.record], h[row] if h.ndim == 2 else h)
-            return row, replace(decision, record=record)
-    return None
+    stop: BlowupDecision | None
 
 
 def _solve(
@@ -473,29 +453,24 @@ def _solve(
     right-hand-side call for all of them, and `detect_blowup` classifies
     each accepted stack in one call, after its mean and Nyquist slots are
     made exactly real, as a SpectralField makes them.  The step is
-    controls.dt or `_stable_dt` of the stack.  When row j stops, rows j and
-    up are dropped and the rest step on, since only an earlier row can
-    still stop first, and the snapshots are incomplete.  The loop ends when
-    row 0 stops.
+    controls.dt or `_stable_dt` of the stack.  The loop ends at the first
+    state in which a row stops, u0's included, with the decision of the
+    first such row, or NonFinite at the last finite state when a step
+    overflows.
     """
     _check_run(coeffs, t_end, controls)
     step = _stepper(coeffs)
     t, h, dt_last = 0.0, h0, 0.0
     records: list[list[DiagnosticsRecord]] = []
     snapshots: list[tuple[float, np.ndarray]] = []
-    stop: tuple[int, BlowupDecision] | None = None
-    decisions = [_initial_verdict(r, controls.thresholds)
-                 for r in _monitor_rows(t, h, controls.s_exponent)]
+    decisions = [_classify(r, controls.thresholds) for r in _monitor_rows(t, h, controls.s_exponent)]
     steps = 0
 
     for ev, is_sample, is_snap in _event_times(t_end, controls.sample_interval, controls.snapshot_times):
         while True:
-            stopped = _first_stop(decisions, h)
-            if stopped is not None:
-                stop = stopped
-                if stop[0] == 0:
-                    return _Solve(t, h, dt_last, records, snapshots, stop)
-                h, decisions = h[:stop[0]], decisions[:stop[0]]
+            stop = next((d for d in decisions if d.status is not RunStatus.RUNNING), None)
+            if stop is not None:
+                return _Solve(t, h, dt_last, records, snapshots, stop)
             if t >= ev - _LANDING_TOL:
                 break
             steps += 1
@@ -508,10 +483,8 @@ def _solve(
                                       f"over the step budget {_MAX_STEPS}")
             dt_last = min(dt, ev - t)
             nxt = step(h, dt_last)
-            if nxt is None or len(nxt) < len(h):
-                stop = (0 if nxt is None else len(nxt), BlowupDecision(RunStatus.NONFINITE, t=t))
-                if nxt is None:
-                    return _Solve(t, h, dt_last, records, snapshots, stop)
+            if nxt is None:
+                return _Solve(t, h, dt_last, records, snapshots, BlowupDecision(RunStatus.NONFINITE, t=t))
             t = ev if ev - (t + dt_last) < _LANDING_TOL else t + dt_last
             nxt[..., 0] = nxt[..., 0].real
             nxt[..., -1] = nxt[..., -1].real
@@ -524,7 +497,7 @@ def _solve(
             records.append([replace(r, t=ev) for r in latest])  # an event no step reaches keeps its time
         if is_snap:
             snapshots.append((ev, h))
-    return _Solve(t, h, dt_last, records, snapshots, stop)
+    return _Solve(t, h, dt_last, records, snapshots, None)
 
 
 def integrate(
@@ -535,9 +508,10 @@ def integrate(
 ) -> IntegrationResult:
     """Evolve u0 to t_end with diagnostics at t = 0 and every sample time.
 
-    u0 is classified before the first step: a u0 whose l2 norm overflows
-    ends the run NonFinite at t = 0, and one past a blow-up threshold ends
-    it BlowUpSuspected there, each with its one diagnostics row.
+    u0 is classified before the first step, as every later state is: a u0
+    whose sup|u_x| or l2 norm overflows ends the run NonFinite at t = 0, and
+    one past a blow-up threshold ends it BlowUpSuspected there, each with
+    its one diagnostics row.
 
     Every model steps with ETDRK4 (`_stepper`), at controls.dt or at
     `_stable_dt`'s step for the cfl: cfl times the dispersive step, halved
@@ -549,13 +523,13 @@ def integrate(
     run = _solve(u0.coef, coeffs, t_end, controls)
     records = [rows[0] for rows in run.records]
     status, blowup = RunStatus.RUNNING, None
-    if run.stop is not None:
-        _, decision = run.stop
-        status = decision.status
-        if decision.record is not None:  # a step that overflows leaves no record
-            records.append(decision.record)
+    if (stop := run.stop) is not None:
+        status = stop.status
+        if stop.record is not None:  # a step that overflows leaves no record
+            stop = replace(stop, record=_with_sup_u([stop.record], run.h)[0])
+            records.append(stop.record)
         if status is RunStatus.BLOWUP_SUSPECTED:
-            blowup = decision
+            blowup = stop
     elif run.t >= t_end - _LANDING_TOL:
         status = RunStatus.COMPLETED
     state = SimulationState(run.t, SpectralField(u0.grid, run.h), run.dt, status)

@@ -18,7 +18,9 @@ predicts, on concrete sampled inputs:
 
 The solution-map probes (continuous dependence, mollified data,
 dispersion, convergence) solve through `_solve_sampled`, which steps all
-the fields of one call, on one grid at one dt, as one stack.
+the fields of one call, on one grid at one dt, as one stack, and only if
+the stack stops re-solves them one at a time, to name the first whose own
+run stops.
 
 The estimate constants are never known, so the ratio probes assert
 boundedness and stability under grid refinement rather than specific
@@ -93,18 +95,6 @@ class ProbeReport:
     median_value: float
     passed: bool
     details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "values": list(self.values),
-            "max_value": self.max_value,
-            "median_value": self.median_value,
-            "passed": self.passed,
-            "details": self.details,
-        }
 
 
 def _summarize(name, seed, values, passed, details) -> ProbeReport:
@@ -203,10 +193,11 @@ def semigroup_probe(
     """
     if a.grid != w0.grid:
         raise GridMismatch("a and w0 must share a grid")
-    if t_end <= _LANDING_TOL:
+    if not t_end > _LANDING_TOL:
         raise InvalidProbeInput(
             f"t_end must exceed the landing tolerance {_LANDING_TOL}, got {t_end}"
         )
+    _check_cfl(cfl)
     grid = a.grid
     n = grid.n_points
     omega = 0.5 * sup_norm_dx(a)
@@ -370,14 +361,20 @@ def product_probe(
 # solution-map experiments
 # ---------------------------------------------------------------------------
 
+def _check_cfl(cfl: float) -> None:
+    if not cfl > 0.0:
+        raise InvalidProbeInput(f"cfl must be positive, got {cfl}")
+
+
 def _solve_sampled(fields, coeffs, t_end, dt, sample_ts):
     """The states at sample_ts of each field, as `integrate` at the fixed step dt
     gives them; the fields share one grid and step as one stack.
 
     Raises InvalidProbeInput for t_end <= 0 or within the landing
     tolerance; ProbeUnresolved if sample times merge; and ProbeUnresolved
-    for the first field, in input order, whose run does not complete, with
-    its status and time.
+    for the first field, in input order, whose own run does not complete,
+    with its status and time, found by re-solving the fields one at a time
+    once the stack stops: at a fixed dt each row is bit for bit its own run.
     """
     if not t_end > 0.0:
         raise InvalidProbeInput(f"t_end must be positive, got {t_end}")
@@ -399,8 +396,9 @@ def _solve_sampled(fields, coeffs, t_end, dt, sample_ts):
     grid = fields[0].grid
     run = _solve(np.stack([u.coef for u in fields]), coeffs, t_end, controls)
     if run.stop is not None:
-        _, decision = run.stop
-        raise ProbeUnresolved(f"run ended with status {decision.status.value} at t={decision.t:.6g}")
+        own = (_solve(u.coef, coeffs, t_end, controls).stop for u in fields)
+        stop = next((s for s in own if s is not None), run.stop)
+        raise ProbeUnresolved(f"run ended with status {stop.status.value} at t={stop.t:.6g}")
     return [[SpectralField(grid, h[row]) for _, h in run.snapshots] for row in range(len(fields))]
 
 
@@ -430,6 +428,7 @@ def continuous_dependence_experiment(
         raise InvalidProbeInput("perturbation sizes must be nonnegative")
     if any(b > a for a, b in zip(etas, etas[1:])):
         raise InvalidProbeInput("perturbation sizes must be non-increasing")
+    _check_cfl(cfl)
     grid = u0.grid
     phi = random_trig_polynomial(
         grid, seed, min(10, grid.n_points // 2 - 1), max(s_exp + 0.51, 0.0)
@@ -560,6 +559,7 @@ def mollified_data_experiment(
         raise InvalidProbeInput(
             f"n_sequence must contain integers from 1 to {_MOLLIFY_INDEX_MAX}"
         )
+    _check_cfl(cfl)
     fields = [mollify(u0_rough, n) for n in ns]
     if dt is None:
         dt = _stable_dt(np.stack([f.coef for f in fields]), coeffs, cfl)

@@ -1,5 +1,6 @@
 """Time integration: stepping, diagnostics, detection, conservation."""
 
+import functools
 import math
 import warnings
 from dataclasses import astuple, replace
@@ -10,7 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from lasw import evolve
 from lasw import models
-from lasw.errors import GammaRelationViolated, InvalidControls, InvalidField, InvalidMu
+from lasw import probes
+from lasw.errors import (
+    GammaRelationViolated, InvalidControls, InvalidField, InvalidMu, ProbeUnresolved,
+)
 from lasw.evolve import (
     BlowupThresholds,
     IntegrationControls,
@@ -349,7 +353,7 @@ class TestStackedSolve:
 
     @staticmethod
     def expected(fields, c, t_end, controls):
-        """Each field's own run, and the first run that does not complete."""
+        """Each field's own run, and the first run, in input order, that does not complete."""
         runs = [integrate(u, c, t_end, controls) for u in fields]
         stop = next(
             ((i, r.state.status, r.state.t) for i, r in enumerate(runs)
@@ -360,10 +364,9 @@ class TestStackedSolve:
 
     @staticmethod
     def solve(fields, c, t_end, controls):
-        """The snapshot stacks of one stacked solve, and its stop as (row, status, t)."""
+        """The snapshot stacks of one stacked solve, and its stop as (status, t)."""
         run = evolve._solve(np.stack([u.coef for u in fields]), c, t_end, controls)
-        stop = run.stop and (run.stop[0], run.stop[1].status, run.stop[1].t)
-        return [h for _, h in run.snapshots], stop
+        return [h for _, h in run.snapshots], run.stop and (run.stop.status, run.stop.t)
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -386,23 +389,39 @@ class TestStackedSolve:
         ((0.3, "huge", 0.1), (0, RunStatus.BLOWUP_SUSPECTED)),
         (("huge", 0.3), (0, RunStatus.NONFINITE)),
         ((0.1, 0.15), None),
+        ((0.1, 0.4, "huge"), (1, RunStatus.BLOWUP_SUSPECTED)),
+        ((0.4, 0.3), (0, RunStatus.BLOWUP_SUSPECTED)),
     ], ids=["later-row-earlier", "nonfinite-row", "nonfinite-then-earlier-row",
-            "nonfinite-first", "none"])
-    def test_first_failure_in_row_order(self, rows, first):
+            "nonfinite-first", "none", "threshold-then-nonfinite-at-t0", "first-row-at-t0"])
+    def test_first_failure_in_row_order(self, rows, first, monkeypatch):
+        # the stack stops at the first state in which a row stops, with the
+        # first such row's decision; the probe names the first field, in
+        # input order, whose own run stops
         g = Grid(64)
         huge = constant(g, 1e160) + cosine(g, 1e160)
         fields = [huge if a == "huge" else cosine(g, a) for a in rows]
         c = preset_normalized()
+        thresholds = BlowupThresholds(sup_ux_max=2.0)
         controls = IntegrationControls(
-            dt=1e-3, sample_interval=0.1, snapshot_times=(0.05, 0.1),
-            thresholds=BlowupThresholds(sup_ux_max=2.0),
+            dt=1e-3, sample_interval=0.1, snapshot_times=(0.05, 0.1), thresholds=thresholds,
         )
         runs, stop = self.expected(fields, c, 0.1, controls)
         assert (stop and stop[:2]) == first
+        earliest = min(((r.state.t, i) for i, r in enumerate(runs)
+                        if r.state.status is not RunStatus.COMPLETED), default=None)
         _, got = self.solve(fields, c, 0.1, controls)
-        assert got == stop
+        assert got == (earliest and (runs[earliest[1]].state.status, earliest[0]))
         if rows[:2] == (0.3, 0.4):
             assert runs[1].state.t < runs[0].state.t
+
+        monkeypatch.setattr(probes, "IntegrationControls",
+                            functools.partial(IntegrationControls, thresholds=thresholds))
+        if stop is None:
+            probes._solve_sampled(fields, c, 0.1, 1e-3, [0.05, 0.1])
+        else:
+            with pytest.raises(ProbeUnresolved) as err:
+                probes._solve_sampled(fields, c, 0.1, 1e-3, [0.05, 0.1])
+            assert str(err.value) == f"run ended with status {stop[1].value} at t={stop[2]:.6g}"
 
     def test_rows_past_a_threshold_at_t0_stop_there(self):
         # u0 is classified before the first step, row by row as integrate classifies it
@@ -415,11 +434,14 @@ class TestStackedSolve:
         assert [(r.state.status, r.state.t, len(r.records)) for r in runs[1:]] == [
             (RunStatus.BLOWUP_SUSPECTED, 0.0, 1), (RunStatus.NONFINITE, 0.0, 1)]
         assert runs[1].blowup.trigger == "sup_ux" and runs[2].blowup is None
-        for first in (1, 2):
-            _, got = self.solve(fields[:first + 1], c, 0.1, controls)
-            assert got == (1, RunStatus.BLOWUP_SUSPECTED, 0.0)
-        _, got = self.solve([fields[0], fields[2]], c, 0.1, controls)
-        assert got == (1, RunStatus.NONFINITE, 0.0)
+        # a stack stops before its first step, with its first stopping row's decision
+        for rows, status, trigger in (((0, 1), RunStatus.BLOWUP_SUSPECTED, "sup_ux"),
+                                      ((0, 1, 2), RunStatus.BLOWUP_SUSPECTED, "sup_ux"),
+                                      ((0, 2), RunStatus.NONFINITE, None),
+                                      ((2, 1), RunStatus.NONFINITE, None)):
+            run = evolve._solve(np.stack([fields[i].coef for i in rows]), c, 0.1, controls)
+            assert (run.t, run.records, run.stop.status, run.stop.t, run.stop.trigger) == (
+                0.0, [], status, 0.0, trigger)
 
     @pytest.mark.parametrize("s_exponent", [0.0, 2.0, 100.0])
     def test_row_records_equal_monitor(self, s_exponent):
@@ -528,6 +550,19 @@ class TestIntegrate:
             integrate(u0, preset_normalized(), 1.0, IntegrationControls(cfl=0.0))
         with pytest.raises(InvalidControls):
             integrate(u0, preset_normalized(), 1.0, IntegrationControls(snapshot_times=(2.0,)))
+
+    @pytest.mark.parametrize("t_end, controls", [
+        (math.inf, IntegrationControls()),
+        (math.nan, IntegrationControls()),
+        (0.1, IntegrationControls(cfl=math.nan)),
+        (0.1, IntegrationControls(dt=math.nan)),
+        (0.1, IntegrationControls(sample_interval=math.nan)),
+    ], ids=["t_end-inf", "t_end-nan", "cfl-nan", "dt-nan", "sample_interval-nan"])
+    def test_non_finite_controls_rejected(self, t_end, controls, monkeypatch, no_hang):
+        # checked before the event times, which an infinite t_end never finishes
+        monkeypatch.setattr(evolve, "_event_times", None)
+        with pytest.raises(InvalidControls):
+            integrate(cosine(Grid(32), 0.01), preset_normalized(), t_end, controls)
 
     @pytest.mark.parametrize("t_end", [1e-13, 1e-14, 1e-16])
     def test_t_end_within_landing_tolerance_rejected(self, t_end):
@@ -641,6 +676,13 @@ class TestDetection:
         assert replace(decision.record, sup_u=expected.sup_u) == expected
         if trigger is not None:
             assert decision.value == getattr(decision.record, trigger.replace("spectral_", ""))
+
+    def test_an_overflowing_l2_is_nonfinite_in_every_state(self):
+        # u0's verdict and every later state's are one function
+        r = evolve.DiagnosticsRecord(0.5, 0.0, math.inf, math.inf, 1.0, 0.0, math.nan)
+        decision = evolve._classify(r, BlowupThresholds())
+        assert (decision.status, decision.trigger, decision.t) == (RunStatus.NONFINITE, None, 0.5)
+        assert decision.record is r
 
     def test_nonfinite_sample_carries_its_record(self):
         coef = np.zeros(17, dtype=complex)

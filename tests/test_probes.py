@@ -1,13 +1,16 @@
 """Operator-estimate and solution-map probes at desk scale."""
 
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lasw import probes
 from lasw.errors import InvalidExponents, InvalidProbeInput, ProbeUnresolved
+from lasw.evolve import BlowupThresholds, IntegrationControls, RunStatus, integrate
 from lasw.models import preset_normalized
 from lasw.probes import (
     commutator_probe,
@@ -310,6 +313,61 @@ def test_t_end_within_landing_tolerance_is_invalid_probe_input(probe, t_end):
     }[probe]
     with pytest.raises(InvalidProbeInput, match="landing tolerance"):
         run()
+
+
+@pytest.mark.parametrize("probe, kwargs", [
+    ("continuous_dependence", {"cfl": -0.4}),
+    ("continuous_dependence", {"cfl": 0.0}),
+    ("continuous_dependence", {"cfl": math.nan}),
+    ("mollified_data", {"cfl": -0.4}),
+    ("mollified_data", {"cfl": math.nan}),
+    ("semigroup", {"cfl": -0.3}),
+    ("semigroup", {"cfl": 0.0}),
+    ("semigroup", {"cfl": math.nan}),
+    ("semigroup", {"t_end": math.nan}),
+])
+def test_arguments_that_would_hang_or_pass_vacuously_are_invalid(probe, kwargs, no_hang):
+    # a negative cfl halved toward -0.0 never fits under a negative step
+    # bound, cfl = 0 divides by zero, and a nan t_end takes no step
+    g = Grid(32)
+    u0 = from_physical(0.05 * np.cos(TWO_PI * g.x), g)
+    run = {
+        "continuous_dependence": lambda t_end=0.1, **kw: continuous_dependence_experiment(
+            u0, [1e-2, 1e-3], t_end, 2.0, preset_normalized(), seed=1, **kw),
+        "mollified_data": lambda t_end=0.1, **kw: mollified_data_experiment(
+            u0, [4, 8], t_end, preset_normalized(), **kw),
+        "semigroup": lambda t_end=0.1, **kw: semigroup_probe(constant(g, 1.0), u0, t_end, **kw),
+    }[probe]
+    with pytest.raises(InvalidProbeInput):
+        run(**kwargs)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(n=st.sampled_from([16, 32]), mode=st.integers(1, 2),
+       amplitudes=st.lists(st.floats(0.02, 0.6), min_size=2, max_size=4))
+def test_a_stacked_solve_is_the_serial_report(n, mode, amplitudes):
+    # sup|u_x| of u0 is 2 pi mode a, so the draws fall on both sides of the
+    # threshold, at t = 0 or later; the stack returns each field's own
+    # snapshots, or raises naming the first field whose own run stops
+    g = Grid(n)
+    fields = [from_physical(a * np.cos(TWO_PI * mode * g.x), g) for a in amplitudes]
+    thresholds = BlowupThresholds(sup_ux_max=2.0)
+    c, t_end, dt, ts = preset_normalized(), 0.05, 1e-3, [0.025, 0.05]
+    controls = IntegrationControls(dt=dt, sample_interval=t_end, snapshot_times=tuple(ts),
+                                   thresholds=thresholds)
+    runs = [integrate(u, c, t_end, controls) for u in fields]
+    stop = next((r.state for r in runs if r.state.status is not RunStatus.COMPLETED), None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(probes, "IntegrationControls",
+                   functools.partial(IntegrationControls, thresholds=thresholds))
+        if stop is not None:
+            with pytest.raises(ProbeUnresolved) as err:
+                probes._solve_sampled(fields, c, t_end, dt, ts)
+            assert str(err.value) == f"run ended with status {stop.status.value} at t={stop.t:.6g}"
+            return
+        got = probes._solve_sampled(fields, c, t_end, dt, ts)
+    for states, run in zip(got, runs):
+        assert [u.coef.tobytes() for u in states] == [u.coef.tobytes() for _, u in run.snapshots]
 
 
 def test_merged_sample_times_are_unresolved():
