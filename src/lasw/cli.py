@@ -24,7 +24,7 @@ from .config import (
     resolve_out_dir,
 )
 from .errors import LaswError
-from .evolve import IntegrationControls, RunStatus, integrate
+from .evolve import RunStatus, integrate
 from .io import (
     snapshot_filename,
     write_coefficients_csv,
@@ -37,16 +37,8 @@ from .io import (
 def run_command(config: RunConfig, quiet: bool = False) -> int:
     """Integrate per config and write diagnostics.csv, snapshots, run.json."""
     out = resolve_out_dir(config.out_dir)
-    controls = IntegrationControls(
-        cfl=config.cfl,
-        dt=config.dt,
-        sample_interval=config.sample_interval,
-        snapshot_times=config.snapshot_times,
-        thresholds=config.blowup_thresholds(),
-        s_exponent=config.s_exponent,
-    )
     started = time.perf_counter()
-    result = integrate(config.initial_field, config.coefficients, config.t_end, controls)
+    result = integrate(config.initial_field, config.coefficients, config.t_end, config.controls)
     wall = time.perf_counter() - started
 
     write_diagnostics_csv(out / "diagnostics.csv", result.records)

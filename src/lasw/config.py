@@ -1,11 +1,12 @@
-"""Spec schemas: strict JSON parsing and validation for every command.
+"""Spec schemas: strict JSON parsing for every command.
 
 Each spec kind -- a run configuration, the six probes, a convergence study
-and a sweep -- is one table of keys.  A key has a kind, which parses the
-value or raises ConfigInvalid naming the key, and a default.  Unknown keys
-anywhere raise ConfigSyntax.  A key whose default is OMIT is passed on
-only when the spec gives it, so the callee's own default stays the one
-source.  See README for the documented schema and defaults.
+and a sweep -- is one table of keys.  A key has a kind (`kinds.py`), which
+parses the value or raises ConfigInvalid naming the key, and a default.
+A range is left to the callee's own table, `integrate`'s for a run config.
+Unknown keys anywhere raise ConfigSyntax.  A key whose default is OMIT is
+passed on only when the spec gives it, so the callee's own default stays
+the one source.  See README for the documented schema and defaults.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ from .errors import (
     IoError,
     LaswError,
 )
-from .evolve import BlowupThresholds, IntegrationControls
+from .evolve import BlowupThresholds, IntegrationControls, _check_run
+from .kinds import (
+    Rejected, _boolean, _grid, _integer, _list_of, _nonneg, _number, _object, _optional, _string, _typed, admit,
+)
 from .models import (
     ModelCoefficients,
     RegimeParameters,
@@ -78,10 +82,12 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         return _build_run_config(raw)
 
-    def blowup_thresholds(self) -> BlowupThresholds:
-        return BlowupThresholds(**self.thresholds)
-
     # built once, by `from_dict`'s check; not fields, so asdict, == and to_dict skip them
+    @cached_property
+    def controls(self) -> IntegrationControls:
+        return IntegrationControls(self.cfl, self.dt, self.sample_interval, self.snapshot_times,
+                                   BlowupThresholds(**self.thresholds), self.s_exponent)
+
     @cached_property
     def coefficients(self) -> ModelCoefficients:
         return build_coefficients(self.model)
@@ -92,90 +98,22 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# kinds: each parses one value or raises ConfigInvalid naming it
+# parsing: a table's kinds, a rejection raised as ConfigInvalid naming the key
 # ---------------------------------------------------------------------------
 
 REQUIRED = object()  # the spec must give the key
 OMIT = object()      # absent keys are left out, so the callee's default applies
+
+_admit = partial(admit, ConfigInvalid)
+
+# block kinds, told apart by identity: `_study_arguments` builds them on the spec's grid and seed
+_field, _model = _typed(dict, "an object"), _typed(dict, "an object")
 
 
 def _reject_unknown(raw: dict, allowed, where: str) -> None:
     unknown = [k for k in raw if k not in allowed]
     if unknown:
         raise ConfigSyntax(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _number(raw, name, *, positive=False, nonneg=False):
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigInvalid(f"{name}: expected a number, got {raw!r}")
-    v = float(raw)
-    if not math.isfinite(v):
-        raise ConfigInvalid(f"{name}: must be finite")
-    if positive and v <= 0:
-        raise ConfigInvalid(f"{name}: must be positive, got {v}")
-    if nonneg and v < 0:
-        raise ConfigInvalid(f"{name}: must be nonnegative, got {v}")
-    return v
-
-
-def _integer(raw, name, *, positive=False):
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigInvalid(f"{name}: expected an integer, got {raw!r}")
-    if positive and raw < 1:
-        raise ConfigInvalid(f"{name}: must be positive, got {raw}")
-    return raw
-
-
-_positive = partial(_number, positive=True)
-_nonneg = partial(_number, nonneg=True)
-
-
-def _grid(raw, name):
-    """Number of grid points: an even integer >= 8."""
-    try:
-        return Grid(_integer(raw, name)).n_points
-    except ValueError as err:
-        raise ConfigInvalid(f"{name}: {err}") from err
-
-
-def _string(raw, name):
-    if not isinstance(raw, str):
-        raise ConfigInvalid(f"{name}: expected a string, got {raw!r}")
-    return raw
-
-
-def _boolean(raw, name):
-    if not isinstance(raw, bool):
-        raise ConfigInvalid(f"{name}: expected a boolean, got {raw!r}")
-    return raw
-
-
-def _object(raw, name):
-    if not isinstance(raw, dict):
-        raise ConfigInvalid(f"{name}: expected an object, got {raw!r}")
-    return raw
-
-
-def _field(raw, name):
-    """Field block (see build_initial_field); built once the grid and seed are known."""
-    return _object(raw, name)
-
-
-def _model(raw, name):
-    """Model block (see build_coefficients)."""
-    return _object(raw, name)
-
-
-def _optional(kind):
-    return lambda raw, name: None if raw is None else kind(raw, name)
-
-
-def _list_of(kind, *, empty_ok=False):
-    def parse(raw, name):
-        if not isinstance(raw, list) or not (raw or empty_ok):
-            raise ConfigInvalid(f"{name}: expected a {'' if empty_ok else 'non-empty '}list, got {raw!r}")
-        return tuple(kind(v, f"{name}[{i}]") for i, v in enumerate(raw))
-    return parse
 
 
 def _block(keys: dict):
@@ -185,11 +123,11 @@ def _block(keys: dict):
 
 def _parse(raw, keys: dict, where: str, prefix: str = "") -> dict:
     """Check raw against a table {key: (kind, default, ...)}; parsed values in table order."""
-    _reject_unknown(_object(raw, where), keys, where)
+    _reject_unknown(_admit(_object, raw, where), keys, where)
     parsed = {}
     for key, (kind, default, *_) in keys.items():
         if key in raw:
-            parsed[key] = kind(raw[key], prefix + key)
+            parsed[key] = _admit(kind, raw[key], prefix + key)
         elif default is REQUIRED:
             raise ConfigInvalid(f"{prefix}{key}: required field missing")
         elif default is not OMIT:
@@ -212,12 +150,12 @@ _RUN = {
     "model": (_model, REQUIRED),
     "grid": (_grid, REQUIRED),
     "initial_data": (_field, REQUIRED),
-    "t_end": (_positive, REQUIRED),
-    "cfl": (_positive, OMIT),
-    "dt": (_optional(_positive), OMIT),
-    "sample_interval": (_positive, OMIT),
-    "snapshot_times": (_list_of(_nonneg, empty_ok=True), OMIT),
-    "thresholds": (_block({k: (_positive, OMIT) for k in ("sup_ux_max", "hs_max", "tail_rel_max")}), OMIT),
+    "t_end": (_number, REQUIRED),
+    "cfl": (_number, OMIT),
+    "dt": (_optional(_number), OMIT),
+    "sample_interval": (_number, OMIT),
+    "snapshot_times": (_list_of(_number, least=0), OMIT),
+    "thresholds": (_block({k: (_number, OMIT) for k in ("sup_ux_max", "hs_max", "tail_rel_max")}), OMIT),
     "s_exponent": (_number, OMIT),
     "seed": (_integer, OMIT),
     "out_dir": (_string, OMIT),
@@ -243,9 +181,9 @@ _RATIO = {
     **_common(seed="seed", grid="n_points"),
     "t_exp": (_number, REQUIRED, "t_exp"),
     "r_exp": (_number, REQUIRED, "r_exp"),
-    "samples": (partial(_integer, positive=True), 50, "samples"),
+    "samples": (_integer, 50, "samples"),
     "max_mode": (_integer, OMIT, "max_mode"),
-    "stability_factor": (_positive, OMIT, "stability_factor"),
+    "stability_factor": (_number, OMIT, "stability_factor"),
 }
 
 _PROBES = {
@@ -254,9 +192,9 @@ _PROBES = {
         "a": (_field, {"profile": "sine", "amplitude": 1.0, "mode": 1}, "a"),
         "w0": (_field, {"profile": "random", "max_mode": 2, "decay_exponent": 1.0}, "w0"),
         "t_end": (_number, 0.25, "t_end"),
-        "cfl": (_positive, OMIT, "cfl"),
+        "cfl": (_number, OMIT, "cfl"),
         "tolerance": (_number, OMIT, "tolerance"),
-        "tail_rel_max": (_positive, OMIT, "tail_rel_max"),
+        "tail_rel_max": (_number, OMIT, "tail_rel_max"),
     }),
     "commutator": (commutator_probe, _RATIO),
     "product": (product_probe, _RATIO),
@@ -264,11 +202,11 @@ _PROBES = {
         **_common(seed="seed"),
         "model": (_model, _NORMALIZED, "coeffs"),
         "u0": (_field, _COSINE, "u0"),
-        "etas": (_list_of(_number), [1e-2, 1e-3, 1e-4], "perturbation_sizes"),
+        "etas": (_list_of(_number, least=0), [1e-2, 1e-3, 1e-4], "perturbation_sizes"),
         "t_end": (_number, 1.0, "t_end"),
         "s_exponent": (_number, 2.0, "s_exp"),
-        "dt": (_optional(_positive), OMIT, "dt"),
-        "cfl": (_positive, OMIT, "cfl"),
+        "dt": (_optional(_number), OMIT, "dt"),
+        "cfl": (_number, OMIT, "cfl"),
     }),
     "dispersion": (dispersion_probe, {
         **_common(grid="n_points"),
@@ -276,22 +214,23 @@ _PROBES = {
         "eps": (_number, 1.0, "eps"),
         "delta": (_number, 0.1, "delta"),
         "amplitude": (_number, 1e-8, "amplitude"),
-        "window": (_positive, OMIT, "window"),
-        "dt": (_optional(_positive), OMIT, "dt"),
+        "window": (_number, OMIT, "window"),
+        "dt": (_optional(_number), OMIT, "dt"),
         "tolerance": (_number, OMIT, "tolerance"),
     }),
     "mollified_data": (mollified_data_experiment, {
         **_common(),
         "model": (_model, _NORMALIZED, "coeffs"),
         "u0": (_field, {"profile": "random", "decay_exponent": 1.6}, "u0_rough"),
-        "n_sequence": (_list_of(_integer), [2, 4, 8, 16], "n_sequence"),
+        "n_sequence": (_list_of(_integer, least=0), [2, 4, 8, 16], "n_sequence"),
         "t_end": (_number, 0.2, "t_end"),
-        "dt": (_optional(_positive), OMIT, "dt"),
-        "cfl": (_positive, OMIT, "cfl"),
+        "dt": (_optional(_number), OMIT, "dt"),
+        "cfl": (_number, OMIT, "cfl"),
     }),
 }
 
-# A study carries its own grid list; u0 is built on the coarsest grid.
+# A study carries its own grid list; u0 is built on the coarsest grid, so the
+# CLI parses each grid itself.
 _CONVERGE = {
     "out_dir": (_string, "out", None),
     "seed": (_integer, 0, None),
@@ -299,7 +238,7 @@ _CONVERGE = {
     "u0": (_field, _COSINE, "u0"),
     "t_end": (_number, 0.5, "t_end"),
     "grids": (_list_of(_grid), [32, 64, 128], "grids"),
-    "dts": (_list_of(_positive), [0.005, 0.0025, 0.00125], "dts"),
+    "dts": (_list_of(_number, least=0), [0.005, 0.0025, 0.00125], "dts"),
 }
 
 _SWEEP = {"base": (_object, REQUIRED), "vary": (_object, {}), "out_dir": (_string, OMIT)}
@@ -307,7 +246,7 @@ _SWEEP = {"base": (_object, REQUIRED), "vary": (_object, {}), "out_dir": (_strin
 
 def parse_probe_spec(spec) -> tuple:
     """Probe spec -> (probe function, its keyword arguments, out_dir)."""
-    name = _object(spec, "probe spec").get("probe")
+    name = _admit(_object, spec, "probe spec").get("probe")
     if not isinstance(name, str) or name not in _PROBES:
         raise ConfigInvalid(f"probe: expected one of {sorted(_PROBES)}, got {name!r}")
     fn, keys = _PROBES[name]
@@ -343,7 +282,8 @@ def parse_sweep_spec(spec) -> tuple[str, list[tuple[dict, RunConfig]]]:
     """
     parsed = _parse(spec, _SWEEP, "sweep spec")
     base, vary = parsed["base"], parsed["vary"]
-    out_root = parsed["out_dir"] if "out_dir" in parsed else _string(base.get("out_dir", "out"), "base.out_dir")
+    out_root = parsed["out_dir"] if "out_dir" in parsed else _admit(
+        _string, base.get("out_dir", "out"), "base.out_dir")
     keys = sorted(vary)
     value_lists = [vary[k] if isinstance(vary[k], list) else [vary[k]] for k in keys]
     cases = []
@@ -403,13 +343,13 @@ def build_coefficients(model: dict) -> ModelCoefficients:
         if name == "large_amplitude":
             return preset_large_amplitude(params)
         return preset_survey(name, params)
-    except (InvalidMu, InvalidRegime, GammaRelationViolated, TypeError, ValueError) as err:
+    except (InvalidMu, InvalidRegime, GammaRelationViolated, TypeError) as err:
         raise ConfigInvalid(f"model: {type(err).__name__}: {err}") from err
 
 
 def build_initial_field(spec: dict, grid: Grid, seed: int, where: str = "initial_data") -> SpectralField:
     """Field block -> field: named profile, coefficient list, or file."""
-    _object(spec, where)
+    _admit(_object, spec, where)
     if "profile" in spec:
         name = spec["profile"]
         if not isinstance(name, str) or name not in _PROFILES:
@@ -437,7 +377,7 @@ def build_initial_field(spec: dict, grid: Grid, seed: int, where: str = "initial
         for entry in rows:
             try:
                 n, re, im = (_integer(entry[0], "mode"), _number(entry[1], "re"), _number(entry[2], "im"))
-            except (LaswError, TypeError, KeyError, IndexError) as err:
+            except (Rejected, TypeError, KeyError, IndexError) as err:
                 raise ConfigInvalid(f"{where}.coefficients: bad entry {entry!r}") from err
             if not (0 <= n < half or n == -half):
                 raise ConfigInvalid(f"{where}.coefficients: mode {n} must be in [0, {half}) or be {-half}")
@@ -447,7 +387,7 @@ def build_initial_field(spec: dict, grid: Grid, seed: int, where: str = "initial
         return SpectralField(grid, coef)
     if "samples_file" in spec:
         _reject_unknown(spec, {"samples_file"}, where)
-        path = Path(_string(spec["samples_file"], f"{where}.samples_file"))
+        path = Path(_admit(_string, spec["samples_file"], f"{where}.samples_file"))
         if not path.is_file():
             raise ConfigInvalid(f"{where}.samples_file: {path} not found")
         try:
@@ -466,10 +406,9 @@ def build_initial_field(spec: dict, grid: Grid, seed: int, where: str = "initial
 
 def _build_run_config(raw: dict) -> RunConfig:
     config = RunConfig(**_parse(raw, _RUN, "configuration"))
-    for ts in config.snapshot_times:
-        if ts > config.t_end:
-            raise ConfigInvalid(f"snapshot_times: {ts} exceeds t_end={config.t_end}")
-    config.coefficients, config.initial_field  # fail fast: both blocks must construct
+    # fail fast: both blocks must construct, and `integrate` must take the run
+    _check_run(config.coefficients, config.t_end, config.controls)
+    config.initial_field
     return config
 
 

@@ -41,6 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidControls, InvalidField, InvalidMu
+from .kinds import _LANDING_TOL, _bound, _list_of, _nonneg, _number, _optional, _positive, _span, check
 # transport_field is off the step path; perfbench/tracing.py rebinds evolve.transport_field
 from .models import (  # noqa: F401
     ModelCoefficients, tendency, tendency_direct, transport_field, validate,
@@ -52,9 +53,6 @@ from .spectral import (
 
 # Step budget of one run; a run whose first step implies more fails at once.
 _MAX_STEPS = 20_000_000
-
-# A step that ends this close to an event lands on it; t_end must exceed it.
-_LANDING_TOL = 1e-13
 
 # Points on the circle |z - dt*L| = 1 whose mean gives the ETDRK4 weights,
 # and the most modes whose points are evaluated as one array: 32 x 256
@@ -328,8 +326,7 @@ def step_rk4(state: SimulationState, coeffs: ModelCoefficients, dt: float) -> Si
     stepped with RK4.  The nonlinear part has zero mean and the mean slot of
     L is 0, so the mean of u is preserved to round-off.
     """
-    if dt <= 0.0:
-        raise InvalidControls(f"dt must be positive, got {dt}")
+    check(InvalidControls, {"dt": _positive}, {"dt": dt})
     if state.status is not RunStatus.RUNNING:
         raise InvalidControls(f"cannot step a state with status {state.status.value}")
     h = _stepper(coeffs)(state.u.coef, dt)
@@ -404,22 +401,22 @@ def _event_times(t_end: float, sample_interval: float, snapshot_times) -> list[t
     return [(0.0, True, 0.0 in snapshot_times), *later]
 
 
+# integrate's arguments: t_end, the fields of IntegrationControls and of BlowupThresholds
+_RUN_ARGUMENTS = dict(t_end=_span, cfl=_positive, dt=_optional(_positive), sample_interval=_positive,
+                      snapshot_times=_list_of(_nonneg, least=0), s_exponent=_number,
+                      sup_ux_max=_bound, hs_max=_bound, tail_rel_max=_bound)
+
+
 def _check_run(coeffs: ModelCoefficients, t_end: float, controls: IntegrationControls) -> None:
     """Raise InvalidControls, then InvalidMu or GammaRelationViolated, for a run
-    `integrate` cannot start.  Each test is written so that nan fails it."""
-    if not (math.isfinite(t_end) and t_end > _LANDING_TOL):
-        raise InvalidControls(
-            f"t_end must exceed the landing tolerance {_LANDING_TOL} and be finite, got {t_end}"
-        )
-    if not controls.cfl > 0.0:
-        raise InvalidControls(f"cfl must be positive, got {controls.cfl}")
-    if not controls.sample_interval > 0.0:
-        raise InvalidControls(f"sample_interval must be positive, got {controls.sample_interval}")
-    if controls.dt is not None and not controls.dt > 0.0:
-        raise InvalidControls(f"fixed dt must be positive, got {controls.dt}")
-    for ts in controls.snapshot_times:
-        if not 0.0 <= ts <= t_end:
-            raise InvalidControls(f"snapshot time {ts} outside [0, {t_end}]")
+    `integrate` cannot start.  Every sample costs a step, so a run with more
+    samples than the step budget fails here, before `_event_times` lists them."""
+    check(InvalidControls, _RUN_ARGUMENTS, {"t_end": t_end, **vars(controls), **vars(controls.thresholds)})
+    if any(ts > t_end for ts in controls.snapshot_times):
+        raise InvalidControls(f"snapshot_times: {max(controls.snapshot_times)} exceeds t_end={t_end}")
+    if t_end / controls.sample_interval > _MAX_STEPS:
+        raise InvalidControls(f"t_end / sample_interval is {t_end / controls.sample_interval:.3g} samples, "
+                              f"over the step budget {_MAX_STEPS}")
     if coeffs.mu < 0.0:
         raise InvalidMu(f"mu must be nonnegative, got {coeffs.mu}")
     if coeffs.mu > 0.0:

@@ -94,7 +94,7 @@ class ModelCoefficients:
     def __post_init__(self):
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"coefficient {f.name} is not finite")
+                raise InvalidRegime(f"coefficient {f.name} is not finite")
 
     @property
     def conservative(self) -> bool:

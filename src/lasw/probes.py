@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import GridMismatch, InvalidExponents, InvalidProbeInput, ProbeUnresolved
 from .evolve import (
-    _LANDING_TOL,
     _MAX_STEPS,
     IntegrationControls,
     _event_times,
@@ -46,6 +45,10 @@ from .evolve import (
     _solve,
     _stable_dt,
     integrate,  # noqa: F401 -- perfbench/tracing.py traces probes.integrate
+)
+from .kinds import (
+    _LANDING_TOL, _count, _grid, _integer, _list_of, _non_increasing, _number, _optional, _positive,
+    _seed, _span, check,
 )
 from .models import ModelCoefficients, RegimeParameters, preset_large_amplitude
 from .spectral import (
@@ -171,6 +174,9 @@ def _transport_rhs(a: np.ndarray, n: int):
     return _padded_transport(a, n)
 
 
+_SEMIGROUP_ARGUMENTS = {"t_end": _span, "cfl": _positive, "tail_rel_max": _positive, "tolerance": _number}
+
+
 def semigroup_probe(
     a: SpectralField,
     w0: SpectralField,
@@ -191,13 +197,9 @@ def semigroup_probe(
     Raises ProbeUnresolved once w or ||w|| goes non-finite, or if the spectral
     tail of w crosses tail_rel_max * ||w|| (the grid lost w).
     """
+    check(InvalidProbeInput, _SEMIGROUP_ARGUMENTS, locals())
     if a.grid != w0.grid:
         raise GridMismatch("a and w0 must share a grid")
-    if not t_end > _LANDING_TOL:
-        raise InvalidProbeInput(
-            f"t_end must exceed the landing tolerance {_LANDING_TOL}, got {t_end}"
-        )
-    _check_cfl(cfl)
     grid = a.grid
     n = grid.n_points
     omega = 0.5 * sup_norm_dx(a)
@@ -249,8 +251,12 @@ def semigroup_probe(
 # commutator and product estimate sampling
 # ---------------------------------------------------------------------------
 
-def _ratio_or_zero(num: float, den: float) -> float:
-    return num / den if den > 0.0 else 0.0
+def _sampled_ratio(num: float, den: float) -> float:
+    """num / den; ProbeUnresolved for an overflowed norm or a vanished field, which
+    would pass as a ratio of 0.  num = 0 over den > 0 (as at t_exp = 0) is a true 0."""
+    if not (math.isfinite(num) and math.isfinite(den) and den > 0.0):
+        raise ProbeUnresolved(f"a sampled ratio is {num:g} over {den:g}")
+    return num / den
 
 
 def _stability_verdict(max_coarse: float, max_fine: float, factor: float) -> tuple[bool, float]:
@@ -290,6 +296,10 @@ def _refinement_probe(
     return _summarize(name, seed, coarse, passed, details)
 
 
+_RATIO_ARGUMENTS = {"t_exp": _number, "r_exp": _number, "samples": _count, "seed": _seed, "n_points": _grid,
+                    "max_mode": _optional(_integer), "stability_factor": _positive}
+
+
 def commutator_probe(
     t_exp: float,
     r_exp: float,
@@ -308,6 +318,7 @@ def commutator_probe(
     ratio to move by less than `stability_factor` between the working grid
     and its doubling (same coefficient draws on both).
     """
+    check(InvalidProbeInput, _RATIO_ARGUMENTS, locals())
     if r_exp <= 0.5:
         raise InvalidExponents(f"need r > 1/2, got r={r_exp}")
     if not (-0.5 < t_exp <= r_exp + 1.0):
@@ -317,7 +328,7 @@ def commutator_probe(
         comm = lambda_pow(dealiased_product(g, h), t_exp, 1.0) - dealiased_product(
             g, lambda_pow(h, t_exp, 1.0)
         )
-        return _ratio_or_zero(
+        return _sampled_ratio(
             l2_norm(comm), sobolev_norm(g, r_exp + 1.0) * sobolev_norm(h, t_exp - 1.0)
         )
 
@@ -339,13 +350,14 @@ def product_probe(
     stability_factor: float = 2.0,
 ) -> ProbeReport:
     """Sample the algebra-property ratios ||f g||_t / (||f||_r ||g||_t)."""
+    check(InvalidProbeInput, _RATIO_ARGUMENTS, locals())
     if r_exp <= 0.5:
         raise InvalidExponents(f"need r > 1/2, got r={r_exp}")
     if not (-r_exp < t_exp <= r_exp):
         raise InvalidExponents(f"need -r < t <= r, got t={t_exp}, r={r_exp}")
 
     def one_ratio(f: SpectralField, g: SpectralField) -> float:
-        return _ratio_or_zero(
+        return _sampled_ratio(
             sobolev_norm(dealiased_product(f, g), t_exp),
             sobolev_norm(f, r_exp) * sobolev_norm(g, t_exp),
         )
@@ -361,27 +373,16 @@ def product_probe(
 # solution-map experiments
 # ---------------------------------------------------------------------------
 
-def _check_cfl(cfl: float) -> None:
-    if not cfl > 0.0:
-        raise InvalidProbeInput(f"cfl must be positive, got {cfl}")
-
-
 def _solve_sampled(fields, coeffs, t_end, dt, sample_ts):
     """The states at sample_ts of each field, as `integrate` at the fixed step dt
     gives them; the fields share one grid and step as one stack.
 
-    Raises InvalidProbeInput for t_end <= 0 or within the landing
-    tolerance; ProbeUnresolved if sample times merge; and ProbeUnresolved
-    for the first field, in input order, whose own run does not complete,
-    with its status and time, found by re-solving the fields one at a time
-    once the stack stops: at a fixed dt each row is bit for bit its own run.
+    t_end is the caller's checked span.  Raises ProbeUnresolved if sample
+    times merge, and for the first field, in input order, whose own run does
+    not complete, with its status and time, found by re-solving the fields
+    one at a time once the stack stops: at a fixed dt each row is bit for bit
+    its own run.
     """
-    if not t_end > 0.0:
-        raise InvalidProbeInput(f"t_end must be positive, got {t_end}")
-    if t_end <= _LANDING_TOL:
-        raise InvalidProbeInput(
-            f"t_end must exceed the landing tolerance {_LANDING_TOL}, got {t_end}"
-        )
     # a completed run lands one snapshot per distinct event, so merged
     # sample times are known before the solve
     landed = sum(is_snap for _, _, is_snap in _event_times(t_end, t_end, sample_ts))
@@ -400,6 +401,10 @@ def _solve_sampled(fields, coeffs, t_end, dt, sample_ts):
         stop = next((s for s in own if s is not None), run.stop)
         raise ProbeUnresolved(f"run ended with status {stop.status.value} at t={stop.t:.6g}")
     return [[SpectralField(grid, h[row]) for _, h in run.snapshots] for row in range(len(fields))]
+
+
+_DEPENDENCE_ARGUMENTS = {"perturbation_sizes": _non_increasing, "t_end": _span, "s_exp": _number,
+                         "seed": _seed, "dt": _optional(_positive), "cfl": _positive}
 
 
 def continuous_dependence_experiment(
@@ -421,14 +426,8 @@ def continuous_dependence_experiment(
     last response within a factor 10 of linear scaling from the first.
     dt=None takes `integrate`'s first-step bound for u0 at this cfl.
     """
+    check(InvalidProbeInput, _DEPENDENCE_ARGUMENTS, locals())
     etas = [float(e) for e in perturbation_sizes]
-    if not etas:
-        raise InvalidProbeInput("need at least one perturbation size")
-    if any(e < 0.0 for e in etas):
-        raise InvalidProbeInput("perturbation sizes must be nonnegative")
-    if any(b > a for a, b in zip(etas, etas[1:])):
-        raise InvalidProbeInput("perturbation sizes must be non-increasing")
-    _check_cfl(cfl)
     grid = u0.grid
     phi = random_trig_polynomial(
         grid, seed, min(10, grid.n_points // 2 - 1), max(s_exp + 0.51, 0.0)
@@ -463,9 +462,7 @@ def continuous_dependence_experiment(
             "s_exp": s_exp,
             "dt": dt,
             "n_points": grid.n_points,
-            "response_slopes": [
-                _ratio_or_zero(d, e) for d, e in zip(distances, etas)
-            ],
+            "response_slopes": [d / e if e > 0.0 else 0.0 for d, e in zip(distances, etas)],
         },
     )
 
@@ -476,6 +473,10 @@ def phase_speed(k: float, delta: float) -> float:
     return (1.0 + (2.0 * delta * delta / 9.0) * k2) / (
         1.0 + (7.0 * delta * delta / 18.0) * k2
     )
+
+
+_DISPERSION_ARGUMENTS = {"mode": _count, "eps": _number, "delta": _number, "amplitude": _number,
+                         "n_points": _grid, "window": _span, "dt": _optional(_positive), "tolerance": _number}
 
 
 def dispersion_probe(
@@ -498,8 +499,7 @@ def dispersion_probe(
     dt=None takes one step per record, window/50: ETDRK4 integrates the
     linear part exactly, so the phase error is round-off at any dt.
     """
-    if mode < 1:
-        raise InvalidProbeInput("mode must be a positive integer")
+    check(InvalidProbeInput, _DISPERSION_ARGUMENTS, locals())
     if abs(amplitude) > 1e-6:
         raise InvalidProbeInput("amplitude must stay in the linear regime (|amplitude| <= 1e-6)")
     grid = Grid(n_points)
@@ -538,6 +538,9 @@ def dispersion_probe(
     )
 
 
+_MOLLIFIED_ARGUMENTS = {"n_sequence": _list_of(_count), "t_end": _span, "dt": _optional(_positive), "cfl": _positive}
+
+
 def mollified_data_experiment(
     u0_rough: SpectralField,
     n_sequence,
@@ -554,19 +557,15 @@ def mollified_data_experiment(
     monotonically (vacuous for a single n).  dt=None takes the smallest of
     `integrate`'s first-step bounds for the mollified fields at this cfl.
     """
+    check(InvalidProbeInput, _MOLLIFIED_ARGUMENTS, locals())
     ns = [int(n) for n in n_sequence]
-    if not ns or any(not 1 <= n <= _MOLLIFY_INDEX_MAX for n in ns):
-        raise InvalidProbeInput(
-            f"n_sequence must contain integers from 1 to {_MOLLIFY_INDEX_MAX}"
-        )
-    _check_cfl(cfl)
+    if max(ns) > _MOLLIFY_INDEX_MAX:
+        raise InvalidProbeInput(f"n_sequence: entries must not exceed {_MOLLIFY_INDEX_MAX}, got {ns}")
     fields = [mollify(u0_rough, n) for n in ns]
     if dt is None:
         dt = _stable_dt(np.stack([f.coef for f in fields]), coeffs, cfl)
     terminals = [states[0] for states in _solve_sampled(fields, coeffs, t_end, dt, [t_end])]
-    diffs = [
-        l2_norm(a - b) for a, b in zip(terminals, terminals[1:])
-    ]
+    diffs = [l2_norm(a - b) for a, b in zip(terminals, terminals[1:])]
     passed = all(d2 <= d1 * (1.0 + 1e-9) for d1, d2 in zip(diffs, diffs[1:]))
     return _summarize(
         "mollified_data", None, diffs, passed,
@@ -577,6 +576,9 @@ def mollified_data_experiment(
             "n_points": u0_rough.grid.n_points,
         },
     )
+
+
+_CONVERGENCE_ARGUMENTS = {"t_end": _span, "grids": _list_of(_grid, least=3), "dts": _list_of(_positive, least=3)}
 
 
 def convergence_study(
@@ -596,12 +598,9 @@ def convergence_study(
     (e.g. constant data) pass with order reported as None.  The grids, and
     the step counts of the adjusted dts, must be distinct.
     """
+    check(InvalidProbeInput, _CONVERGENCE_ARGUMENTS, locals())
     grid_sizes = sorted(int(g) for g in grids)
     dt_list = sorted((float(d) for d in dts), reverse=True)
-    if len(grid_sizes) < 3 or len(dt_list) < 3:
-        raise InvalidProbeInput("need at least 3 grids and 3 dts")
-    if not t_end > 0.0:
-        raise InvalidProbeInput("t_end must be positive")
     steps = [max(1, round(t_end / dt)) for dt in dt_list]
     if len(set(grid_sizes)) < len(grid_sizes) or len(set(steps)) < len(steps):
         raise InvalidProbeInput(
@@ -615,9 +614,7 @@ def convergence_study(
     fine = grid_sizes[-1]
     u_fine = resample(u0, fine)
     terminals_t = [run(u_fine, n) for n in steps]
-    errors_t = [
-        l2_norm(a - b) for a, b in zip(terminals_t, terminals_t[1:])
-    ]
+    errors_t = [l2_norm(a - b) for a, b in zip(terminals_t, terminals_t[1:])]
     floor = 1e-13 * (1.0 + l2_norm(u_fine))
     if all(e <= floor for e in errors_t):
         order = None
@@ -633,11 +630,9 @@ def convergence_study(
 
     # the finest spatial run is the last temporal run
     terminals_s = [run(resample(u0, g), steps[-1]) for g in grid_sizes[:-1]] + terminals_t[-1:]
-    errors_s = []
-    for (ga, ua), (gb, ub) in zip(
-        zip(grid_sizes, terminals_s), zip(grid_sizes[1:], terminals_s[1:])
-    ):
-        errors_s.append(l2_norm(resample(ua, gb) - ub))
+    # each terminal state against the next, on the finer grid
+    errors_s = [l2_norm(resample(ua, gb) - ub)
+                for ua, gb, ub in zip(terminals_s, grid_sizes[1:], terminals_s[1:])]
     spatial_pass = all(
         e2 <= e1 * (1.0 + 1e-9) or e2 <= 1e-12 for e1, e2 in zip(errors_s, errors_s[1:])
     )

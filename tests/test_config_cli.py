@@ -12,7 +12,7 @@ from lasw import config as config_module
 from lasw import evolve
 from lasw.cli import main, probe_command, run_command, sweep_command
 from lasw.config import RunConfig, build_initial_field, load_config
-from lasw.errors import ConfigInvalid, ConfigSyntax, IoError
+from lasw.errors import ConfigInvalid, ConfigSyntax, InvalidControls, IoError
 from lasw.io import write_coefficients_csv
 from lasw.spectral import Grid, from_physical, to_physical
 
@@ -69,8 +69,9 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, bad))
 
     def test_constraint_names_field(self, tmp_path):
+        # a run config's controls are checked by integrate's own argument table
         bad = minimal_config(tmp_path / "out", t_end=-1.0)
-        with pytest.raises(ConfigInvalid, match="t_end"):
+        with pytest.raises(InvalidControls, match="t_end"):
             load_config(write_config(tmp_path, bad))
         bad = minimal_config(tmp_path / "out", grid=53)
         with pytest.raises(ConfigInvalid, match="grid"):
@@ -240,7 +241,7 @@ class TestRunCommand:
         path = write_config(tmp_path, minimal_config(out, grid=32, t_end=1e-14))
         result = CliRunner().invoke(main, ["run", "--config", str(path)])
         assert result.exit_code == 1
-        assert "error: InvalidControls: t_end must exceed the landing tolerance" in result.output
+        assert "error: InvalidControls: t_end: must exceed the landing tolerance" in result.output
         assert isinstance(result.exception, SystemExit)  # handled, no traceback
         assert not (out / "run.json").exists()
 
@@ -344,10 +345,15 @@ class TestProbeAndConverge:
          "landing tolerance"),
         ({"probe": "mollified_data", "n_sequence": [1000000000]}, "InvalidProbeInput", "65536"),
         ({"probe": "continuous_dependence", "t_end": -1}, "InvalidProbeInput",
-         "t_end must be positive"),
-        ({"probe": "mollified_data", "t_end": -0.5}, "InvalidProbeInput", "t_end must be positive"),
+         "t_end: must exceed the landing tolerance"),
+        ({"probe": "mollified_data", "t_end": -0.5}, "InvalidProbeInput",
+         "t_end: must exceed the landing tolerance"),
+        # the preset's coefficients overflow; that was a ValueError traceback
+        ({"probe": "dispersion", "eps": 1e300}, "InvalidRegime", "coefficient gamma1 is not finite"),
+        ({"probe": "dispersion", "delta": 1e300}, "InvalidRegime", "coefficient mu is not finite"),
     ], ids=["dispersion", "continuous_dependence", "mollified_data",
-            "continuous_dependence-negative-t_end", "mollified_data-negative-t_end"])
+            "continuous_dependence-negative-t_end", "mollified_data-negative-t_end",
+            "dispersion-overflowing-eps", "dispersion-overflowing-delta"])
     def test_degenerate_probe_inputs_fail_cleanly(self, tmp_path, spec, error, message):
         path = write_config(tmp_path, dict(spec, out_dir=str(tmp_path / "out")), "spec.json")
         result = CliRunner().invoke(main, ["probe", "--config", str(path), "--quiet"])

@@ -99,6 +99,9 @@ class TestStepRK4:
         state = SimulationState(0.0, constant(g, 0.0), 0.0)
         with pytest.raises(InvalidControls):
             step_rk4(state, preset_normalized(), 0.0)
+        for dt in (math.nan, -0.1, math.inf):  # a nan dt used to return a NonFinite state
+            with pytest.raises(InvalidControls, match="dt: must be"):
+                step_rk4(state, preset_normalized(), dt)
         done = SimulationState(1.0, constant(g, 0.0), 0.1, RunStatus.COMPLETED)
         with pytest.raises(InvalidControls):
             step_rk4(done, preset_normalized(), 0.1)
@@ -557,11 +560,27 @@ class TestIntegrate:
         (0.1, IntegrationControls(cfl=math.nan)),
         (0.1, IntegrationControls(dt=math.nan)),
         (0.1, IntegrationControls(sample_interval=math.nan)),
-    ], ids=["t_end-inf", "t_end-nan", "cfl-nan", "dt-nan", "sample_interval-nan"])
+        # a nan s_exponent made every hs nan and a nan threshold never fired
+        (0.1, IntegrationControls(s_exponent=math.nan)),
+        (0.1, IntegrationControls(thresholds=BlowupThresholds(sup_ux_max=math.nan))),
+    ], ids=["t_end-inf", "t_end-nan", "cfl-nan", "dt-nan", "sample_interval-nan", "s_exponent-nan",
+            "sup_ux_max-nan"])
     def test_non_finite_controls_rejected(self, t_end, controls, monkeypatch, no_hang):
         # checked before the event times, which an infinite t_end never finishes
         monkeypatch.setattr(evolve, "_event_times", None)
         with pytest.raises(InvalidControls):
+            integrate(cosine(Grid(32), 0.01), preset_normalized(), t_end, controls)
+
+    @pytest.mark.parametrize("t_end, sample_interval", [(1.0, 0.1), (1e300, 0.05), (1.0, 1e-300)],
+                             ids=["over-a-small-budget", "huge-t_end", "tiny-sample_interval"])
+    def test_more_samples_than_the_step_budget_rejected(self, t_end, sample_interval,
+                                                        monkeypatch, no_hang):
+        # every sample costs a step, so the run cannot fit its budget; the
+        # check comes before `_event_times` lists one entry per sample
+        monkeypatch.setattr(evolve, "_MAX_STEPS", 5)
+        monkeypatch.setattr(evolve, "_event_times", None)
+        controls = IntegrationControls(sample_interval=sample_interval)
+        with pytest.raises(InvalidControls, match="samples, over the step budget 5"):
             integrate(cosine(Grid(32), 0.01), preset_normalized(), t_end, controls)
 
     @pytest.mark.parametrize("t_end", [1e-13, 1e-14, 1e-16])

@@ -252,6 +252,23 @@ class TestEstimateProbes:
         with pytest.raises(InvalidExponents):
             product_probe(1.0, 1.5, 5, 0)
 
+    @pytest.mark.parametrize("probe, r_exp", [
+        (commutator_probe, 100.0), (product_probe, 100.0),
+        (commutator_probe, 1e300), (product_probe, 1e300),
+    ])
+    def test_overflowing_or_vanishing_norms_are_unresolved(self, probe, r_exp):
+        # ||g||_{r+1} overflows at r = 100, and at r = 1e300 the draws
+        # vanish; either read as ratios of 0, which passed vacuously
+        t_exp = 1.0
+        args = (t_exp, r_exp) if probe is commutator_probe else (r_exp, t_exp)
+        with pytest.raises(ProbeUnresolved, match="a sampled ratio is"):
+            probe(*args, 5, 1, n_points=32)
+
+    def test_vanishing_commutator_passes_at_t_zero(self):
+        # Lam^0 is the identity, so every ratio is a true 0
+        report = commutator_probe(0.0, 2.0, 5, 1, n_points=32)
+        assert report.passed and report.max_value == 0.0 and report.details["max_fine"] == 0.0
+
     def test_deterministic_reports(self):
         assert commutator_probe(1.0, 2.0, 5, seed=3) == commutator_probe(1.0, 2.0, 5, seed=3)
 
@@ -325,18 +342,27 @@ def test_t_end_within_landing_tolerance_is_invalid_probe_input(probe, t_end):
     ("semigroup", {"cfl": 0.0}),
     ("semigroup", {"cfl": math.nan}),
     ("semigroup", {"t_end": math.nan}),
+    ("semigroup", {"tail_rel_max": math.nan}),
+    ("dispersion", {"dt": -1.0}),
+    ("mollified_data", {"n_sequence": [2.5, 4]}),
+    ("convergence", {"dts": [-1.0, 0.005, 0.0025]}),
 ])
 def test_arguments_that_would_hang_or_pass_vacuously_are_invalid(probe, kwargs, no_hang):
     # a negative cfl halved toward -0.0 never fits under a negative step
-    # bound, cfl = 0 divides by zero, and a nan t_end takes no step
+    # bound, cfl = 0 divides by zero, and a nan t_end takes no step; a nan
+    # tail_rel_max switched the resolution check off, dispersion ran a
+    # negative dt as None, n_sequence truncated 2.5 to 2, and a negative dt
+    # took one step to t_end
     g = Grid(32)
     u0 = from_physical(0.05 * np.cos(TWO_PI * g.x), g)
     run = {
         "continuous_dependence": lambda t_end=0.1, **kw: continuous_dependence_experiment(
             u0, [1e-2, 1e-3], t_end, 2.0, preset_normalized(), seed=1, **kw),
-        "mollified_data": lambda t_end=0.1, **kw: mollified_data_experiment(
-            u0, [4, 8], t_end, preset_normalized(), **kw),
+        "mollified_data": lambda t_end=0.1, n_sequence=(4, 8), **kw: mollified_data_experiment(
+            u0, list(n_sequence), t_end, preset_normalized(), **kw),
         "semigroup": lambda t_end=0.1, **kw: semigroup_probe(constant(g, 1.0), u0, t_end, **kw),
+        "dispersion": lambda **kw: dispersion_probe(1, 1.0, 0.1, 1e-8, window=0.01, **kw),
+        "convergence": lambda **kw: convergence_study(u0, preset_normalized(), 0.01, [16, 32, 64], **kw),
     }[probe]
     with pytest.raises(InvalidProbeInput):
         run(**kwargs)

@@ -6,6 +6,7 @@ import math
 import re
 import time
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,9 +16,18 @@ import lasw.evolve
 from lasw.cli import main, sweep_command
 from lasw.config import RunConfig
 from lasw.errors import ConfigInvalid, InvalidControls, InvalidProbeInput, LaswError
-from lasw.evolve import IntegrationControls, integrate
+from lasw.evolve import BlowupThresholds, IntegrationControls, IntegrationResult, integrate
 from lasw.models import preset_normalized
-from lasw.probes import convergence_study, dispersion_probe
+from lasw.probes import (
+    ProbeReport,
+    commutator_probe,
+    continuous_dependence_experiment,
+    convergence_study,
+    dispersion_probe,
+    mollified_data_experiment,
+    product_probe,
+    semigroup_probe,
+)
 from lasw.spectral import Grid, from_physical
 
 TINY_RUN = {
@@ -166,6 +176,9 @@ MALFORMED = [
     ("converge", {"dts": [0.01, 0.005, 0.005], "t_end": 0.05}),
     ("converge", {"dts": [0.02, 0.01, 0.005], "t_end": 0.005}),
     ("converge", {"grids": [32, 32, 64], "t_end": 0.05}),
+    # an integer past the float range was an OverflowError traceback
+    ("probe", {"probe": "semigroup", "t_end": 10**400}),
+    ("run", dict(TINY_RUN, t_end=-10**400)),
 ]
 
 
@@ -207,6 +220,15 @@ class TestSweepPrevalidation:
         assert "case 002" in result.stderr
         assert not list(tmp_path.glob("**/case_*"))
 
+    def test_case_that_integrate_rejects_runs_nothing(self, tmp_path):
+        # a run config is checked by integrate's own table when it is built
+        out = tmp_path / "sweep"
+        spec = {"base": TINY_RUN, "vary": {"t_end": [0.02, 1e-14]}, "out_dir": str(out)}
+        with pytest.raises(ConfigInvalid, match=r"case 001 \{'t_end': 1e-14\}: InvalidControls: "
+                                                r"t_end: must exceed the landing tolerance"):
+            sweep_command(spec, quiet=True)
+        assert not out.exists()
+
     def test_cli_overrides_reach_every_case(self, tmp_path):
         out = tmp_path / "sweep"
         spec = {"base": TINY_RUN, "vary": {"seed": [0, 1]}}
@@ -231,8 +253,8 @@ class TestStepBudget:
     def test_estimate_precedes_the_first_step(self, dt, monkeypatch):
         monkeypatch.setattr(lasw.evolve, "_MAX_STEPS", 5)
         u0 = from_physical([0.0] * 16, Grid(16))
-        controls = IntegrationControls(dt=dt)
-        with pytest.raises(InvalidControls, match="step budget 5"):
+        controls = IntegrationControls(dt=dt, sample_interval=1.0)  # one sample: the steps overrun
+        with pytest.raises(InvalidControls, match="steps of dt=.*over the step budget 5"):
             integrate(u0, preset_normalized(), 1.0, controls)
 
     def test_budget_that_covers_the_run_passes(self, monkeypatch):
@@ -240,6 +262,18 @@ class TestStepBudget:
         u0 = from_physical([0.0] * 16, Grid(16))
         controls = IntegrationControls(dt=0.01, sample_interval=0.05)
         assert integrate(u0, preset_normalized(), 0.1, controls).state.t == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("overrides", [{"t_end": 1e300}, {"t_end": 1.0, "sample_interval": 1e-300}],
+                             ids=["huge-t_end", "tiny-sample_interval"])
+    def test_more_samples_than_the_budget_fail_fast_via_cli(self, tmp_path, overrides,
+                                                           monkeypatch, no_hang):
+        # these ran out of time and memory listing one event per sample
+        monkeypatch.setattr(lasw.evolve, "_event_times", None)
+        spec = dict(TINY_RUN, **overrides, out_dir=str(tmp_path / "out"))
+        result = invoke(tmp_path, "run", spec)
+        assert assert_named_error(result) is InvalidControls
+        assert "samples, over the step budget 20000000" in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_semigroup_budget_fails_fast_via_cli(self, tmp_path):
         spec = {
@@ -335,3 +369,94 @@ def test_run_config_round_trips(raw):
     cfg = RunConfig.from_dict(raw)
     assert RunConfig.from_dict(cfg.to_dict()) == cfg
     assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+# ---------------------------------------------------------------------------
+# the Python API: each public function checks its own table of argument kinds
+# ---------------------------------------------------------------------------
+
+G16 = Grid(16)
+U0 = from_physical(0.05 * np.cos(2.0 * math.pi * G16.x), G16)
+
+
+def run_integrate(t_end, cfl, dt, sample_interval, snapshot_times, s_exponent,
+                  sup_ux_max, hs_max, tail_rel_max):
+    thresholds = BlowupThresholds(sup_ux_max, hs_max, tail_rel_max)
+    controls = IntegrationControls(cfl, dt, sample_interval, snapshot_times, thresholds, s_exponent)
+    return integrate(U0, preset_normalized(), t_end, controls)
+
+
+# Each public probe, convergence_study and integrate: (call, every numeric
+# argument of a small valid call); the fields and coefficients stay fixed.
+API = {
+    "semigroup": (lambda **kw: semigroup_probe(U0, U0, **kw),
+                  dict(t_end=0.01, cfl=0.3, tail_rel_max=1e-2, tolerance=1e-6)),
+    "commutator": (commutator_probe, dict(t_exp=1.0, r_exp=2.0, samples=2, seed=1, n_points=16,
+                                          max_mode=3, stability_factor=2.0)),
+    "product": (product_probe, dict(r_exp=2.0, t_exp=1.0, samples=2, seed=1, n_points=16,
+                                    max_mode=3, stability_factor=2.0)),
+    "continuous_dependence": (
+        lambda **kw: continuous_dependence_experiment(U0, coeffs=preset_normalized(), **kw),
+        dict(perturbation_sizes=[1e-2, 1e-3], t_end=0.01, s_exp=2.0, seed=1, dt=0.005, cfl=0.4)),
+    "dispersion": (dispersion_probe, dict(mode=1, eps=1.0, delta=0.1, amplitude=1e-8, n_points=16,
+                                          window=0.01, dt=0.001, tolerance=1e-6)),
+    "mollified_data": (lambda **kw: mollified_data_experiment(U0, coeffs=preset_normalized(), **kw),
+                       dict(n_sequence=[2, 4], t_end=0.01, dt=0.005, cfl=0.4)),
+    "convergence": (lambda **kw: convergence_study(U0, preset_normalized(), **kw),
+                    dict(t_end=0.01, grids=[16, 32, 64], dts=[0.01, 0.005, 0.0025])),
+    "integrate": (run_integrate, dict(t_end=0.02, cfl=0.5, dt=0.005, sample_interval=0.01,
+                                      snapshot_times=[0.01], s_exponent=2.0, sup_ux_max=1e4,
+                                      hs_max=1e8, tail_rel_max=1e-2)),
+}
+INTEGER_ARGUMENTS = {"samples", "seed", "n_points", "max_mode", "mode", "n_sequence", "grids"}
+EXTREMES = [math.nan, math.inf, -math.inf, 0, -1, 1e-300, 1e300]
+
+
+def with_value(kwargs, name, value):
+    """kwargs with argument name, or the first entry of a list argument, set to value."""
+    old = kwargs[name]
+    return dict(kwargs, **{name: [value, *old[1:]] if isinstance(old, list) else value})
+
+
+def api_arguments(integers_only=False):
+    return [(f, name) for f, (_, kwargs) in API.items() for name in kwargs
+            if name in INTEGER_ARGUMENTS or not integers_only]
+
+
+@pytest.mark.parametrize("function", sorted(API))
+def test_valid_call_returns_a_result(function):
+    call, kwargs = API[function]
+    assert isinstance(call(**kwargs), (ProbeReport, IntegrationResult))
+
+
+@pytest.fixture
+def few_samples(monkeypatch):
+    """Fail a run that lists more samples than a step budget allows, rather than
+    grow its list of event times until memory runs out."""
+    listed = lasw.evolve._event_times
+
+    def bounded(t_end, sample_interval, snapshot_times):
+        assert t_end / sample_interval <= 1e6, "samples listed past the step budget"
+        return listed(t_end, sample_interval, snapshot_times)
+    monkeypatch.setattr(lasw.evolve, "_event_times", bounded)
+
+
+@pytest.mark.parametrize("function, name", api_arguments())
+def test_extreme_argument_is_a_named_error_or_a_result(function, name, no_hang, few_samples):
+    call, kwargs = API[function]
+    for value in EXTREMES:
+        try:
+            out = call(**with_value(kwargs, name, value))
+        except LaswError:
+            continue
+        assert isinstance(out, (ProbeReport, IntegrationResult)), value
+        assert not (name in INTEGER_ARGUMENTS and isinstance(value, float)), value
+
+
+@pytest.mark.parametrize("function, name", api_arguments(integers_only=True))
+def test_integer_argument_rejects_a_float(function, name):
+    call, kwargs = API[function]
+    valid = kwargs[name]
+    value = float(valid[0] if isinstance(valid, list) else valid)
+    with pytest.raises(LaswError, match="expected an integer"):
+        call(**with_value(kwargs, name, value))
