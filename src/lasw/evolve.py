@@ -7,8 +7,7 @@ alpha2/mu is most of a(u) on the presets, and for mu = 0 (KdV) the
 unsmoothed alpha1*u_x + alpha2*u_xxx.  The nonlinear part is `tendency`
 (mu > 0) or `tendency_direct` (mu = 0) less alpha1 and alpha2.  The step
 rule bounds accuracy rather than stability, on a power-of-two ladder of
-steps, so the cached weights serve a whole run.  RK4 (`_rk4`) is left for
-the semigroup probe's frozen-transport equation.  The step size is
+steps, so the cached weights serve a whole run.  The step size is
 adjusted to land exactly on sample and snapshot times, so no interpolation
 enters the reported records.  Each accepted state is measured once, by the
 blow-up check, and samples reuse that record.
@@ -211,23 +210,6 @@ def _classify(r: DiagnosticsRecord, thresholds: BlowupThresholds) -> BlowupDecis
 # stepping
 # ---------------------------------------------------------------------------
 
-def _rk4(h: np.ndarray, rhs: Callable, dt: float) -> np.ndarray | None:
-    """One classical RK4 step of h' = rhs(h) on rfft half spectra, or on a
-    (B, n/2+1) stack of them; `_finite_rows` of the result.  The semigroup
-    probe steps its frozen-transport equation with it.
-
-    A stage that overflows passes inf or nan on to the result, so the final
-    scan is the one NonFinite test.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rhs(h)
-        k2 = rhs(h + (0.5 * dt) * k1)
-        k3 = rhs(h + (0.5 * dt) * k2)
-        k4 = rhs(h + dt * k3)
-        h = h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _finite_rows(h)
-
-
 def _finite_rows(h: np.ndarray) -> np.ndarray | None:
     """h, one half spectrum or a stack of them, if every entry is finite; else None."""
     return h if np.all(np.isfinite(h)) else None
@@ -423,6 +405,13 @@ def _check_run(coeffs: ModelCoefficients, t_end: float, controls: IntegrationCon
         validate(coeffs)  # before u0's verdict, which can end a run without a step
 
 
+def _check_steps(error: type[Exception], t_end: float, dt: float) -> None:
+    """Raise error if steps of dt to t_end would overrun the step budget, as
+    an inf or nan estimate does: the one budget check of every stepping loop."""
+    if not t_end / dt <= _MAX_STEPS:
+        raise error(f"about {t_end / dt:.3g} steps of dt={dt:.3g} needed, over the step budget {_MAX_STEPS}")
+
+
 @dataclass(frozen=True)
 class _Solve:
     """The last state `_solve` reached and the last step it tried; per sample,
@@ -475,9 +464,8 @@ def _solve(
                 raise InvalidControls(f"step budget {_MAX_STEPS} exhausted at t={t:.6g}")
             dt = controls.dt if controls.dt is not None else _stable_dt(h, coeffs, controls.cfl)
             dt = min(dt, controls.sample_interval)
-            if steps == 1 and t_end / dt > _MAX_STEPS:
-                raise InvalidControls(f"about {t_end / dt:.3g} steps of dt={dt:.3g} needed, "
-                                      f"over the step budget {_MAX_STEPS}")
+            if steps == 1:
+                _check_steps(InvalidControls, t_end, dt)
             dt_last = min(dt, ev - t)
             nxt = step(h, dt_last)
             if nxt is None:

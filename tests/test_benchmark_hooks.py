@@ -65,14 +65,14 @@ def test_semigroup_workload_counts_the_probe_steps(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     probes = workloads.probes
-    rk4 = probes._rk4
+    transport_step = probes._transport_step
     calls = []
 
     def counted(*args):
         calls.append(1)
-        return rk4(*args)
+        return transport_step(*args)
 
-    monkeypatch.setattr(probes, "_rk4", counted)
+    monkeypatch.setattr(probes, "_transport_step", counted)
     references = workloads.load_references()
     for size in ("toy", "full"):
         wl = workloads.SemigroupN4096(size, references)

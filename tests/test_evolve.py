@@ -56,6 +56,15 @@ def cosine(grid, amplitude, mode=1):
     return from_physical(amplitude * np.cos(TWO_PI * mode * grid.x), grid)
 
 
+def rk4_reference(h, rhs, dt):
+    """One classical RK4 step of h' = rhs(h): the reference the steppers are held to."""
+    k1 = rhs(h)
+    k2 = rhs(h + (0.5 * dt) * k1)
+    k3 = rhs(h + (0.5 * dt) * k2)
+    k4 = rhs(h + dt * k3)
+    return h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 class TestStepRK4:
     def test_constant_fixed_point(self):
         g = Grid(32)
@@ -212,7 +221,7 @@ class TestETDRK4:
         c = replace(KDV, alpha1=0.0, alpha2=0.0)
         u0 = random_trig_polynomial(Grid(32), 5, 8, 2.0)
         out = step_rk4(SimulationState(0.0, u0, 0.0), c, dt).u.coef
-        rk4 = evolve._rk4(u0.coef, lambda h: tendency_direct(h, c), dt)
+        rk4 = rk4_reference(u0.coef, lambda h: tendency_direct(h, c), dt)
         assert np.max(np.abs(out - rk4)) <= 1e-15 * np.max(np.abs(u0.coef))
 
     def test_kdv_richardson_order(self):
@@ -231,7 +240,7 @@ class TestETDRK4:
         dt = 2.0 ** -20
         h = u0.coef
         for _ in range(8):
-            h = evolve._rk4(h, lambda v: tendency_direct(v, KDV), dt)
+            h = rk4_reference(h, lambda v: tendency_direct(v, KDV), dt)
         res = integrate(u0, KDV, 8 * dt, IntegrationControls(dt=dt, sample_interval=8 * dt))
         assert np.max(np.abs(res.state.u.coef - h)) <= 1e-12 * np.max(np.abs(h))
 
@@ -315,7 +324,7 @@ class TestNonlocalETDRK4:
             steps = math.ceil(t_end / fine)
             h = u0.coef
             for _ in range(steps):
-                h = evolve._rk4(h, lambda v: tendency(v, c), t_end / steps)
+                h = rk4_reference(h, lambda v: tendency(v, c), t_end / steps)
             res = integrate(u0, c, t_end)
             assert res.state.status is RunStatus.COMPLETED
             worst = max(worst, np.max(np.abs(res.state.u.coef - h)))

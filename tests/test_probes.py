@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lasw import probes
+from lasw import evolve, probes
 from lasw.errors import InvalidExponents, InvalidProbeInput, ProbeUnresolved
 from lasw.evolve import BlowupThresholds, IntegrationControls, RunStatus, integrate
 from lasw.models import preset_normalized
@@ -33,6 +33,7 @@ from lasw.spectral import (
     sobolev_norm,
     zeros,
 )
+from test_evolve import rk4_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,6 +104,14 @@ class TestSemigroupProbe:
         with np.errstate(all="ignore"), pytest.raises(ProbeUnresolved, match="non-finite"):
             semigroup_probe(a, w0, 0.1)
 
+    def test_step_budget_is_the_solvers(self, monkeypatch):
+        # about 11 steps; a budget copied into probes would let the probe pass
+        monkeypatch.setattr(evolve, "_MAX_STEPS", 5)
+        g = Grid(64)
+        a = from_physical(np.sin(TWO_PI * g.x), g)
+        with pytest.raises(InvalidProbeInput, match="over the step budget 5"):
+            semigroup_probe(a, random_trig_polynomial(g, 1, 3, 1.0), 0.05)
+
     def test_deterministic(self):
         g = Grid(128)
         a = from_physical(np.sin(TWO_PI * g.x), g)
@@ -138,6 +147,21 @@ class TestTransportRightHandSides:
             assert rel_diff(banded, probes._padded_transport(a, n)(h)) <= 1e-14, band
 
     @pytest.mark.parametrize("n", [16, 64, 512, 4096])
+    def test_step_is_classical_rk4(self, n):
+        # Horner's form of RK4's polynomial rounds apart from the stage sum:
+        # at most 1.2e-16 relative over these draws, rounded up
+        for band in range(probes._BAND_MAX + 1):
+            a = np.zeros(n // 2 + 1, dtype=np.complex128)
+            a[: band + 1] = full_band(band + 1, [n, band])[: band + 1]
+            h = full_band(n // 2, [n, band, 1])
+            dt = 0.3 / n / max(1.0, 2.0 * np.sum(np.abs(a)))  # under the probe's cfl step
+            for rhs in (probes._banded_transport(a[: band + 1], n), probes._padded_transport(a, n)):
+                calls = []
+                step = probes._transport_step(h, lambda v: calls.append(1) or rhs(v), dt)
+                assert len(calls) == 4
+                assert rel_diff(step, rk4_reference(h, rhs, dt)) <= 2e-16, band
+
+    @pytest.mark.parametrize("n", [16, 64, 512, 4096])
     def test_sampled_sine_sits_on_the_floor(self, n):
         # sampling leaves round-off in every mode; the floor still finds band 1
         a = from_physical(np.sin(TWO_PI * Grid(n).x), Grid(n)).coef
@@ -155,13 +179,13 @@ class TestTransportRightHandSides:
     ], ids=["sine", "mixed", "twenty-modes"])
     def test_transforms_inside_the_step_loop(self, monkeypatch, a_of, per_stage):
         inside, ffts, steps = [False], [], []
-        rk4 = probes._rk4
+        transport_step = probes._transport_step
 
         def stepped(*args):
             steps.append(1)
             inside[0] = True
             try:
-                return rk4(*args)
+                return transport_step(*args)
             finally:
                 inside[0] = False
 
@@ -174,7 +198,7 @@ class TestTransportRightHandSides:
 
         for name in ("rfft", "irfft", "fft", "ifft"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-        monkeypatch.setattr(probes, "_rk4", stepped)
+        monkeypatch.setattr(probes, "_transport_step", stepped)
         g = Grid(128)
         semigroup_probe(a_of(g), random_trig_polynomial(g, 1, 3, 1.0), 0.02)
         assert steps

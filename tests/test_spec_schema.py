@@ -287,6 +287,17 @@ class TestStepBudget:
         assert "step budget 20000000" in result.stderr
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("command, spec", [
+        ("converge", {"t_end": 1e300, "dts": [1e-10, 1e-11, 1e-12]}),
+        ("probe", {"probe": "dispersion", "dt": 5e-324}),
+    ], ids=["converge", "dispersion"])
+    def test_step_counts_past_the_float_range_fail_fast_via_cli(self, tmp_path, command, spec, no_hang):
+        # these raised OverflowError rounding t_end / dt to a step count
+        result = invoke(tmp_path, command, dict(spec, out_dir=str(tmp_path / "out")))
+        assert assert_named_error(result) is InvalidProbeInput
+        assert "about inf steps" in result.stderr and "step budget 20000000" in result.stderr
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 def test_semigroup_defaults_pass(tmp_path):
     result = invoke(tmp_path, "probe", {"probe": "semigroup"}, "--out", str(tmp_path / "out"))
