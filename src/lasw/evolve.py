@@ -10,7 +10,8 @@ rule bounds accuracy rather than stability, on a power-of-two ladder of
 steps, so the cached weights serve a whole run.  The step size is
 adjusted to land exactly on sample and snapshot times, so no interpolation
 enters the reported records.  Each accepted state is measured once, by the
-blow-up check, and samples reuse that record.
+blow-up check through the public measures of `spectral`, which take the
+bare state as it is, and samples reuse that record.
 
 There is one step loop, `_solve`.  It steps a bare half spectrum, or a
 (B, n/2+1) stack of them when a probe solves several fields on one grid
@@ -22,7 +23,8 @@ state.  Row-wise FFTs and last-axis sums give each row of a stack the
 bits it gets alone, so a probe names the first field to stop by
 re-solving the fields one by one.  A step enters np.errstate at most
 three times: for the step rule's speed, around its four stages, whose
-bare right-hand-side calls set none of their own, and once for its record.
+bare right-hand-side calls set none of their own, and once for its record,
+whose bare measure calls set none either.
 
 A run ends in one of four states: Completed (reached t_end),
 BlowUpSuspected (a monitored quantity crossed its threshold, wave-breaking
@@ -46,7 +48,8 @@ from .models import (  # noqa: F401
     ModelCoefficients, tendency, tendency_direct, transport_field, validate,
 )
 from .spectral import (
-    SpectralField, _dx_sigma, _lambda_sigma, _sobolev_norm_of_power, _to_grid, sup_norm,
+    SpectralField, _dx_sigma, _lambda_sigma, _points, _to_grid, l2_norm, mean, sobolev_norm, spectral_tail,
+    sup_norm, sup_norm_dx,
 )
 
 
@@ -137,31 +140,15 @@ def _monitor_rows(t: float, h: np.ndarray, s_exponent: float) -> list[Diagnostic
     """The record of a finite half spectrum, or of each row of a (B, n/2+1) stack,
     but sup|u|, which no blow-up test reads: nan until a sample.
 
-    Row-wise transforms, sums and maxima give each row the bits it gets alone;
-    |h|^2 serves both norms, under one errstate, as an overflowing state has
-    norms inf.
+    The public measures take h bare, under one errstate, as an overflowing
+    state has norms inf; each row gets the bits it gets alone.
     """
-    n = 2 * (h.shape[-1] - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        power = h.real ** 2 + h.imag ** 2
-        columns = (
-            h[..., 0].real,
-            _sobolev_norm_of_power(power, n, 0.0),
-            _sobolev_norm_of_power(power, n, s_exponent),
-            np.max(np.abs(_to_grid(h * _dx_sigma(n, 1), 4 * n)), axis=-1),
-            np.max(np.abs(h[..., math.ceil(n / 3):]), axis=-1),
-        )
+        columns = (mean(h), l2_norm(h), sobolev_norm(h, s_exponent), sup_norm_dx(h), spectral_tail(h))
+    rows = np.array(columns).T.reshape(-1, len(columns)).tolist()
     # a list, not a generator, under the star: unpacking a generator leaves a
     # resized tuple per call on the interpreter's free list, ~0.15 MB of peak RSS
-    return [DiagnosticsRecord(t, *row, math.nan)
-            for row in zip(*[np.atleast_1d(c).tolist() for c in columns])]
-
-
-def _with_sup_u(records: list[DiagnosticsRecord], h: np.ndarray) -> list[DiagnosticsRecord]:
-    """The records of the rows of h with sup|u| filled in, as `sup_norm` gives it."""
-    n = 2 * (h.shape[-1] - 1)
-    sup = np.atleast_1d(np.max(np.abs(_to_grid(h, 4 * n)), axis=-1)).tolist()
-    return [replace(r, sup_u=v) for r, v in zip(records, sup)]
+    return [DiagnosticsRecord(t, *row, math.nan) for row in rows]
 
 
 def diagnose(t: float, u: SpectralField, s_exponent: float = 2.0) -> DiagnosticsRecord:
@@ -287,7 +274,7 @@ def _stepper(coeffs: ModelCoefficients) -> Callable:
         nonlinear = lambda v: tendency(v, nl)
 
     def etd_step(h, dt):
-        return _etdrk4(h, nonlinear, _etd_weights(2 * (h.shape[-1] - 1), coeffs, dt))
+        return _etdrk4(h, nonlinear, _etd_weights(_points(h), coeffs, dt))
     return etd_step
 
 
@@ -349,7 +336,7 @@ def _stable_dt(h: np.ndarray, coeffs: ModelCoefficients, cfl: float) -> float:
     halving.  With mu = 0, s = max(1, |alpha1| + |alpha3|*sup|v|).  A speed
     past the float range raises InvalidField.
     """
-    n = 2 * (h.shape[-1] - 1)
+    n = _points(h)
     spacing = 1.0 / n
     c = coeffs
     with np.errstate(over="ignore", invalid="ignore"):
@@ -478,8 +465,8 @@ def _solve(
                 SimulationState(t, h, dt_last), controls.thresholds, controls.s_exponent
             )
         if is_sample:  # a step's records: sup|u| is paid per sample
-            latest = _with_sup_u([d.record for d in decisions], h)
-            records.append([replace(r, t=ev) for r in latest])  # an event no step reaches keeps its time
+            sup = np.atleast_1d(sup_norm(h)).tolist()  # an event no step reaches keeps its time
+            records.append([replace(d.record, t=ev, sup_u=v) for d, v in zip(decisions, sup)])
         if is_snap:
             snapshots.append((ev, h))
     return _Solve(t, h, dt_last, records, snapshots, None)
@@ -507,16 +494,17 @@ def integrate(
     controls = controls or IntegrationControls()
     run = _solve(u0.coef, coeffs, t_end, controls)
     records = [rows[0] for rows in run.records]
+    final = SpectralField(u0.grid, run.h)
     status, blowup = RunStatus.RUNNING, None
     if (stop := run.stop) is not None:
         status = stop.status
         if stop.record is not None:  # a step that overflows leaves no record
-            stop = replace(stop, record=_with_sup_u([stop.record], run.h)[0])
+            stop = replace(stop, record=replace(stop.record, sup_u=sup_norm(final)))
             records.append(stop.record)
         if status is RunStatus.BLOWUP_SUSPECTED:
             blowup = stop
     elif run.t >= t_end - _LANDING_TOL:
         status = RunStatus.COMPLETED
-    state = SimulationState(run.t, SpectralField(u0.grid, run.h), run.dt, status)
+    state = SimulationState(run.t, final, run.dt, status)
     snapshots = [(ev, SpectralField(u0.grid, h)) for ev, h in run.snapshots]
     return IntegrationResult(state, records, snapshots, blowup=blowup)

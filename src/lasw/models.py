@@ -43,13 +43,13 @@ in every slot.
 A right-hand side is built once per (grid size, coefficients): a cached
 kernel checks the coefficients, lays out the term tables, the padded size,
 the derivative orders and the symbols, and returns a function from half
-spectrum to half spectrum.  `tendency`, `tendency_direct` and `flux` take
-a SpectralField or a bare rfft half spectrum and return the same kind.  A
-field is a call at the API boundary and runs under its own np.errstate; a
-bare array is the stepper's, which builds no field inside a step and runs
-every stage under its one errstate.  A bare (B, n/2+1) stack of half
-spectra goes through the same kernel and the same two transforms, each
-row bit for bit as it would go alone.
+spectrum to half spectrum.  Every right-hand side is written on bare half
+spectra under `spectral._at_the_boundary`, the one field boundary, and
+takes a SpectralField or a bare rfft half spectrum and returns the same
+kind: a field runs under its own np.errstate; a bare array is the
+stepper's, which builds no field inside a step and runs every stage under
+its one errstate.  A bare (B, n/2+1) stack goes through the same kernel
+and the same two transforms, each row bit for bit as it would go alone.
 """
 
 from __future__ import annotations
@@ -61,12 +61,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import GammaRelationViolated, InvalidMu, InvalidRegime
-from .spectral import (
-    SpectralField,
-    _dealias_size,
-    _dx_sigma,
-    _lambda_sigma,
-)
+from .spectral import _at_the_boundary, _dealias_size, _dx_sigma, _from_grid, _lambda_sigma, _points
 
 GAMMA_RELATION_TOL = 1e-12
 
@@ -378,8 +373,7 @@ def _padded_sums(n: int, *term_lists):
         grid = np.fft.irfft(spec, n=m)
         out = np.empty(h.shape[:-1] + shape)
         products(grid, out)
-        spec = np.fft.rfft(out)[..., :half + 1] / m
-        spec[..., half] = 2.0 * spec[..., half].real
+        spec = _from_grid(out, n)
         return tuple(0.0 if j is None else spec[..., j, :] for j in slots)
     return sums
 
@@ -449,45 +443,27 @@ def _local_kernel(n: int, c: ModelCoefficients):
     return rhs
 
 
-def _fields_at_the_boundary(rhs):
-    """A right-hand side of bare half spectra -> one that also takes a SpectralField.
-
-    A field is a call at the API boundary: it runs under its own errstate,
-    since an overflow is the field constructor's to report.  A bare half
-    spectrum or (B, n/2+1) stack is the stepper's, which runs every stage
-    under one errstate; such a call gets none of its own.
-    """
-    @functools.wraps(rhs)
-    def either(u, coeffs: ModelCoefficients):
-        if isinstance(u, SpectralField):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return SpectralField(u.grid, rhs(u.coef, coeffs))
-        return rhs(u, coeffs)
-    return either
-
-
-def transport_field(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
+@_at_the_boundary
+def transport_field(h, coeffs: ModelCoefficients):
     """Local transport speed a(u) = (alpha2 + beta2*u + gamma2*u^2)/mu."""
     validate(coeffs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        (squared,) = _padded_sums(u.grid.n_points, _square(coeffs))(u.coef)
-        a = (coeffs.beta2 / coeffs.mu) * u.coef + squared
-        a[0] += coeffs.alpha2 / coeffs.mu
-        return SpectralField(u.grid, a)
+    (squared,) = _padded_sums(_points(h), _square(coeffs))(h)
+    a = (coeffs.beta2 / coeffs.mu) * h + squared
+    a[..., 0] += coeffs.alpha2 / coeffs.mu
+    return a
 
 
-def semilinear_term(u: SpectralField, coeffs: ModelCoefficients) -> SpectralField:
+@_at_the_boundary
+def semilinear_term(h, coeffs: ModelCoefficients):
     """Smoothing part f(u) of the nonlocal form; its mean is exactly zero."""
     validate(coeffs)
-    n = u.grid.n_points
-    with np.errstate(over="ignore", invalid="ignore"):
-        (bracket,) = _padded_sums(n, _bracket(coeffs))(u.coef)
-        smoothed = ((coeffs.alpha1 + coeffs.alpha2 / coeffs.mu) * u.coef + bracket) \
-            * _lambda_sigma(n, -2.0, coeffs.mu)
-        return SpectralField(u.grid, smoothed * _dx_sigma(n, 1))
+    n = _points(h)
+    (bracket,) = _padded_sums(n, _bracket(coeffs))(h)
+    smoothed = ((coeffs.alpha1 + coeffs.alpha2 / coeffs.mu) * h + bracket) * _lambda_sigma(n, -2.0, coeffs.mu)
+    return smoothed * _dx_sigma(n, 1)
 
 
-@_fields_at_the_boundary
+@_at_the_boundary
 def tendency(h, coeffs: ModelCoefficients):
     """du/dt of the nonlocal form: f(u) - a(u)*u_x = -d/dx of `flux`.
 
@@ -497,11 +473,11 @@ def tendency(h, coeffs: ModelCoefficients):
     A SpectralField gives a SpectralField; a bare rfft half spectrum, as
     the stepper passes, gives a bare half spectrum and builds no field.
     """
-    n = 2 * (h.shape[-1] - 1)
+    n = _points(h)
     return -_flux_kernel(n, coeffs)(h) * _dx_sigma(n, 1)
 
 
-@_fields_at_the_boundary
+@_at_the_boundary
 def tendency_direct(h, coeffs: ModelCoefficients):
     """du/dt from the local form, smoothed by (1 - mu*d^2/dx^2)^{-1}.
 
@@ -515,10 +491,10 @@ def tendency_direct(h, coeffs: ModelCoefficients):
     products into it.  Takes and returns fields or bare half spectra, as
     `tendency` does.
     """
-    return _local_kernel(2 * (h.shape[-1] - 1), coeffs)(h)
+    return _local_kernel(_points(h), coeffs)(h)
 
 
-@_fields_at_the_boundary
+@_at_the_boundary
 def flux(h, coeffs: ModelCoefficients):
     """Flux Phi with tendency(u) = -d/dx Phi(u).
 
@@ -526,4 +502,4 @@ def flux(h, coeffs: ModelCoefficients):
     u-antiderivative of a(u): P(u) = (alpha2*u + beta2*u^2/2 + gamma2*u^3/3)/mu.
     Takes and returns fields or bare half spectra, as `tendency` does.
     """
-    return _flux_kernel(2 * (h.shape[-1] - 1), coeffs)(h)
+    return _flux_kernel(_points(h), coeffs)(h)

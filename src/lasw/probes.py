@@ -206,19 +206,24 @@ def semigroup_probe(
     _BAND_MAX modes above 64*eps*max|a_k|, else a 2n-point transform pair.
     Passing means the ratio ||w(t)|| / (exp(omega*t) ||w0||), sampled at 40
     evenly spaced times, never exceeds 1 + tolerance.
-    Raises ProbeUnresolved once w or ||w|| goes non-finite, or if the spectral
-    tail of w crosses tail_rel_max * ||w|| (the grid lost w).
+    Raises InvalidProbeInput before any step if sup|a|, sup|a_x| or ||w0||
+    is not finite, and ProbeUnresolved once w or ||w|| goes non-finite, or
+    if the spectral tail of w crosses tail_rel_max * ||w|| (the grid lost w).
     """
     check(InvalidProbeInput, _SEMIGROUP_ARGUMENTS, locals())
     if a.grid != w0.grid:
         raise GridMismatch("a and w0 must share a grid")
     grid = a.grid
     n = grid.n_points
-    omega = 0.5 * sup_norm_dx(a)
+    sup_a, omega = sup_norm(a), 0.5 * sup_norm_dx(a)
+    if not (math.isfinite(sup_a) and math.isfinite(omega)):
+        raise InvalidProbeInput(f"a: sup|a| = {sup_a:g} and sup|a_x| = {2.0 * omega:g} must be finite")
     w0_norm = l2_norm(w0)
+    if not math.isfinite(w0_norm):
+        raise InvalidProbeInput(f"w0: its L2 norm {w0_norm:g} must be finite")
 
     rhs = _transport_rhs(a.coef, n)
-    dt = cfl * grid.spacing / max(1.0, sup_norm(a))
+    dt = cfl * grid.spacing / max(1.0, sup_a)
     _check_steps(InvalidProbeInput, t_end, dt)
     sample_ts = [t_end * (j + 1) / _SEMIGROUP_SAMPLES for j in range(_SEMIGROUP_SAMPLES)]
     h = w0.coef
@@ -231,11 +236,12 @@ def semigroup_probe(
             if h is None:
                 raise ProbeUnresolved(f"non-finite evolution at t={t + step:.6g}")
             t = ts if ts - (t + step) < _LANDING_TOL else t + step
-        w = SpectralField(grid, h)
-        wn = l2_norm(w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            wn = l2_norm(h)
+            lost = wn > 0.0 and spectral_tail(h) > tail_rel_max * wn
         if not math.isfinite(wn):  # finite coefficients whose norm overflows
             raise ProbeUnresolved(f"non-finite evolution at t={t:.6g}")
-        if wn > 0.0 and spectral_tail(w) > tail_rel_max * wn:
+        if lost:
             raise ProbeUnresolved(
                 f"spectral tail exceeded {tail_rel_max:g} * ||w|| at t={t:.6g}"
             )

@@ -23,6 +23,12 @@ truncate all their sums in one rfft.
 :func:`mollify` convolves with one built-in kernel, the rescaled bump
 exp(-1/(y(1-y))) on [0, 1].
 
+The field boundary is one decorator, `_at_the_boundary`, on the measures
+here and the right-hand sides in `models`: a SpectralField runs under its
+own np.errstate and gets a field, or a float for a measure; a bare half
+spectrum or (B, n/2+1) stack runs under its caller's errstate and gets the
+bare result, each row the bits it gets alone.
+
 Fields are immutable value objects and every operation is a pure function,
 so they can be shared freely across threads or processes.
 """
@@ -162,6 +168,11 @@ class SpectralField:
 # half-spectrum plumbing (padding, coefficient normalization)
 # ---------------------------------------------------------------------------
 
+def _points(h: np.ndarray) -> int:
+    """Grid size of a half spectrum, or of each row of a (B, n/2+1) stack."""
+    return 2 * (h.shape[-1] - 1)
+
+
 def _resize(h: np.ndarray, n: int) -> np.ndarray:
     """Half spectrum h zero-padded or truncated to n points (h itself if unchanged).
 
@@ -169,7 +180,7 @@ def _resize(h: np.ndarray, n: int) -> np.ndarray:
     truncation, its adjoint, folds the +-n/2 pair back onto the Nyquist slot.
     A (B, n_h/2+1) stack is resized row by row.
     """
-    old = 2 * (h.shape[-1] - 1)
+    old = _points(h)
     if n == old:
         return h
     half = min(n, old) // 2
@@ -185,7 +196,7 @@ def _to_grid(h: np.ndarray, m: int) -> np.ndarray:
     Like `_from_grid`, it acts on the last axis, so a stack goes row by row.
     """
     scaled = h * m
-    if m > 2 * (h.shape[-1] - 1):  # split the Nyquist coefficient between modes +-n/2
+    if m > _points(h):  # split the Nyquist coefficient between modes +-n/2
         scaled[..., -1] = 0.5 * scaled[..., -1].real
     return np.fft.irfft(scaled, n=m)
 
@@ -197,6 +208,20 @@ def _from_grid(samples: np.ndarray, n: int) -> np.ndarray:
     if n < m:  # fold the +-n/2 pair onto the Nyquist slot
         h[..., -1] = 2.0 * h[..., -1].real
     return h
+
+
+def _at_the_boundary(fn):
+    """fn of a bare half spectrum -> one that also takes a SpectralField, whose
+    overflow is the field constructor's to report, or reads inf or nan in a
+    measure; a bare call gets fn's result as it is."""
+    @functools.wraps(fn)
+    def either(u, *args, **kwargs):
+        if not isinstance(u, SpectralField):
+            return fn(u, *args, **kwargs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fn(u.coef, *args, **kwargs)
+            return float(out) if np.ndim(out) == 0 else SpectralField(u.grid, out)
+    return either
 
 
 def _dealias_size(n: int, count: int) -> int:
@@ -242,11 +267,6 @@ def constant(grid: Grid, value: float) -> SpectralField:
     coef = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
     coef[0] = float(value)
     return SpectralField(grid, coef)
-
-
-def mean(field: SpectralField) -> float:
-    """Spatial mean, i.e. the mode-0 coefficient."""
-    return float(field.coef[0].real)
 
 
 def resample(field: SpectralField, n_points: int) -> SpectralField:
@@ -337,7 +357,7 @@ def dealiased_product(f: SpectralField, g: SpectralField, *more: SpectralField) 
 
 
 # ---------------------------------------------------------------------------
-# norms
+# measures
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=128)
@@ -353,45 +373,48 @@ def _sobolev_weight(n: int, s: float) -> tuple[np.ndarray, bool]:
     return weight, bool(np.isinf(weight).any())
 
 
-def sobolev_norm(field: SpectralField, s: float) -> float:
+@_at_the_boundary
+def mean(h):
+    """Spatial mean, i.e. the mode-0 coefficient."""
+    return h[..., 0].real
+
+
+@_at_the_boundary
+def sobolev_norm(h, s: float):
     """H^s norm: sqrt(sum_n (1 + xi_n^2)^s |u_hat[n]|^2) with xi_n = 2*pi*n.
 
     The sum runs over all modes -n/2 <= n < n/2; each stored mode
-    0 < k < n/2 stands for itself and its conjugate -k.
+    0 < k < n/2 stands for itself and its conjugate -k.  An overflowing
+    field has norm inf.
     """
-    h = field.coef
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing field has norm inf
-        return float(_sobolev_norm_of_power(h.real ** 2 + h.imag ** 2, field.grid.n_points, s))
-
-
-def _sobolev_norm_of_power(power: np.ndarray, n: int, s: float) -> np.ndarray:
-    """`sobolev_norm` from the |h|^2 of a half spectrum, or of each row of a
-    (B, n/2+1) stack, under the caller's errstate."""
-    weight, overflows = _sobolev_weight(n, float(s))
+    power = h.real ** 2 + h.imag ** 2
+    weight, overflows = _sobolev_weight(_points(h), float(s))
     if overflows:  # an inf weight on a zero mode adds 0, not nan
         return np.sqrt((weight * power).sum(-1, where=power > 0.0))
     return np.sqrt((weight * power).sum(-1))
 
 
-def l2_norm(field: SpectralField) -> float:
-    return sobolev_norm(field, 0.0)
+def l2_norm(u):
+    return sobolev_norm(u, 0.0)
 
 
-def sup_norm(field: SpectralField) -> float:
+@_at_the_boundary
+def sup_norm(h):
     """max |u| evaluated on the grid refined by a factor 4."""
-    return float(np.max(np.abs(_to_grid(field.coef, 4 * field.grid.n_points))))
+    return np.max(np.abs(_to_grid(h, 4 * _points(h))), axis=-1)
 
 
-def sup_norm_dx(field: SpectralField) -> float:
+@_at_the_boundary
+def sup_norm_dx(h):
     """max |u_x| on the refined grid; the wave-breaking monitor."""
-    n = field.grid.n_points
-    return float(np.max(np.abs(_to_grid(field.coef * _dx_sigma(n, 1), 4 * n))))
+    n = _points(h)
+    return np.max(np.abs(_to_grid(h * _dx_sigma(n, 1), 4 * n)), axis=-1)
 
 
-def spectral_tail(field: SpectralField) -> float:
+@_at_the_boundary
+def spectral_tail(h):
     """Largest coefficient magnitude in the top third of representable modes."""
-    cutoff = int(math.ceil(field.grid.n_points / 3))
-    return float(np.max(np.abs(field.coef[cutoff:])))
+    return np.max(np.abs(h[..., math.ceil(_points(h) / 3):]), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -351,14 +351,20 @@ class TestProbeAndConverge:
         # the preset's coefficients overflow; that was a ValueError traceback
         ({"probe": "dispersion", "eps": 1e300}, "InvalidRegime", "coefficient gamma1 is not finite"),
         ({"probe": "dispersion", "delta": 1e300}, "InvalidRegime", "coefficient mu is not finite"),
+        # sup|a| reads nan, or ||w0|| inf; that was ProbeUnresolved after a step
+        ({"probe": "semigroup", "grid": 16, "a": {"coefficients": [[1, 1e308, 0], [2, 0, 1e308], [3, 1e308, 0]]}},
+         "InvalidProbeInput", "a: sup|a| = nan"),
+        ({"probe": "semigroup", "w0": {"coefficients": [[1, 1e160, 0]]}}, "InvalidProbeInput",
+         "w0: its L2 norm inf"),
     ], ids=["dispersion", "continuous_dependence", "mollified_data",
             "continuous_dependence-negative-t_end", "mollified_data-negative-t_end",
-            "dispersion-overflowing-eps", "dispersion-overflowing-delta"])
+            "dispersion-overflowing-eps", "dispersion-overflowing-delta",
+            "semigroup-overflowing-a", "semigroup-overflowing-w0"])
     def test_degenerate_probe_inputs_fail_cleanly(self, tmp_path, spec, error, message):
         path = write_config(tmp_path, dict(spec, out_dir=str(tmp_path / "out")), "spec.json")
         result = CliRunner().invoke(main, ["probe", "--config", str(path), "--quiet"])
         assert result.exit_code == 1
-        assert f"error: {error}: " in result.output
+        assert result.output.startswith(f"error: {error}: ") and result.output.count("\n") == 1
         assert message in result.output
         assert isinstance(result.exception, SystemExit)  # handled, no traceback
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from lasw import evolve
 from lasw import models
 from lasw import probes
+from lasw import spectral
 from lasw.errors import (
     GammaRelationViolated, InvalidControls, InvalidField, InvalidMu, ProbeUnresolved,
 )
@@ -153,26 +154,49 @@ class TestErrstate:
 
     @pytest.mark.parametrize("name", ["normalized", "kdv"])
     def test_an_overflowing_step_ends_nonfinite_without_a_warning(self, name):
+        # huge's first step overflows; overflowing's u0 is NonFinite, and its
+        # record's sup|u| overflows too
         c = preset_normalized() if name == "normalized" else KDV
+        for u0 in (self.huge(), self.overflowing()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = integrate(u0, c, 0.1, IntegrationControls(dt=0.01, thresholds=self.NO_THRESHOLDS))
+            assert res.state.status is RunStatus.NONFINITE and res.state.t == 0.0
+
+    # every one-field function of spectral and models, with its arguments past u
+    RHS = [(f, (preset_normalized(),)) for f in (
+        models.tendency, models.tendency_direct, models.flux, models.transport_field, models.semilinear_term)]
+    MEASURES = [(spectral.sobolev_norm, (2.0,)), (spectral.l2_norm, ()), (spectral.sup_norm, ()),
+                (spectral.sup_norm_dx, ()), (spectral.spectral_tail, ())]
+
+    def overflowing(self):
+        """Finite coefficients past every measure's float range; the mean,
+        mode 0, is 0 and no mean overflows."""
+        c = np.zeros(9, dtype=complex)
+        c[1], c[2], c[3], c[7] = 1e308, 1e308j, 1e308, 1.5e308 * (1.0 + 1.0j)
+        return SpectralField(Grid(16), c)
+
+    @pytest.mark.parametrize("form, args", RHS + MEASURES, ids=[f.__name__ for f, _ in RHS + MEASURES])
+    def test_a_field_call_warns_nowhere(self, form, args):
+        # a right-hand side's overflow is the field constructor's to report;
+        # a measure reads inf or nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = integrate(self.huge(), c, 0.1,
-                            IntegrationControls(dt=0.01, thresholds=self.NO_THRESHOLDS))
-        assert res.state.status is RunStatus.NONFINITE and res.state.t == 0.0
+            if form.__module__ == "lasw.models":
+                with pytest.raises(InvalidField, match="non-finite"):
+                    form(self.overflowing(), *args)
+            else:
+                assert not math.isfinite(form(self.overflowing(), *args))
 
-    @pytest.mark.parametrize("form", [models.tendency, models.tendency_direct, models.flux])
-    def test_a_field_call_warns_nowhere(self, form):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidField, match="non-finite"):
-                form(self.huge(), preset_normalized())
-
-    def test_a_bare_call_takes_its_callers_errstate(self):
-        h = self.huge().coef
+    # np.abs of a complex overflows to inf without a floating-point flag, so a
+    # bare spectral_tail, like a bare mean, has no overflow to raise
+    @pytest.mark.parametrize("form, args", RHS + MEASURES[:-1], ids=[f.__name__ for f, _ in RHS + MEASURES[:-1]])
+    def test_a_bare_call_takes_its_callers_errstate(self, form, args):
+        h = self.overflowing().coef
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            tendency(h, preset_normalized())
+            form(h, *args)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.all(np.isfinite(tendency(h, preset_normalized())))
+            assert not np.all(np.isfinite(form(h, *args)))
 
 
 KDV = preset_survey("kdv", RegimeParameters(eps=0.5, delta=0.5))
@@ -459,17 +483,18 @@ class TestStackedSolve:
     def test_row_records_equal_monitor(self, s_exponent):
         # s_exponent 100 gives inf weights on the zero top modes; each row's
         # record, and a bare half spectrum's, is diagnose's but for sup|u|,
-        # which a sample fills in with diagnose's bits
+        # which a sample fills in with sup_norm of the stack: diagnose's bits
         g = Grid(64)
         fields = [random_trig_polynomial(g, seed, 20, 1.0) for seed in range(4)] + [constant(g, 0.0)]
-        got = evolve._monitor_rows(0.5, np.stack([u.coef for u in fields]), s_exponent)
+        stack = np.stack([u.coef for u in fields])
+        got = evolve._monitor_rows(0.5, stack, s_exponent)
         for u, record in zip(fields, got):
             want = diagnose(0.5, u, s_exponent)
             [alone] = evolve._monitor_rows(0.5, u.coef, s_exponent)
             assert math.isnan(record.sup_u) and math.isnan(alone.sup_u)
             for r in (record, alone):
                 assert np.array(astuple(r)[:-1]).tobytes() == np.array(astuple(want)[:-1]).tobytes()
-        filled = evolve._with_sup_u(got, np.stack([u.coef for u in fields]))
+        filled = [replace(r, sup_u=v) for r, v in zip(got, sup_norm(stack).tolist())]
         for u, record in zip(fields, filled):
             want = diagnose(0.5, u, s_exponent)
             assert np.array(astuple(record)).tobytes() == np.array(astuple(want)).tobytes()

@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from lasw.probes import (
 )
 from lasw.spectral import (
     Grid,
+    SpectralField,
     constant,
     dealiased_product,
     from_physical,
@@ -97,12 +99,27 @@ class TestSemigroupProbe:
         assert t < 1e4
 
     def test_overflowing_norm_raises(self):
-        # finite coefficients of size 1e160 square past the float range
+        # ||w0|| is 1.22e154, just in the float range; the flow grows ||w|| past
+        # it, about t = 0.05, while the coefficients stay finite
         g = Grid(64)
         a = from_physical(np.sin(TWO_PI * g.x), g)
-        w0 = from_physical(1e160 * np.cos(TWO_PI * g.x), g)
-        with np.errstate(all="ignore"), pytest.raises(ProbeUnresolved, match="non-finite"):
+        w0 = from_physical(1e154 * (1.0 - np.cos(TWO_PI * g.x)), g)
+        with pytest.raises(ProbeUnresolved, match="non-finite evolution at t=0.0"):
             semigroup_probe(a, w0, 0.1)
+
+    @pytest.mark.parametrize("name", ["a", "w0"])
+    def test_non_finite_measures_of_the_inputs_are_invalid(self, name):
+        # sup|a| and sup|a_x| read nan, or ||w0|| reads inf; max(1, nan) is 1,
+        # so the step cfl*dx/max(1, sup|a|) would not see a
+        g = Grid(16)
+        c = np.zeros(9, dtype=complex)
+        c[1], c[2], c[3] = 1e308, 1e308j, 1e308
+        inputs = {"a": from_physical(np.sin(TWO_PI * g.x), g), "w0": random_trig_polynomial(g, 1, 3, 1.0)}
+        inputs[name] = SpectralField(g, c) if name == "a" else 1e160 * inputs["w0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidProbeInput, match=f"^{name}: "):
+                semigroup_probe(inputs["a"], inputs["w0"], 0.1)
 
     def test_step_budget_is_the_solvers(self, monkeypatch):
         # about 11 steps; a budget copied into probes would let the probe pass

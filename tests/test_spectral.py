@@ -30,6 +30,7 @@ from lasw.spectral import (
     random_trig_polynomial,
     resample,
     sobolev_norm,
+    spectral_tail,
     sup_norm,
     sup_norm_dx,
     to_physical,
@@ -304,6 +305,21 @@ class TestNorms:
         g = Grid(32)
         f = from_physical(np.sin(TWO_PI * g.x), g)
         assert sup_norm(f) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("measure, args", [
+        (mean, ()), (l2_norm, ()), (sobolev_norm, (2.0,)), (sobolev_norm, (100.0,)),
+        (sup_norm, ()), (sup_norm_dx, ()), (spectral_tail, ()),
+    ], ids=["mean", "l2", "h2", "h100", "sup", "sup_dx", "tail"])
+    def test_a_stack_is_measured_row_by_row(self, measure, args):
+        # each row of a bare (B, n/2+1) stack gets its field call's bits; at
+        # s = 100 the top weights are inf and the zero row's norm is 0
+        g = Grid(64)
+        fields = [random_trig_polynomial(g, seed, 20, 1.0) for seed in range(4)] + [zeros(g)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = measure(np.stack([u.coef for u in fields]), *args)
+        assert rows.shape == (len(fields),)
+        want = [measure(u, *args) for u in fields]
+        assert np.array(rows).tobytes() == np.array(want).tobytes()
 
 
 class TestMollify:
