@@ -2,16 +2,15 @@
 
 Exit codes: 0 for Completed runs and passing probes, 2 when a run ends in
 BlowUpSuspected, 3 for a failing probe or study, 1 for operational errors
-(bad config, unwritable output, non-finite runs).
+(a malformed command line or config, unwritable output, non-finite runs).
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 from dataclasses import asdict
-
-import click
 
 from .config import (
     RunConfig,
@@ -46,13 +45,8 @@ def run_command(config: RunConfig, quiet: bool = False) -> int:
         write_snapshot_csv(out / snapshot_filename(t_snap), field)
         if config.dump_coefficients:
             write_coefficients_csv(out / snapshot_filename(t_snap, "_coef"), field)
-    blowup = None
-    if result.blowup is not None:
-        blowup = {
-            "trigger": result.blowup.trigger,
-            "value": result.blowup.value,
-            "t": result.blowup.t,
-        }
+    stop = result.blowup
+    blowup = None if stop is None else {"trigger": stop.trigger, "value": stop.value, "t": stop.t}
     write_json(out / "run.json", {
         "status": result.state.status.value,
         "t_final": result.state.t,
@@ -61,16 +55,11 @@ def run_command(config: RunConfig, quiet: bool = False) -> int:
         "timings": {"wall_seconds": wall},
     })
     if not quiet:
-        click.echo(
+        print(
             f"{result.state.status.value} at t={result.state.t:.6g} "
             f"({len(result.records)} samples) -> {out}"
         )
-    status = result.state.status
-    if status is RunStatus.COMPLETED:
-        return 0
-    if status is RunStatus.BLOWUP_SUSPECTED:
-        return 2
-    return 1
+    return {RunStatus.COMPLETED: 0, RunStatus.BLOWUP_SUSPECTED: 2}.get(result.state.status, 1)
 
 
 def probe_command(spec: dict, quiet: bool = False) -> int:
@@ -94,7 +83,7 @@ def _report_command(fn, kwargs: dict, out_dir: str, quiet: bool) -> int:
             line = f"convergence: {verdict} (order={order if order is None else f'{order:.3f}'})"
         else:
             line = f"probe {report.name}: {verdict} (max={report.max_value:.6g})"
-        click.echo(f"{line} -> {out}")
+        print(f"{line} -> {out}")
     return 0 if report.passed else 3
 
 
@@ -114,17 +103,17 @@ def sweep_command(spec: dict, quiet: bool = False) -> int:
             "exit_code": code,
         })
         if not quiet:
-            click.echo(f"case {idx:03d} {overrides} -> exit {code}")
+            print(f"case {idx:03d} {overrides} -> exit {code}")
     write_json(resolve_out_dir(out_root) / "sweep.json", {"cases": summary})
     codes = {case["exit_code"] for case in summary}
     return 1 if 1 in codes else 2 if 2 in codes else 0
 
 
 _COMMANDS = {
-    "run": lambda raw, quiet: run_command(RunConfig.from_dict(raw), quiet),
-    "probe": probe_command,
-    "converge": converge_command,
-    "sweep": sweep_command,
+    "run": (lambda raw, quiet: run_command(RunConfig.from_dict(raw), quiet), "Integrate one configured run."),
+    "probe": (probe_command, "Run one operator/solution-map probe."),
+    "converge": (converge_command, "Run a convergence study."),
+    "sweep": (sweep_command, "Run a cross-product sweep of configurations."),
 }
 
 
@@ -140,53 +129,34 @@ def _dispatch(command, config_path, out, seed, grid, quiet):
             target.update({k: v for k, v in (("seed", seed), ("grid", grid)) if v is not None})
         if out is not None:
             raw["out_dir"] = out
-        code = _COMMANDS[command](raw, quiet)
+        code = _COMMANDS[command][0](raw, quiet)
     except LaswError as err:
-        click.echo(f"error: {type(err).__name__}: {err}", err=True)
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         sys.exit(1)
     sys.exit(code)
 
 
-def _common_options(f):
-    f = click.option("--config", "config_path", required=True, help="path to the JSON spec")(f)
-    f = click.option("--out", default=None, help="override out_dir")(f)
-    f = click.option("--seed", type=int, default=None, help="override seed")(f)
-    f = click.option("--grid", type=int, default=None, help="override grid size")(f)
-    f = click.option("--quiet", is_flag=True, default=False)(f)
-    return f
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line exits 1 with one error line, as a malformed spec does."""
+
+    def error(self, message):
+        print(f"error: ConfigInvalid: {message}", file=sys.stderr)
+        sys.exit(1)
 
 
-@click.group()
-def main():
+def main(argv=None):
     """Pseudospectral solver and operator probes for periodic shallow-water models."""
-
-
-@main.command()
-@_common_options
-def run(**options):
-    """Integrate one configured run."""
-    _dispatch("run", **options)
-
-
-@main.command()
-@_common_options
-def probe(**options):
-    """Run one operator/solution-map probe."""
-    _dispatch("probe", **options)
-
-
-@main.command()
-@_common_options
-def converge(**options):
-    """Run a convergence study."""
-    _dispatch("converge", **options)
-
-
-@main.command()
-@_common_options
-def sweep(**options):
-    """Run a cross-product sweep of configurations."""
-    _dispatch("sweep", **options)
+    parser = _Parser(prog="lasw", description=main.__doc__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, summary) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
+        sub.add_argument("--config", dest="config_path", metavar="PATH", required=True,
+                         help="path to the JSON spec")
+        sub.add_argument("--out", help="override out_dir")
+        sub.add_argument("--seed", type=int, help="override seed")
+        sub.add_argument("--grid", type=int, help="override grid size")
+        sub.add_argument("--quiet", action="store_true")
+    _dispatch(**vars(parser.parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property, partial
 from pathlib import Path
@@ -26,6 +27,7 @@ from .errors import (
     ConfigInvalid,
     ConfigSyntax,
     GammaRelationViolated,
+    GridMismatch,
     InvalidMu,
     InvalidRegime,
     IoError,
@@ -365,7 +367,7 @@ def build_initial_field(spec: dict, grid: Grid, seed: int, where: str = "initial
             return from_physical(samples, grid)
         try:
             return random_trig_polynomial(grid, seed, p.get("max_mode", grid.n_points // 4), p["decay_exponent"])
-        except Exception as err:
+        except (GridMismatch, ValueError) as err:
             raise ConfigInvalid(f"{where}: {err}") from err
     if "coefficients" in spec:
         _reject_unknown(spec, {"coefficients"}, where)
@@ -374,15 +376,20 @@ def build_initial_field(spec: dict, grid: Grid, seed: int, where: str = "initial
             raise ConfigInvalid(f"{where}.coefficients: expected a list of [mode, re, im] rows")
         half = grid.n_points // 2
         coef = np.zeros(half + 1, dtype=np.complex128)
+        given = set()
         for entry in rows:
             try:
-                n, re, im = (_integer(entry[0], "mode"), _number(entry[1], "re"), _number(entry[2], "im"))
-            except (Rejected, TypeError, KeyError, IndexError) as err:
+                n, re, im = entry  # exactly three entries
+                n, re, im = _integer(n, "mode"), _number(re, "re"), _number(im, "im")
+            except (Rejected, TypeError, ValueError) as err:
                 raise ConfigInvalid(f"{where}.coefficients: bad entry {entry!r}") from err
             if not (0 <= n < half or n == -half):
                 raise ConfigInvalid(f"{where}.coefficients: mode {n} must be in [0, {half}) or be {-half}")
             if n in (0, -half) and im != 0.0:
                 raise ConfigInvalid(f"{where}.coefficients: mode {n} must be real")
+            if n in given:
+                raise ConfigInvalid(f"{where}.coefficients: mode {n} is given twice")
+            given.add(n)
             coef[abs(n)] = complex(re, im)
         return SpectralField(grid, coef)
     if "samples_file" in spec:
@@ -391,7 +398,9 @@ def build_initial_field(spec: dict, grid: Grid, seed: int, where: str = "initial
         if not path.is_file():
             raise ConfigInvalid(f"{where}.samples_file: {path} not found")
         try:
-            samples = np.loadtxt(path)
+            with warnings.catch_warnings():  # an empty file is zero samples
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                samples = np.loadtxt(path)
         except ValueError as err:
             raise ConfigInvalid(f"{where}.samples_file: {err}") from err
         if samples.ndim != 1 or samples.shape[0] != grid.n_points:

@@ -310,14 +310,21 @@ def _dispersive_step(n: int, coeffs: ModelCoefficients) -> float:
     |xi| <= n/4, or dx when alpha2 = 0.
 
     2.8 is about the RK4 stability limit on the imaginary axis.  With mu = 0,
-    max|L| is read as |alpha2|*(pi*n/2)^3, the dispersive term alone.
+    max|L| is read as |alpha2|*(pi*n/2)^3, the dispersive term alone.  A
+    step that is not positive and finite, as when max|L| overflows or
+    underflows, raises InvalidField.
     """
     c = coeffs
     if c.alpha2 == 0.0:
         return 1.0 / n
     if c.mu == 0.0:
-        return 2.8 / (abs(c.alpha2) * (0.5 * math.pi * n) ** 3)
-    return 2.8 / float(np.max(np.abs(_linear_symbol(n, c)[:n // 4 + 1])))
+        step = 2.8 / (abs(c.alpha2) * (0.5 * math.pi * n) ** 3)
+    else:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            step = float(2.8 / np.max(np.abs(_linear_symbol(n, c)[:n // 4 + 1])))
+    if not 0.0 < step < math.inf:
+        raise InvalidField(f"the step rule's dispersive step is not positive and finite: {step}")
+    return step
 
 
 def _stable_dt(h: np.ndarray, coeffs: ModelCoefficients, cfl: float) -> float:
@@ -395,8 +402,9 @@ def _check_run(coeffs: ModelCoefficients, t_end: float, controls: IntegrationCon
 def _check_steps(error: type[Exception], t_end: float, dt: float) -> None:
     """Raise error if steps of dt to t_end would overrun the step budget, as
     an inf or nan estimate does: the one budget check of every stepping loop."""
-    if not t_end / dt <= _MAX_STEPS:
-        raise error(f"about {t_end / dt:.3g} steps of dt={dt:.3g} needed, over the step budget {_MAX_STEPS}")
+    steps = t_end / dt if dt != 0.0 else math.inf  # a step that underflows to 0 never lands
+    if not steps <= _MAX_STEPS:
+        raise error(f"about {steps:.3g} steps of dt={dt:.3g} needed, over the step budget {_MAX_STEPS}")
 
 
 @dataclass(frozen=True)

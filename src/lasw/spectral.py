@@ -251,7 +251,8 @@ def from_physical(samples, grid: Grid | None = None) -> SpectralField:
         raise InvalidField(
             f"expected {grid.n_points} samples, got {samples.shape[0]}"
         )
-    return SpectralField(grid, _from_grid(samples, grid.n_points))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the constructor's to report
+        return SpectralField(grid, _from_grid(samples, grid.n_points))
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
@@ -326,7 +327,8 @@ def lambda_pow(field: SpectralField, s: float, mu: float = 1.0) -> SpectralField
     if not math.isfinite(s):
         raise InvalidExponents(f"s must be finite, got {s}")
     n = field.grid.n_points
-    return SpectralField(field.grid, field.coef * _lambda_sigma(n, s, mu))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the constructor's to report
+        return SpectralField(field.grid, field.coef * _lambda_sigma(n, s, mu))
 
 
 # ---------------------------------------------------------------------------

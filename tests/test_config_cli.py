@@ -2,15 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 
 from lasw import config as config_module
 from lasw import evolve
-from lasw.cli import main, probe_command, run_command, sweep_command
+from lasw.cli import probe_command, run_command, sweep_command
 from lasw.config import RunConfig, build_initial_field, load_config
 from lasw.errors import ConfigInvalid, ConfigSyntax, InvalidControls, IoError
 from lasw.io import write_coefficients_csv
@@ -123,9 +127,11 @@ class TestLoadConfig:
         assert [row[0] for row in rows] == list(range(8)) + [-8]
         restarted = build_initial_field({"coefficients": rows}, g, 0)
         assert restarted.coef.tobytes() == u.coef.tobytes()
-        for bad in ([8, 1.0, 0.0], [-3, 1.0, 0.0], [-8, 1.0, 0.5], [0, 1.0, 0.5]):
-            with pytest.raises(ConfigInvalid):
-                build_initial_field({"coefficients": [bad]}, g, 0)
+        for bad in ([[8, 1.0, 0.0]], [[-3, 1.0, 0.0]], [[-8, 1.0, 0.5]], [[0, 1.0, 0.5]],
+                    [[1, 0.1, 0, 5]],  # a fourth entry was dropped
+                    [[1, 0.1, 0], [1, 0.2, 0]]):  # the later row of a mode was kept
+            with pytest.raises(ConfigInvalid, match=r"bad entry|mode"):
+                build_initial_field({"coefficients": bad}, g, 0)
 
 
 class TestRunCommand:
@@ -213,7 +219,7 @@ class TestRunCommand:
         ))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = CliRunner().invoke(main, ["run", "--config", str(path)])
+            result = run_cli(["run", "--config", str(path)])
         assert result.exit_code == 1
         assert "NonFinite" in result.output
         assert "RuntimeWarning" not in result.stderr
@@ -232,14 +238,14 @@ class TestRunCommand:
         cfg = minimal_config(tmp_path / "out", t_end=0.01, sample_interval=0.01,
                              initial_data={"profile": "random", "max_mode": 8})
         path = write_config(tmp_path, cfg)
-        result = CliRunner().invoke(main, ["run", "--config", str(path), "--quiet"])
+        result = run_cli(["run", "--config", str(path), "--quiet"])
         assert result.exit_code == 0
         assert len(draws) == 1
 
     def test_t_end_within_landing_tolerance_exits_1(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, minimal_config(out, grid=32, t_end=1e-14))
-        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        result = run_cli(["run", "--config", str(path)])
         assert result.exit_code == 1
         assert "error: InvalidControls: t_end: must exceed the landing tolerance" in result.output
         assert isinstance(result.exception, SystemExit)  # handled, no traceback
@@ -254,7 +260,7 @@ class TestRunCommand:
         ))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = CliRunner().invoke(main, ["run", "--config", str(path)])
+            result = run_cli(["run", "--config", str(path)])
         assert result.exit_code == 2
         assert json.loads((out / "run.json").read_text())["blowup"]["trigger"] == "hs"
         assert "nan" not in (out / "diagnostics.csv").read_text()
@@ -271,7 +277,7 @@ class TestRunCommand:
             out, model={"preset": "normalized"}, grid=32, t_end=0.1, s_exponent=100,
             initial_data={"profile": "random", "max_mode": 10, "decay_exponent": 2.0},
         ))
-        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        result = run_cli(["run", "--config", str(path)])
         assert result.exit_code == 2 and steps == []
         run = json.loads((out / "run.json").read_text())
         assert run["status"] == "BlowUpSuspected" and run["t_final"] == 0.0
@@ -316,7 +322,7 @@ class TestProbeAndConverge:
         spec = {"probe": "dispersion", "mode": 1, "delta": 0.1, "out_dir": str(out)}
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
-        result = CliRunner().invoke(main, ["probe", "--config", str(path), "--quiet"])
+        result = run_cli(["probe", "--config", str(path), "--quiet"])
         assert result.exit_code == 0
 
     def test_continuous_dependence_at_negative_s(self, tmp_path):
@@ -325,7 +331,7 @@ class TestProbeAndConverge:
         spec = {"probe": "continuous_dependence", "s_exponent": -1.0, "t_end": 0.05,
                 "out_dir": str(out)}
         path = write_config(tmp_path, spec, "spec.json")
-        result = CliRunner().invoke(main, ["probe", "--config", str(path), "--quiet"])
+        result = run_cli(["probe", "--config", str(path), "--quiet"])
         assert result.exit_code == 0
         assert json.loads((out / "report.json").read_text())["passed"] is True
 
@@ -333,7 +339,7 @@ class TestProbeAndConverge:
         spec = {"probe": "continuous_dependence", "s_exponent": 100, "t_end": 0.05,
                 "out_dir": str(tmp_path / "dep")}
         path = write_config(tmp_path, spec, "spec.json")
-        result = CliRunner().invoke(main, ["probe", "--config", str(path), "--quiet"])
+        result = run_cli(["probe", "--config", str(path), "--quiet"])
         assert result.exit_code == 1
         assert "InvalidProbeInput" in result.output
 
@@ -362,7 +368,7 @@ class TestProbeAndConverge:
             "semigroup-overflowing-a", "semigroup-overflowing-w0"])
     def test_degenerate_probe_inputs_fail_cleanly(self, tmp_path, spec, error, message):
         path = write_config(tmp_path, dict(spec, out_dir=str(tmp_path / "out")), "spec.json")
-        result = CliRunner().invoke(main, ["probe", "--config", str(path), "--quiet"])
+        result = run_cli(["probe", "--config", str(path), "--quiet"])
         assert result.exit_code == 1
         assert result.output.startswith(f"error: {error}: ") and result.output.count("\n") == 1
         assert message in result.output
@@ -395,7 +401,7 @@ class TestProbeAndConverge:
         }
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
-        result = CliRunner().invoke(main, ["converge", "--config", str(path), "--quiet"])
+        result = run_cli(["converge", "--config", str(path), "--quiet"])
         assert result.exit_code == 0
         report = json.loads((out / "report.json").read_text())
         assert 3.8 <= report["details"]["temporal_order"] <= 4.2
@@ -425,7 +431,7 @@ class TestSweepAndOverrides:
         }
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(spec))
-        result = CliRunner().invoke(main, ["sweep", "--config", str(path), "--quiet"])
+        result = run_cli(["sweep", "--config", str(path), "--quiet"])
         assert result.exit_code == 0
         assert (out / "sweep.json").is_file()
         assert (out / "case_001" / "run.json").is_file()
@@ -435,8 +441,7 @@ class TestSweepAndOverrides:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "cli_out"
-        result = CliRunner().invoke(
-            main,
+        result = run_cli(
             ["run", "--config", str(path), "--out", str(out), "--grid", "64", "--seed", "3", "--quiet"],
         )
         assert result.exit_code == 0
@@ -447,8 +452,43 @@ class TestSweepAndOverrides:
     def test_cli_error_exit_1(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"grid": 128}))
-        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        result = run_cli(["run", "--config", str(path)])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("args, flag", [
+        (["run"], "--config"),
+        (["run", "--config", "c.json", "--seed", "abc"], "--seed"),
+        (["bogus", "--config", "c.json"], "bogus"),
+    ], ids=["missing-config", "non-integer-seed", "unknown-command"])
+    def test_malformed_command_line_exits_1(self, args, flag):
+        # exit 2 means BlowUpSuspected; a usage error is a named error like a bad spec
+        result = run_cli(args)
+        assert result.exit_code == 1 and result.output == result.stderr
+        assert result.stderr.startswith("error: ConfigInvalid: ") and result.stderr.count("\n") == 1
+        assert flag in result.stderr
+
+    @pytest.mark.parametrize("command, spec, error", [
+        ("run", {"initial_data": {"samples_file": "empty.txt"}}, "ConfigInvalid"),
+        ("run", {"initial_data": {"profile": "cosine", "amplitude": 1e308, "mode": 1}}, "InvalidField"),
+        ("probe", {"probe": "commutator", "t_exp": 1e308, "r_exp": 1e308}, "InvalidField"),
+        # L = Lam^-2 (alpha2 d^3/dx^3) reads inf * 0; the run ended in "about nan steps"
+        ("run", {"model": {"preset": "bbm", "beta": -1e308}}, "InvalidField"),
+        # the step rule underflows to dt = 0; that was a ZeroDivisionError traceback
+        ("run", {"cfl": 5e-324}, "InvalidControls"),
+    ], ids=["empty-samples-file", "overflowing-cosine", "overflowing-commutator-exponents",
+            "overflowing-step-rule", "underflowing-step-rule"])
+    def test_no_warning_before_the_error_line(self, tmp_path, monkeypatch, command, spec, error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.txt").write_text("")
+        if command == "run":
+            spec = minimal_config(tmp_path / "out", **spec)
+        path = write_config(tmp_path, dict(spec, grid=16, out_dir=str(tmp_path / "out")))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_cli([command, "--config", str(path)])
+        assert not caught, [str(w.message) for w in caught]
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {error}: ") and result.stderr.count("\n") == 1
 
     def test_env_out_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LASW_OUT_ROOT", str(tmp_path))
@@ -462,3 +502,25 @@ class TestSweepAndOverrides:
         cfg = RunConfig.from_dict(minimal_config(blocker / "out", t_end=0.2))
         with pytest.raises(IoError):
             run_command(cfg, quiet=True)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("call", [
+    "import runpy; sys.argv = ['lasw', '--help']; runpy.run_module('lasw.cli', run_name='__main__')",
+    "from lasw.cli import main; main(['run', '--help'])",
+], ids=["python-m-lasw.cli", "main"])
+def test_the_cli_runs_without_click(call, tmp_path):
+    # a None entry in sys.modules blocks click: importing it raises ImportError
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", f"import sys; sys.modules['click'] = None; {call}"],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert "--help" in result.stdout
+
+
+def test_numpy_is_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]

@@ -1001,3 +1001,15 @@ class TestStableDt:
         u = cosine(Grid(32), 1e160)
         with pytest.raises(InvalidField):
             evolve._stable_dt(u.coef, preset_normalized(), 0.5)
+
+    @pytest.mark.parametrize("model, params", [
+        ("bbm", RegimeParameters(eps=0.5, delta=0.5, beta=-1e308)),  # L reads inf * 0: a nan step
+        ("kdv", RegimeParameters(eps=0.5, delta=1e-161)),  # a subnormal alpha2: an inf step, halved forever
+        ("kdv", RegimeParameters(eps=0.5, delta=1e153)),  # alpha2*xi^3 overflows: a 0 step
+    ], ids=["nan", "inf", "zero"])
+    def test_a_step_rule_past_the_float_range_raises(self, model, params, no_hang):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidField, match="dispersive step is not positive and finite"):
+                integrate(cosine(Grid(16), 0.05), preset_survey(model, params), 0.02,
+                          IntegrationControls(sample_interval=0.01))

@@ -8,12 +8,12 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lasw.errors
 import lasw.evolve
-from lasw.cli import main, sweep_command
+from lasw.cli import sweep_command
 from lasw.config import RunConfig
 from lasw.errors import ConfigInvalid, InvalidControls, InvalidProbeInput, LaswError
 from lasw.evolve import BlowupThresholds, IntegrationControls, IntegrationResult, integrate
@@ -98,7 +98,7 @@ ERROR_LINE = re.compile(r"^error: (\w+): ")
 def invoke(tmp_path, command, spec, *args):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    return CliRunner().invoke(main, [command, "--config", str(path), "--quiet", *args])
+    return run_cli([command, "--config", str(path), "--quiet", *args])
 
 
 def assert_named_error(result):
@@ -199,7 +199,7 @@ def test_probe_range_errors_are_named():
 def test_top_level_must_be_an_object(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text("[1, 2]")
-    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    result = run_cli(["run", "--config", str(path)])
     assert assert_named_error(result).__name__ == "ConfigSyntax"
 
 
