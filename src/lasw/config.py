@@ -345,7 +345,7 @@ def build_coefficients(model: dict) -> ModelCoefficients:
         if name == "large_amplitude":
             return preset_large_amplitude(params)
         return preset_survey(name, params)
-    except (InvalidMu, InvalidRegime, GammaRelationViolated, TypeError) as err:
+    except (InvalidMu, InvalidRegime, GammaRelationViolated) as err:
         raise ConfigInvalid(f"model: {type(err).__name__}: {err}") from err
 
 

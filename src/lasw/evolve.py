@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidControls, InvalidField, InvalidMu
+from .errors import InvalidControls, InvalidField
 from .kinds import _LANDING_TOL, _bound, _list_of, _nonneg, _number, _optional, _positive, _span, check
 # transport_field is off the step path; perfbench/tracing.py rebinds evolve.transport_field
 from .models import (  # noqa: F401
@@ -384,7 +384,7 @@ _RUN_ARGUMENTS = dict(t_end=_span, cfl=_positive, dt=_optional(_positive), sampl
 
 
 def _check_run(coeffs: ModelCoefficients, t_end: float, controls: IntegrationControls) -> None:
-    """Raise InvalidControls, then InvalidMu or GammaRelationViolated, for a run
+    """Raise InvalidControls, then GammaRelationViolated, for a run
     `integrate` cannot start.  Every sample costs a step, so a run with more
     samples than the step budget fails here, before `_event_times` lists them."""
     check(InvalidControls, _RUN_ARGUMENTS, {"t_end": t_end, **vars(controls), **vars(controls.thresholds)})
@@ -393,8 +393,6 @@ def _check_run(coeffs: ModelCoefficients, t_end: float, controls: IntegrationCon
     if t_end / controls.sample_interval > _MAX_STEPS:
         raise InvalidControls(f"t_end / sample_interval is {t_end / controls.sample_interval:.3g} samples, "
                               f"over the step budget {_MAX_STEPS}")
-    if coeffs.mu < 0.0:
-        raise InvalidMu(f"mu must be nonnegative, got {coeffs.mu}")
     if coeffs.mu > 0.0:
         validate(coeffs)  # before u0's verdict, which can end a run without a step
 

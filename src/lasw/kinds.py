@@ -1,9 +1,11 @@
 """Argument kinds: the one range check of each public argument.
 
 A kind maps (value, name) to the value as a JSON spec wants it, or raises
-Rejected naming the argument.  Each public probe, `convergence_study` and
-`integrate` checks its arguments against its own table {parameter: kind};
-`config.py` parses JSON with the same kinds.  A bool is never a number.
+Rejected naming the argument.  Each public function checks its arguments
+against its own table {parameter: kind}, or admits a single one: the probes,
+`convergence_study` and `integrate`, the field operators of `spectral`, `Grid`
+and the coefficient and regime sets of `models`; `config.py` parses JSON
+with the same kinds.  A bool is never a number.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 import math
 import numbers
 from functools import partial
-
-from .spectral import Grid
 
 # A step that ends this close to an event lands on it, so a span of time must exceed it.
 _LANDING_TOL = 1e-13
@@ -36,11 +36,11 @@ def check(error, table: dict, values) -> None:
         admit(error, kind, values[name], name)
 
 
-def _number(raw, name, *, integer=False, positive=False, nonneg=False, finite=True):
+def _number(raw, name, *, integer=False, positive=False, nonneg=False, finite=True, at_most=math.inf):
     if isinstance(raw, bool) or not isinstance(raw, numbers.Integral if integer else numbers.Real):
         raise Rejected(f"{name}: expected {'an integer' if integer else 'a number'}, got {raw!r}")
     try:
-        v = raw if integer else float(raw)
+        v = int(raw) if integer else float(raw)
     except OverflowError:  # an int past the float range
         raise Rejected(f"{name}: must be finite") from None
     if finite and not integer and not math.isfinite(v):
@@ -49,6 +49,8 @@ def _number(raw, name, *, integer=False, positive=False, nonneg=False, finite=Tr
         raise Rejected(f"{name}: must be positive, got {v}")
     if nonneg and not v >= 0:
         raise Rejected(f"{name}: must be nonnegative, got {v}")
+    if v > at_most:
+        raise Rejected(f"{name}: must be at most {at_most}, got {v}")
     return v
 
 
@@ -58,6 +60,7 @@ _bound = partial(_number, positive=True, finite=False)  # a threshold; +inf swit
 _integer = partial(_number, integer=True)
 _count = partial(_number, integer=True, positive=True)
 _seed = partial(_number, integer=True, nonneg=True)
+_decay = partial(_number, nonneg=True, finite=False)  # a decay exponent; +inf is the steepest
 
 
 def _span(raw, name):
@@ -69,10 +72,9 @@ def _span(raw, name):
 
 def _grid(raw, name):
     """Number of grid points: an even integer >= 8."""
-    try:
-        return Grid(_integer(raw, name)).n_points
-    except ValueError as err:
-        raise Rejected(f"{name}: {err}") from None
+    if (n := _integer(raw, name)) < 8 or n % 2:
+        raise Rejected(f"{name}: must be an even integer >= 8, got {n}")
+    return n
 
 
 def _typed(cls, what):

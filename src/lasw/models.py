@@ -55,12 +55,12 @@ and the same two transforms, each row bit for bit as it would go alone.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GammaRelationViolated, InvalidMu, InvalidRegime
+from .kinds import _nonneg, _number, _optional, _positive, admit, check
 from .spectral import _at_the_boundary, _dealias_size, _dx_sigma, _from_grid, _lambda_sigma, _points
 
 GAMMA_RELATION_TOL = 1e-12
@@ -71,7 +71,9 @@ class ModelCoefficients:
     """Coefficient tuple of the quasilinear family (all dimensionless).
 
     alpha4 and alpha5 weigh the local u^2*u_x and u^3*u_x terms of the
-    surface-elevation preset; both forms honour them.
+    surface-elevation preset; both forms honour them.  Every coefficient is
+    a finite number (InvalidRegime) and mu >= 0 (InvalidMu), so every set
+    suits the local form; `validate` gates the nonlocal one.
     """
 
     mu: float
@@ -87,14 +89,16 @@ class ModelCoefficients:
     alpha5: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise InvalidRegime(f"coefficient {f.name} is not finite")
+        check(InvalidRegime, dict.fromkeys(vars(self), _number), vars(self))
+        admit(InvalidMu, _nonneg, self.mu, "mu")
 
     @property
     def conservative(self) -> bool:
         """True iff gamma1 = 2*(gamma2 + gamma3) within 1e-12 (absolute)."""
         return abs(self.gamma1 - 2.0 * (self.gamma2 + self.gamma3)) <= GAMMA_RELATION_TOL
+
+
+_REGIME = dict(eps=_positive, delta=_positive, **dict.fromkeys(("p", "z0", "kappa", "beta"), _optional(_number)))
 
 
 @dataclass(frozen=True)
@@ -114,10 +118,7 @@ class RegimeParameters:
     beta: float | None = None
 
     def __post_init__(self):
-        if not (self.eps > 0.0):
-            raise InvalidRegime(f"eps must be positive, got {self.eps}")
-        if not (self.delta > 0.0):
-            raise InvalidRegime(f"delta must be positive, got {self.delta}")
+        check(InvalidRegime, _REGIME, vars(self))
         if self.z0 is not None and not 0.0 <= self.z0 <= 1.0:
             raise InvalidRegime(f"z0 must lie in [0, 1], got {self.z0}")
 
@@ -127,8 +128,7 @@ def validate(coeffs: ModelCoefficients) -> ModelCoefficients:
 
     The local form (`tendency_direct`) needs neither and does not call it.
     """
-    if coeffs.mu <= 0.0:
-        raise InvalidMu(f"mu must be positive, got {coeffs.mu}")
+    admit(InvalidMu, _positive, coeffs.mu, "mu")
     if not coeffs.conservative:
         raise GammaRelationViolated(
             f"gamma1={coeffs.gamma1} but 2*(gamma2+gamma3)="
@@ -422,8 +422,6 @@ def _local_kernel(n: int, c: ModelCoefficients):
 
     The linear terms alpha1*u_x and alpha2*u_xxx are left out when they are zero.
     """
-    if c.mu < 0.0:
-        raise InvalidMu(f"mu must be nonnegative, got {c.mu}")
     sums = _padded_sums(n, _terms(
         (c.alpha3, (0, 1)), (c.beta1, (1, 2)), (c.beta2, (0, 3)), (c.gamma1, (0, 1, 2)),
         (c.gamma2, (0, 0, 3)), (c.gamma3, (1, 1, 1)), (c.alpha4, (0, 0, 1)),
@@ -481,7 +479,7 @@ def tendency(h, coeffs: ModelCoefficients):
 def tendency_direct(h, coeffs: ModelCoefficients):
     """du/dt from the local form, smoothed by (1 - mu*d^2/dx^2)^{-1}.
 
-    Works for any coefficient set with mu >= 0 (mu = 0 skips the smoothing
+    Works for every coefficient set, as each has mu >= 0 (mu = 0 skips the smoothing
     and leaves the local equation, whose alpha2*u_xxx term is stiff;
     the integrator treats alpha1*u_x + alpha2*u_xxx exactly there and
     passes the rest through this function), conservative or not.  On

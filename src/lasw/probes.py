@@ -55,7 +55,7 @@ from .spectral import (
     TWO_PI,
     Grid,
     SpectralField,
-    _MOLLIFY_INDEX_MAX,
+    _mollify_index,
     _dx_sigma,
     _from_grid,
     _to_grid,
@@ -553,7 +553,7 @@ def dispersion_probe(
     )
 
 
-_MOLLIFIED_ARGUMENTS = {"n_sequence": _list_of(_count), "t_end": _span, "dt": _optional(_positive), "cfl": _positive}
+_MOLLIFIED_ARGUMENTS = {"n_sequence": _list_of(_mollify_index), "t_end": _span, "dt": _optional(_positive), "cfl": _positive}
 
 
 def mollified_data_experiment(
@@ -574,8 +574,6 @@ def mollified_data_experiment(
     """
     check(InvalidProbeInput, _MOLLIFIED_ARGUMENTS, locals())
     ns = [int(n) for n in n_sequence]
-    if max(ns) > _MOLLIFY_INDEX_MAX:
-        raise InvalidProbeInput(f"n_sequence: entries must not exceed {_MOLLIFY_INDEX_MAX}, got {ns}")
     fields = [mollify(u0_rough, n) for n in ns]
     if dt is None:
         dt = _stable_dt(np.stack([f.coef for f in fields]), coeffs, cfl)

@@ -48,6 +48,7 @@ from .errors import (
     InvalidKernel,
     InvalidMu,
 )
+from .kinds import _count, _decay, _grid, _integer, _number, _positive, admit
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,17 +61,14 @@ _HERMITIAN_RTOL = 1e-9
 class Grid:
     """Equispaced periodic grid on [0, 1) with points x_j = j / n_points.
 
-    n_points must be even and at least 8; powers of two keep the
-    transforms fastest but are not required.
+    n_points must be an even integer of at least 8 (GridMismatch
+    otherwise); powers of two keep the transforms fastest but are not required.
     """
 
     n_points: int
 
     def __post_init__(self):
-        n = self.n_points
-        if not isinstance(n, (int, np.integer)) or n < 8 or n % 2 != 0:
-            raise ValueError(f"n_points must be an even integer >= 8, got {n!r}")
-        object.__setattr__(self, "n_points", int(n))
+        object.__setattr__(self, "n_points", admit(GridMismatch, _grid, self.n_points, "n_points"))
 
     @property
     def x(self) -> np.ndarray:
@@ -124,7 +122,7 @@ class SpectralField:
     def mode(self, n: int) -> complex:
         """Coefficient of mode n (raises GridMismatch if unrepresentable)."""
         half = self.grid.n_points // 2
-        if not -half <= n < half:
+        if not -half <= admit(GridMismatch, _integer, n, "n") < half:
             raise GridMismatch(f"mode {n} not representable on {self.grid.n_points} points")
         return complex(self.coef[n] if n >= 0 else np.conj(self.coef[-n]))
 
@@ -266,7 +264,7 @@ def zeros(grid: Grid) -> SpectralField:
 
 def constant(grid: Grid, value: float) -> SpectralField:
     coef = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
-    coef[0] = float(value)
+    coef[0] = admit(InvalidField, _number, value, "value")
     return SpectralField(grid, coef)
 
 
@@ -310,22 +308,14 @@ def derivative(field: SpectralField, order: int = 1) -> SpectralField:
     sigma(-n/2) -> Re sigma(-n/2), which zeroes the Nyquist output of
     odd-order derivatives.
     """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError("derivative order must be a positive integer")
-    n = field.grid.n_points
-    return SpectralField(field.grid, field.coef * _dx_sigma(n, int(order)))
+    order = admit(InvalidExponents, _count, order, "order")
+    return SpectralField(field.grid, field.coef * _dx_sigma(field.grid.n_points, order))
 
 
 def lambda_pow(field: SpectralField, s: float, mu: float = 1.0) -> SpectralField:
     """Apply (1 - mu * d^2/dx^2)^(s/2); negative s is smoothing."""
-    if mu <= 0:
-        raise InvalidMu(f"mu must be positive, got {mu}")
-    s = float(s)
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise InvalidMu(f"mu must be finite, got {mu}")
-    if not math.isfinite(s):
-        raise InvalidExponents(f"s must be finite, got {s}")
+    mu = admit(InvalidMu, _positive, mu, "mu")
+    s = admit(InvalidExponents, _number, s, "s")
     n = field.grid.n_points
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the constructor's to report
         return SpectralField(field.grid, field.coef * _lambda_sigma(n, s, mu))
@@ -362,10 +352,12 @@ def dealiased_product(f: SpectralField, g: SpectralField, *more: SpectralField) 
 # measures
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=128)
-def _sobolev_weight(n: int, s: float) -> tuple[np.ndarray, bool]:
+@functools.lru_cache(maxsize=128, typed=True)
+def _sobolev_weight(n: int, s) -> tuple[np.ndarray, bool]:
     """(1 + xi_k^2)^s on the half spectrum, doubled where mode k stands for -k too,
-    and whether any weight is past the float range (inf)."""
+    and whether any weight is past the float range (inf).  s is checked here,
+    once per (n, s) and type of s, so a cached call checks nothing."""
+    s = admit(InvalidExponents, _number, s, "s")
     half = n // 2
     xi = TWO_PI * np.arange(half + 1)
     with np.errstate(over="ignore"):
@@ -390,7 +382,7 @@ def sobolev_norm(h, s: float):
     field has norm inf.
     """
     power = h.real ** 2 + h.imag ** 2
-    weight, overflows = _sobolev_weight(_points(h), float(s))
+    weight, overflows = _sobolev_weight(_points(h), s)
     if overflows:  # an inf weight on a zero mode adds 0, not nan
         return np.sqrt((weight * power).sum(-1, where=power > 0.0))
     return np.sqrt((weight * power).sum(-1))
@@ -449,6 +441,7 @@ def _bump(y: np.ndarray) -> np.ndarray:
 
 # Largest mollification index: its share 64*n of the quadrature grid stays within 2^22 points.
 _MOLLIFY_INDEX_MAX = 1 << 16
+_mollify_index = functools.partial(_count, at_most=_MOLLIFY_INDEX_MAX)
 
 
 def _kernel_fine_size(n_points: int, n: int) -> int:
@@ -467,11 +460,7 @@ def mollify(field: SpectralField, n: int) -> SpectralField:
     2^16; on fields of up to 2^18 points that keeps the quadrature grid
     within 2^22 points (~150 MB peak), and larger fields set it themselves.
     """
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= _MOLLIFY_INDEX_MAX:
-        raise ValueError(
-            f"mollification index must be an integer from 1 to {_MOLLIFY_INDEX_MAX}, got {n!r}"
-        )
-    n = int(n)
+    n = admit(InvalidKernel, _mollify_index, n, "n")
     npts = field.grid.n_points
     m = _kernel_fine_size(npts, n)
     y = n * (np.arange(m) / m)
@@ -506,12 +495,11 @@ def random_trig_polynomial(
     reproduces the same field on any grid that can represent max_mode.
     Passing decay_exponent = math.inf selects a single random low mode.
     """
-    if max_mode < 1 or max_mode >= grid.n_points // 2:
+    if not 1 <= admit(GridMismatch, _integer, max_mode, "max_mode") < grid.n_points // 2:
         raise GridMismatch(
             f"max_mode must satisfy 1 <= max_mode < {grid.n_points // 2}, got {max_mode}"
         )
-    if not math.isinf(decay_exponent) and decay_exponent < 0:
-        raise ValueError("decay_exponent must be nonnegative (or math.inf)")
+    admit(InvalidExponents, _decay, decay_exponent, "decay_exponent")
     rng = np.random.default_rng(seed)
     coef = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
     if math.isinf(decay_exponent):

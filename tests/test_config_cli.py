@@ -355,8 +355,8 @@ class TestProbeAndConverge:
         ({"probe": "mollified_data", "t_end": -0.5}, "InvalidProbeInput",
          "t_end: must exceed the landing tolerance"),
         # the preset's coefficients overflow; that was a ValueError traceback
-        ({"probe": "dispersion", "eps": 1e300}, "InvalidRegime", "coefficient gamma1 is not finite"),
-        ({"probe": "dispersion", "delta": 1e300}, "InvalidRegime", "coefficient mu is not finite"),
+        ({"probe": "dispersion", "eps": 1e300}, "InvalidRegime", "gamma1: must be finite"),
+        ({"probe": "dispersion", "delta": 1e300}, "InvalidRegime", "mu: must be finite"),
         # sup|a| reads nan, or ||w0|| inf; that was ProbeUnresolved after a step
         ({"probe": "semigroup", "grid": 16, "a": {"coefficients": [[1, 1e308, 0], [2, 0, 1e308], [3, 1e308, 0]]}},
          "InvalidProbeInput", "a: sup|a| = nan"),

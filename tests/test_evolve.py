@@ -505,8 +505,10 @@ class TestStackedSolve:
         for t_end, dt in ((1e-14, 1e-3), (0.1, 0.0), (1.0, 1e-12)):
             with pytest.raises(InvalidControls):
                 evolve._solve(h, c, t_end, IntegrationControls(dt=dt, sample_interval=t_end))
-        with pytest.raises(InvalidMu):
-            evolve._solve(h, replace(c, mu=-1.0), 0.1, IntegrationControls(dt=1e-3))
+        with pytest.raises(GammaRelationViolated):
+            evolve._solve(h, replace(c, gamma1=0.0), 0.1, IntegrationControls(dt=1e-3))
+        with pytest.raises(InvalidMu):  # a negative mu fails where the set is built
+            replace(c, mu=-1.0)
 
     @pytest.mark.parametrize("name", ["large_amplitude", "normalized", "kdv"])
     def test_stack_step_is_the_smallest_row_step(self, name):

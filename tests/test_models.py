@@ -69,10 +69,25 @@ class TestValidation:
             validate(c)
 
     def test_mu_rejected(self):
-        with pytest.raises(InvalidMu):
+        with pytest.raises(InvalidMu, match="mu: must be positive, got 0.0"):
             validate(ModelCoefficients(mu=0.0))
-        with pytest.raises(InvalidMu):
-            validate(ModelCoefficients(mu=-0.3))
+        # a negative mu fails where the set is built, so no form ever sees one
+        with pytest.raises(InvalidMu, match="mu: must be nonnegative, got -0.3"):
+            ModelCoefficients(mu=-0.3)
+
+    def test_non_number_coefficient_is_a_named_error(self):
+        # this was a TypeError from math.isfinite
+        with pytest.raises(InvalidRegime, match="mu: expected a number, got 'a'"):
+            ModelCoefficients(mu="a")
+        with pytest.raises(InvalidRegime, match="gamma2: must be finite"):
+            ModelCoefficients(mu=1.0, gamma2=math.nan)
+
+    def test_infinite_regime_parameter_is_a_named_error(self):
+        # eps = inf was accepted, and failed later as "coefficient alpha3 is not finite"
+        with pytest.raises(InvalidRegime, match="eps: must be finite"):
+            RegimeParameters(eps=math.inf)
+        with pytest.raises(InvalidRegime, match="kappa: expected a number"):
+            RegimeParameters(kappa="1")
 
     def test_regime_parameters(self):
         with pytest.raises(InvalidRegime):
@@ -461,17 +476,18 @@ class TestArrayForm:
                 assert np.array_equal(form(u, time_reversed(c)).coef, -form(u, c).coef)
 
     @pytest.mark.parametrize("form, c, error", [
-        (tendency, ModelCoefficients(mu=0.0, alpha1=1.0), InvalidMu),
-        (flux, ModelCoefficients(mu=-1.0, alpha1=1.0), InvalidMu),
-        (tendency_direct, ModelCoefficients(mu=-1.0, alpha1=1.0), InvalidMu),
-        (tendency, ModelCoefficients(mu=1.0, gamma1=1.0), GammaRelationViolated),
-        (flux, ModelCoefficients(mu=1.0, gamma1=1.0), GammaRelationViolated),
+        (tendency, dict(mu=0.0, alpha1=1.0), InvalidMu),
+        (flux, dict(mu=-1.0, alpha1=1.0), InvalidMu),
+        (tendency_direct, dict(mu=-1.0, alpha1=1.0), InvalidMu),
+        (tendency, dict(mu=1.0, gamma1=1.0), GammaRelationViolated),
+        (flux, dict(mu=1.0, gamma1=1.0), GammaRelationViolated),
     ], ids=["tendency-mu", "flux-mu", "direct-mu", "tendency-gamma", "flux-gamma"])
     def test_bad_coefficients_raise_on_every_call(self, form, c, error):
+        # a negative mu raises as the set is built, the rest as the form is called
         u = full_band(Grid(32), 1)
         for arg in (u, u, u.coef, u.coef):
             with pytest.raises(error):
-                form(arg, c)
+                form(arg, ModelCoefficients(**c))
 
     def test_flux_accepts_extension_slots(self):
         # -d/dx flux is the local form for se too: u^2*u_x and u^3*u_x are

@@ -1,23 +1,27 @@
 """Spec schema: every malformed spec ends as a named LaswError with exit 1."""
 
+import ast
 import copy
 import json
 import math
 import re
 import time
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import run_cli
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import lasw
 import lasw.errors
 import lasw.evolve
 from lasw.cli import sweep_command
 from lasw.config import RunConfig
 from lasw.errors import ConfigInvalid, InvalidControls, InvalidProbeInput, LaswError
 from lasw.evolve import BlowupThresholds, IntegrationControls, IntegrationResult, integrate
-from lasw.models import preset_normalized
+from lasw.models import ModelCoefficients, RegimeParameters, preset_normalized
 from lasw.probes import (
     ProbeReport,
     commutator_probe,
@@ -28,7 +32,10 @@ from lasw.probes import (
     product_probe,
     semigroup_probe,
 )
-from lasw.spectral import Grid, from_physical
+from lasw.spectral import (
+    Grid, SpectralField, constant, derivative, from_physical, lambda_pow, mollify, random_trig_polynomial, resample,
+    sobolev_norm,
+)
 
 TINY_RUN = {
     "model": {"preset": "large_amplitude", "eps": 0.2, "delta": 0.1},
@@ -397,8 +404,9 @@ def run_integrate(t_end, cfl, dt, sample_interval, snapshot_times, s_exponent,
     return integrate(U0, preset_normalized(), t_end, controls)
 
 
-# Each public probe, convergence_study and integrate: (call, every numeric
-# argument of a small valid call); the fields and coefficients stay fixed.
+# Each public probe, convergence_study, integrate, field operator, field
+# measure and parameter set: (call, every numeric argument of a small valid
+# call); the fields, the grids, the seeds and the coefficients stay fixed.
 API = {
     "semigroup": (lambda **kw: semigroup_probe(U0, U0, **kw),
                   dict(t_end=0.01, cfl=0.3, tail_rel_max=1e-2, tolerance=1e-6)),
@@ -418,8 +426,21 @@ API = {
     "integrate": (run_integrate, dict(t_end=0.02, cfl=0.5, dt=0.005, sample_interval=0.01,
                                       snapshot_times=[0.01], s_exponent=2.0, sup_ux_max=1e4,
                                       hs_max=1e8, tail_rel_max=1e-2)),
+    "Grid": (Grid, dict(n_points=16)),
+    "derivative": (lambda **kw: derivative(U0, **kw), dict(order=2)),
+    "lambda_pow": (lambda **kw: lambda_pow(U0, **kw), dict(s=1.5, mu=0.5)),
+    "mollify": (lambda **kw: mollify(U0, **kw), dict(n=4)),
+    "random_trig_polynomial": (lambda **kw: random_trig_polynomial(G16, 1, **kw),
+                               dict(max_mode=3, decay_exponent=1.0)),
+    "sobolev_norm": (lambda **kw: sobolev_norm(U0, **kw), dict(s=1.5)),
+    "resample": (lambda **kw: resample(U0, **kw), dict(n_points=32)),
+    "constant": (lambda **kw: constant(G16, **kw), dict(value=0.5)),
+    "mode": (lambda **kw: U0.mode(**kw), dict(n=1)),
+    "ModelCoefficients": (ModelCoefficients, asdict(preset_normalized())),
+    "RegimeParameters": (RegimeParameters, dict(eps=0.5, delta=0.3, p=0.0, z0=0.5, kappa=1.0, beta=-0.2)),
 }
-INTEGER_ARGUMENTS = {"samples", "seed", "n_points", "max_mode", "mode", "n_sequence", "grids"}
+RESULTS = (ProbeReport, IntegrationResult, Grid, SpectralField, float, complex, ModelCoefficients, RegimeParameters)
+INTEGER_ARGUMENTS = {"samples", "seed", "n_points", "max_mode", "mode", "n_sequence", "grids", "order", "n"}
 EXTREMES = [math.nan, math.inf, -math.inf, 0, -1, 1e-300, 1e300]
 
 
@@ -437,7 +458,7 @@ def api_arguments(integers_only=False):
 @pytest.mark.parametrize("function", sorted(API))
 def test_valid_call_returns_a_result(function):
     call, kwargs = API[function]
-    assert isinstance(call(**kwargs), (ProbeReport, IntegrationResult))
+    assert isinstance(call(**kwargs), RESULTS)
 
 
 @pytest.fixture
@@ -460,7 +481,8 @@ def test_extreme_argument_is_a_named_error_or_a_result(function, name, no_hang, 
             out = call(**with_value(kwargs, name, value))
         except LaswError:
             continue
-        assert isinstance(out, (ProbeReport, IntegrationResult)), value
+        assert isinstance(out, RESULTS), value
+        assert not (isinstance(out, float) and math.isnan(out)), value
         assert not (name in INTEGER_ARGUMENTS and isinstance(value, float)), value
 
 
@@ -471,3 +493,15 @@ def test_integer_argument_rejects_a_float(function, name):
     value = float(valid[0] if isinstance(valid, list) else valid)
     with pytest.raises(LaswError, match="expected an integer"):
         call(**with_value(kwargs, name, value))
+
+
+def test_no_module_raises_a_builtin_value_error():
+    # an argument out of range ends as a named LaswError, never a bare ValueError
+    sites = []
+    for path in sorted(Path(lasw.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(raised, ast.Name) and raised.id == "ValueError":
+                    sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []

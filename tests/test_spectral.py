@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from lasw.errors import (
     GridMismatch,
+    InvalidExponents,
     InvalidField,
     InvalidKernel,
     InvalidMu,
@@ -66,9 +67,9 @@ def convolve_oracle(*fields):
 
 class TestGridAndField:
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GridMismatch, match="n_points: must be an even integer >= 8, got 7"):
             Grid(7)
-        with pytest.raises(ValueError):
+        with pytest.raises(GridMismatch, match="got 6"):
             Grid(6)
         assert Grid(8).spacing == 0.125
 
@@ -296,6 +297,21 @@ class TestNorms:
         f = random_trig_polynomial(Grid(32), 1, 10, 2.0)
         assert sobolev_norm(f, 100.0) == math.inf
 
+    def test_nan_exponent_is_a_named_error(self):
+        # this norm read nan, silently
+        f = random_trig_polynomial(Grid(32), 1, 10, 2.0)
+        with pytest.raises(InvalidExponents, match="s: must be finite"):
+            sobolev_norm(f, math.nan)
+        with pytest.raises(InvalidExponents, match="s: must be finite"):
+            sobolev_norm(f.coef, math.inf)
+
+    def test_exponent_is_checked_for_each_type_it_is_cached_under(self):
+        # True == 1 for the cache; a bool is still no exponent
+        f = random_trig_polynomial(Grid(32), 1, 10, 2.0)
+        assert sobolev_norm(f, 1) == sobolev_norm(f, 1.0)
+        with pytest.raises(InvalidExponents, match="s: expected a number"):
+            sobolev_norm(f, True)
+
     def test_sup_norm_dx_sine(self):
         g = Grid(64)
         f = from_physical(np.sin(TWO_PI * g.x), g)
@@ -379,7 +395,7 @@ class TestMollify:
         monkeypatch.setattr(spectral, "_bump", lambda y: 2.0 * bump(y))
         with pytest.raises(InvalidKernel):
             mollify(f, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidKernel, match="n: must be positive"):
             mollify(f, 0)
 
     def test_index_bound_checked_before_allocating(self):
@@ -387,7 +403,7 @@ class TestMollify:
         assert spectral._kernel_fine_size(32, spectral._MOLLIFY_INDEX_MAX) == 1 << 22
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="65536"):
+            with pytest.raises(InvalidKernel, match="n: must be at most 65536"):
                 mollify(f, spectral._MOLLIFY_INDEX_MAX + 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -444,6 +460,16 @@ class TestRandomFields:
     def test_max_mode_bounds(self):
         with pytest.raises(GridMismatch):
             random_trig_polynomial(Grid(16), 0, 8, 1.0)
+
+    def test_non_integer_max_mode_is_a_named_error(self):
+        # this was a TypeError from range()
+        with pytest.raises(GridMismatch, match="max_mode: expected an integer, got 2.5"):
+            random_trig_polynomial(Grid(16), 0, 2.5, 1.0)
+
+    @pytest.mark.parametrize("decay", [-1.0, -math.inf, math.nan, "1"])
+    def test_decay_exponent_is_nonnegative_or_inf(self, decay):
+        with pytest.raises(InvalidExponents, match="decay_exponent"):
+            random_trig_polynomial(Grid(16), 0, 2, decay)
 
 
 class TestResample:
