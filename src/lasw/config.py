@@ -28,6 +28,7 @@ from .errors import (
     ConfigSyntax,
     GammaRelationViolated,
     GridMismatch,
+    InvalidField,
     InvalidMu,
     InvalidRegime,
     IoError,
@@ -367,7 +368,7 @@ def build_initial_field(spec: dict, grid: Grid, seed: int, where: str = "initial
             return from_physical(samples, grid)
         try:
             return random_trig_polynomial(grid, seed, p.get("max_mode", grid.n_points // 4), p["decay_exponent"])
-        except (GridMismatch, ValueError) as err:
+        except (GridMismatch, InvalidField) as err:
             raise ConfigInvalid(f"{where}: {err}") from err
     if "coefficients" in spec:
         _reject_unknown(spec, {"coefficients"}, where)

@@ -63,6 +63,11 @@ _seed = partial(_number, integer=True, nonneg=True)
 _decay = partial(_number, nonneg=True, finite=False)  # a decay exponent; +inf is the steepest
 
 
+def _entropy(raw, name):
+    """A random draw's seed: a `_seed`, or a non-empty list or tuple of them (as a tuple)."""
+    return _list_of(_seed)(raw, name) if isinstance(raw, (list, tuple)) else _seed(raw, name)
+
+
 def _span(raw, name):
     """A span of time that takes a step: finite and past the landing tolerance."""
     if not (v := _number(raw, name)) > _LANDING_TOL:

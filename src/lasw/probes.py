@@ -137,28 +137,38 @@ def _banded_transport(a: np.ndarray, n: int):
     """h -> P_n(a * h_x) for a with modes 0..K only (K = len(a) - 1 < n/2).
 
     The truncated product is a (2K+1)-diagonal convolution: mode k of the
-    output is sum_j a_j g_{k-j} over |j| <= K, with g = h_x, a_{-j} =
-    conj(a_j) and g_{-m} = conj(g_m).  The Nyquist entry of g is zero (so is
-    the first-derivative symbol there), so g extended by K conjugated modes
-    below 0 and K zeros past n/2 holds every g_{k-j} the output needs.  As
-    in `_from_grid`, the +-n/2 pair folds into the Nyquist slot and the mean
-    is real.
+    output is sum_j a_j (i xi_{k-j}) h_{k-j} over |j| <= K, with a_{-j} =
+    conj(a_j) and h_{-m} = conj(h_m).  Each diagonal a_j (i xi_{k-j}) is one
+    array, made here once; a tap a_j at or under the round-off floor is left
+    out (a = 0 keeps its a_0 tap, so 0 * inf stays nan).  The
+    first-derivative symbol is zero at the Nyquist entry and past it, so h
+    extended by K conjugated modes below 0 and K zeros past n/2 holds every
+    h_{k-j} the output needs.  As in `_from_grid`, the +-n/2 pair folds into
+    the Nyquist slot and the mean is real.  Each call returns a fresh array.
     """
     band = a.shape[0] - 1
     half = n // 2
-    dx = _dx_sigma(n, 1)
-    # (a_j, start of g_{k-j} in ext) for j = +-1..+-K
-    shifts = [(complex(a[j]), band - j) for j in range(1, band + 1)]
-    shifts += [(complex(np.conj(a[j])), band + j) for j in range(1, band + 1)]
     ext = np.zeros(half + 1 + 2 * band, dtype=np.complex128)
-    g = ext[band: band + half + 1]
+
+    def extend(h):  # ext holds h_m for m = -K..n/2+K
+        ext[band: band + half + 1] = h
+        ext[:band] = np.conj(ext[2 * band: band: -1])
+
+    floor = _BAND_FLOOR * np.max(np.abs(a))
+    # (a_j, start of h_{k-j} in ext) for j = 0, +-1..+-K, round-off left out
+    taps = [(a[0], band)] + [(a[j], band - j) for j in range(1, band + 1)]
+    taps += [(np.conj(a[j]), band + j) for j in range(1, band + 1)]
+    kept = [(coef, start) for coef, start in taps if abs(coef) > floor] or taps[:1]
+    extend(_dx_sigma(n, 1))  # ext holds the symbol i xi_m for now, zero at the Nyquist entry
+    # (a_j i xi_{k-j}, the view of ext that holds h_{k-j} in each call)
+    diagonals = [(coef * ext[start: start + half + 1], ext[start: start + half + 1]) for coef, start in kept]
+    (first, first_shifted), rest = diagonals[0], diagonals[1:]
 
     def rhs(h):
-        np.multiply(h, dx, out=g)
-        ext[:band] = np.conj(ext[2 * band: band: -1])
-        out = a[0] * g
-        for coef, start in shifts:
-            out += coef * ext[start: start + half + 1]
+        extend(h)
+        out = first * first_shifted
+        for diagonal, shifted in rest:
+            out += diagonal * shifted
         out[0] = out[0].real
         out[half] = 2.0 * out[half].real
         return out
@@ -177,12 +187,14 @@ def _transport_rhs(a: np.ndarray, n: int):
 def _transport_step(h: np.ndarray, rhs, dt: float) -> np.ndarray | None:
     """One RK4 step of the linear flow h' = A h, A = rhs, as RK4's polynomial in
     Horner form, h + dt*A(h + (dt/2)*A(h + (dt/3)*A(h + (dt/4)*A h))): 4 calls and
-    no stage sum.  `_finite_rows` of it: a stage that overflows fails the step."""
+    no stage sum, each stage formed in place on the fresh array rhs returns, never
+    in h.  `_finite_rows` of it: a stage that overflows fails the step."""
+    g = h
     with np.errstate(over="ignore", invalid="ignore"):
-        g = h + (0.25 * dt) * rhs(h)
-        g = h + (dt / 3.0) * rhs(g)
-        g = h + (0.5 * dt) * rhs(g)
-        g = h + dt * rhs(g)
+        for c in (0.25 * dt, dt / 3.0, 0.5 * dt, dt):
+            g = rhs(g)
+            g *= c
+            g += h
     return _finite_rows(g)
 
 

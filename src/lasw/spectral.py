@@ -48,7 +48,7 @@ from .errors import (
     InvalidKernel,
     InvalidMu,
 )
-from .kinds import _count, _decay, _grid, _integer, _number, _positive, admit
+from .kinds import _count, _decay, _entropy, _grid, _integer, _number, _positive, admit
 
 TWO_PI = 2.0 * math.pi
 
@@ -223,8 +223,19 @@ def _at_the_boundary(fn):
 
 
 def _dealias_size(n: int, count: int) -> int:
-    """Padded size free of aliasing for products of `count` factors on n points."""
-    return max(2 * n, 2 * math.ceil((count + 1) * n / 4))
+    """Padded size free of aliasing for products of `count` factors on n points: the
+    least even 2^a * 3^b at or above the alias-free bound.  The radix-2 and radix-3
+    passes of an rfft cancel equal samples exactly, so a constant state is an exact
+    fixed point of a right-hand side; a radix-5 pass does not (80 points left
+    2.3e-13 in se's tendency of a constant)."""
+    bound = max(2 * n, 2 * math.ceil((count + 1) * n / 4))
+    best, three = 2 * bound, 1
+    while 2 * three < best:
+        m = 2 * three
+        while m < bound:
+            m *= 2
+        best, three = min(best, m), 3 * three
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +342,8 @@ def dealiased_product(f: SpectralField, g: SpectralField, *more: SpectralField) 
     Every factor is zero-padded to m points, multiplied pointwise and
     truncated back, which equals the exact truncated convolution of the
     coefficient sequences.  m = 2*n_points suffices for quadratic and
-    cubic terms on the retained band; higher powers need (count+1)*n/2.
+    cubic terms on the retained band; higher powers need (count+1)*n/2,
+    rounded up to an even 2^a * 3^b (`_dealias_size`).
     """
     fields = (f, g, *more)
     for other in fields[1:]:
@@ -382,7 +394,11 @@ def sobolev_norm(h, s: float):
     field has norm inf.
     """
     power = h.real ** 2 + h.imag ** 2
-    weight, overflows = _sobolev_weight(_points(h), s)
+    try:
+        weight, overflows = _sobolev_weight(_points(h), s)
+    except TypeError:  # an unhashable s cannot key the cache; its kind names it
+        admit(InvalidExponents, _number, s, "s")
+        raise
     if overflows:  # an inf weight on a zero mode adds 0, not nan
         return np.sqrt((weight * power).sum(-1, where=power > 0.0))
     return np.sqrt((weight * power).sum(-1))
@@ -492,7 +508,8 @@ def random_trig_polynomial(
 
     Coefficient magnitude at mode n is bounded by (1+|n|)^(-decay_exponent).
     Draws depend only on (seed, max_mode, decay_exponent), so the same seed
-    reproduces the same field on any grid that can represent max_mode.
+    reproduces the same field on any grid that can represent max_mode.  seed is
+    a nonnegative integer or a non-empty list of them (InvalidField otherwise).
     Passing decay_exponent = math.inf selects a single random low mode.
     """
     if not 1 <= admit(GridMismatch, _integer, max_mode, "max_mode") < grid.n_points // 2:
@@ -500,7 +517,7 @@ def random_trig_polynomial(
             f"max_mode must satisfy 1 <= max_mode < {grid.n_points // 2}, got {max_mode}"
         )
     admit(InvalidExponents, _decay, decay_exponent, "decay_exponent")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(admit(InvalidField, _entropy, seed, "seed"))
     coef = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
     if math.isinf(decay_exponent):
         m = int(rng.integers(1, max_mode + 1))

@@ -81,6 +81,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalid, match="grid"):
             load_config(write_config(tmp_path, bad))
 
+    def test_negative_seed_of_a_random_field_is_config_invalid(self, tmp_path):
+        # config's seed is any integer; the field's draw admits it (was numpy's ValueError)
+        bad = minimal_config(tmp_path / "out", seed=-1,
+                             initial_data={"profile": "random", "max_mode": 8, "decay_exponent": 2.0})
+        with pytest.raises(ConfigInvalid, match="seed: must be nonnegative"):
+            load_config(write_config(tmp_path, bad)).initial_field
+
     def test_round_trip(self, tmp_path):
         path = write_config(
             tmp_path,

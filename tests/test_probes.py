@@ -135,7 +135,13 @@ class TestSemigroupProbe:
         w0 = random_trig_polynomial(g, 3, 2, 1.0)
         r1 = semigroup_probe(a, w0, 0.2)
         r2 = semigroup_probe(a, w0, 0.2)
-        assert r1 == r2
+        other = Grid(64)  # a probe at another n between two calls changes neither
+        semigroup_probe(
+            from_physical(np.sin(TWO_PI * other.x), other), random_trig_polynomial(other, 3, 2, 1.0), 0.2
+        )
+        r3 = semigroup_probe(a, w0, 0.2)
+        assert r1 == r2 == r3
+        assert repr(r1) == repr(r2) == repr(r3)
 
 
 def full_band(half, seed):
@@ -156,12 +162,26 @@ class TestTransportRightHandSides:
 
     @pytest.mark.parametrize("n", [16, 64, 512, 4096])
     def test_banded_matches_padded(self, n):
+        # a_0 at or under the round-off floor is left out, so the band is a's
+        # without it, bit for bit; over the floor it is kept.  Leaving out a
+        # tap at the floor moves P_n(a * h_x) by up to 64 eps / sqrt(2) of it
+        # at band 1 (1.02e-14 at n = 4096), so that case is held to the floor
         for band in range(probes._BAND_MAX + 1):
             a = np.zeros(n // 2 + 1, dtype=np.complex128)
             a[: band + 1] = full_band(band + 1, [n, band])[: band + 1]
             h = full_band(n // 2, [n, band, 1])
             banded = probes._banded_transport(a[: band + 1], n)(h)
             assert rel_diff(banded, probes._padded_transport(a, n)(h)) <= 1e-14, band
+            if band == 0:
+                continue
+            a[0] = 0.0
+            without = probes._banded_transport(a[: band + 1], n)(h)
+            floor = probes._BAND_FLOOR * np.max(np.abs(a))
+            for scale, bound in ((0.5, 1e-14), (1.0, probes._BAND_FLOOR), (2.0, 1e-14)):
+                a[0] = scale * floor
+                banded = probes._banded_transport(a[: band + 1], n)(h)
+                assert (banded.tobytes() == without.tobytes()) == (scale <= 1.0), (band, scale)
+                assert rel_diff(banded, probes._padded_transport(a, n)(h)) <= bound, (band, scale)
 
     @pytest.mark.parametrize("n", [16, 64, 512, 4096])
     def test_step_is_classical_rk4(self, n):
@@ -172,10 +192,12 @@ class TestTransportRightHandSides:
             a[: band + 1] = full_band(band + 1, [n, band])[: band + 1]
             h = full_band(n // 2, [n, band, 1])
             dt = 0.3 / n / max(1.0, 2.0 * np.sum(np.abs(a)))  # under the probe's cfl step
+            before = h.tobytes()
             for rhs in (probes._banded_transport(a[: band + 1], n), probes._padded_transport(a, n)):
                 calls = []
                 step = probes._transport_step(h, lambda v: calls.append(1) or rhs(v), dt)
                 assert len(calls) == 4
+                assert h.tobytes() == before  # the stages run in place, never in h
                 assert rel_diff(step, rk4_reference(h, rhs, dt)) <= 2e-16, band
 
     @pytest.mark.parametrize("n", [16, 64, 512, 4096])

@@ -255,10 +255,20 @@ class TestDealiasedProducts:
         p = dealiased_product(f, h, w)
         assert np.max(np.abs(centered_coefficients(p)[0] - convolve_oracle(f, h, w))) <= 1e-12
         # four full-band factors reach mode 60, which 2n = 64 points would
-        # fold onto mode -4; (count+1)*n/2 = 80 points keep the band exact
+        # fold onto mode -4; the bound (count+1)*n/2 = 80, padded to 96 = 2^5 * 3,
+        # keeps the band exact
         factors = [random_trig_polynomial(g, 30 + k, 15, 0.5) for k in range(4)]
         p = dealiased_product(*factors)
         assert np.max(np.abs(centered_coefficients(p)[0] - convolve_oracle(*factors))) <= 1e-12
+
+    def test_padded_sizes_are_the_least_even_2a_3b_at_the_bound(self):
+        smooth = sorted(2 ** a * 3 ** b for a in range(1, 16) for b in range(10))
+        for n in range(8, 4097, 2):
+            for count in range(2, 7):
+                bound = max(2 * n, 2 * math.ceil((count + 1) * n / 4))
+                m = spectral._dealias_size(n, count)
+                assert m == next(s for s in smooth if s >= bound), (n, count)
+        assert [spectral._dealias_size(n, 4) for n in (32, 64, 128)] == [96, 162, 324]
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatch):
@@ -311,6 +321,11 @@ class TestNorms:
         assert sobolev_norm(f, 1) == sobolev_norm(f, 1.0)
         with pytest.raises(InvalidExponents, match="s: expected a number"):
             sobolev_norm(f, True)
+        # an unhashable s cannot key the cache (was TypeError: unhashable type)
+        with pytest.raises(InvalidExponents, match="s: expected a number"):
+            sobolev_norm(f, [1])
+        with pytest.raises(InvalidExponents, match="s: expected a number"):
+            sobolev_norm(f.coef, {})
 
     def test_sup_norm_dx_sine(self):
         g = Grid(64)
@@ -414,9 +429,10 @@ class TestMollify:
 class TestRandomFields:
     def test_determinism(self):
         g = Grid(64)
-        a = random_trig_polynomial(g, 42, 20, 2.0)
-        b = random_trig_polynomial(g, 42, 20, 2.0)
-        assert np.array_equal(a.coef, b.coef)
+        for seed in (42, [1, 2, 3]):  # an integer, or a list of them as the probes pass
+            a = random_trig_polynomial(g, seed, 20, 2.0)
+            b = random_trig_polynomial(g, seed, 20, 2.0)
+            assert np.array_equal(a.coef, b.coef)
 
     def test_magnitude_bound(self):
         g = Grid(64)
@@ -460,6 +476,12 @@ class TestRandomFields:
     def test_max_mode_bounds(self):
         with pytest.raises(GridMismatch):
             random_trig_polynomial(Grid(16), 0, 8, 1.0)
+
+    @pytest.mark.parametrize("seed", [-1, "x", 1.5, True, [1, -2], []])
+    def test_seed_is_a_nonnegative_integer_or_a_list_of_them(self, seed):
+        # -1 was numpy's ValueError, "x" and 1.5 a TypeError from SeedSequence
+        with pytest.raises(InvalidField, match="seed"):
+            random_trig_polynomial(Grid(8), seed, 2, 1.0)
 
     def test_non_integer_max_mode_is_a_named_error(self):
         # this was a TypeError from range()
