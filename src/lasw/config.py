@@ -35,10 +35,12 @@ from .errors import (
     LaswError,
 )
 from .evolve import BlowupThresholds, IntegrationControls, _check_run
+from .io import snapshot_filename
 from .kinds import (
     Rejected, _boolean, _grid, _integer, _list_of, _nonneg, _number, _object, _optional, _string, _typed, admit,
 )
 from .models import (
+    _SURVEY_MODELS,
     ModelCoefficients,
     RegimeParameters,
     preset_large_amplitude,
@@ -329,23 +331,27 @@ _PROFILES = {
 }
 
 
+_PRESETS = {
+    "normalized": lambda params: preset_normalized(),
+    "large_amplitude": preset_large_amplitude,
+    **{name: partial(preset_survey, name) for name in _SURVEY_MODELS},
+}
+
+
 def build_coefficients(model: dict) -> ModelCoefficients:
     """Model block -> coefficients; presets or a raw coefficient table."""
     parsed = _parse(model, _MODEL, "model", prefix="model.")
     if ("preset" in parsed) == ("coefficients" in parsed):
         raise ConfigInvalid("model: give exactly one of 'preset' or 'coefficients'")
+    name = parsed.pop("preset", None)
+    if name is not None and name not in _PRESETS:
+        raise ConfigInvalid(f"model.preset: unknown preset {name!r}; expected one of {sorted(_PRESETS)}")
     try:
-        if "coefficients" in parsed:
+        if name is None:
             # raw tables must pass the solver gate (mu > 0, cubic relation);
             # presets may carry mu = 0 deliberately (the dispersive fallback)
             return validate(ModelCoefficients(**parsed["coefficients"]))
-        name = parsed.pop("preset")
-        params = RegimeParameters(**parsed)
-        if name == "normalized":
-            return preset_normalized()
-        if name == "large_amplitude":
-            return preset_large_amplitude(params)
-        return preset_survey(name, params)
+        return _PRESETS[name](RegimeParameters(**parsed))
     except (InvalidMu, InvalidRegime, GammaRelationViolated) as err:
         raise ConfigInvalid(f"model: {type(err).__name__}: {err}") from err
 
@@ -418,6 +424,12 @@ def _build_run_config(raw: dict) -> RunConfig:
     config = RunConfig(**_parse(raw, _RUN, "configuration"))
     # fail fast: both blocks must construct, and `integrate` must take the run
     _check_run(config.coefficients, config.t_end, config.controls)
+    # distinct times must write distinct snapshot files, which keep 12 digits of t
+    written = {}
+    for t in config.snapshot_times:
+        first = written.setdefault(snapshot_filename(t), t)
+        if first != t:
+            raise ConfigInvalid(f"snapshot_times: {first!r} and {t!r} both write {snapshot_filename(t)}")
     config.initial_field
     return config
 

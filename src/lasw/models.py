@@ -32,13 +32,12 @@ one stacked transform per padded grid: one irfft pads u and every
 derivative its products use, and one rfft truncates every sum of products
 (the powers in a(u) or P(u), the bracket of f(u)) formed on that grid.  A
 product is a (coefficient, derivative orders) term, so (beta2, (0, 3)) is
-beta2*u*u_xxx; zero coefficients, and zero linear terms, are dropped.  The
-sums are straight-line numpy code built once per kernel: terms with the
-same derivative factors are Horner-factored in u, as in
-u^2*(c1 + c2*u) + u_x^2*(c3 + c4*u).  `tendency` is -d/dx of the
-truncated flux, with a Nyquist slot of 0; `tendency_direct` also returns 0
-there, the convention of real Fourier derivatives, so the two forms agree
-in every slot.
+beta2*u*u_xxx; zero coefficients, and zero linear terms, are dropped.  Each
+sum is one line of numpy code, generated once per kernel and Horner-factored
+in u by derivative factors: d0 * d0 * (c1 + d0 * c2) + c3 * d1 * d1.
+`tendency` is -d/dx of the truncated flux, with a Nyquist slot of 0;
+`tendency_direct` also returns 0 there, the convention of real Fourier
+derivatives, so the two forms agree in every slot.
 
 A right-hand side is built once per (grid size, coefficients): a cached
 kernel checks the coefficients, lays out the term tables, the padded size,
@@ -283,14 +282,14 @@ def _terms(*terms):
     return tuple((c, orders) for c, orders in terms if c != 0.0)
 
 
-def _product_source(table, coefficient) -> tuple[str, str, str]:
-    """(left, op, right) of one list's sum of products over the factors
-    d0 = u, d1 = u_x, ...; `coefficient(c)` names a coefficient.
+def _product_source(table, coefficient) -> str:
+    """One list's sum of products over the factors d0 = u, d1 = u_x, ...,
+    as one expression; `coefficient(c)` names a coefficient.
 
     Terms with the same derivative factors form one group, Horner-factored in
     u, so u^2*(c1 + c2*u) + u_x^2*(c3 + c4*u) for four terms; a group of one
-    term keeps its own factor order, c*f1*f2..., the bits of a product taken
-    left to right.
+    term keeps its own factor order, c*f1*f2...  Products and sums fold left
+    to right, as Python reads them, and that order fixes the bits.
     """
     groups: dict[tuple[int, ...], list] = {}
     for c, orders in table:
@@ -299,33 +298,28 @@ def _product_source(table, coefficient) -> tuple[str, str, str]:
     for derivatives, terms in groups.items():
         if len(terms) == 1:
             [(c, orders)] = terms
-            factors = [coefficient(c), *(f"d{k}" for k in orders)]
-            products.append((" * ".join(factors[:-1]), "*", factors[-1]))
+            products.append(" * ".join([coefficient(c), *(f"d{k}" for k in orders)]))
             continue
         poly: dict[int, float] = {}
-        for c, orders in terms:
-            power = len(orders) - len(derivatives)
-            poly[power] = poly.get(power, 0.0) + c
+        for c, orders in terms:  # the power of u is the number of 0 orders
+            poly[orders.count(0)] = poly.get(orders.count(0), 0.0) + c
         low, names = min(poly), {p: coefficient(poly[p]) for p in sorted(poly)}
         horner = names[max(poly)]
         for p in range(max(poly) - 1, low - 1, -1):
             horner = f"d0 * {horner}" if " " not in horner else f"d0 * ({horner})"
             if p in names:
                 horner = f"{names[p]} + {horner}"
-        monomial = " * ".join(["d0"] * low + [f"d{k}" for k in derivatives])
-        products.append((monomial, "*", f"({horner})" if " + " in horner else horner))
-    if len(products) == 1:
-        return products[0]
-    *rest, (left, _, right) = products
-    return " + ".join(f"{a} * {b}" for a, _, b in rest), "+", f"{left} * {right}"
+        products.append(" * ".join(["d0"] * low + [f"d{k}" for k in derivatives]
+                                   + [f"({horner})" if " + " in horner else horner]))
+    return " + ".join(products)
 
 
 def _product_kernel(orders, tables):
-    """(grid, out) -> None: each table's sum of products of the padded factors
-    grid[..., i, :] (derivative order orders[i]) written to out[..., j, :].
+    """grid -> sums: each table's sum of products of the padded factors
+    grid[..., i, :] (derivative order orders[i]), stacked as sums[..., j, :].
 
-    The sums are straight-line numpy code, built once per kernel; each one's
-    last operation writes into its row of out.
+    Straight-line numpy code, built once per kernel, one line per sum; the
+    coefficients are names in its namespace, as inf has no literal.
     """
     coefficients: list[float] = []
 
@@ -333,12 +327,10 @@ def _product_kernel(orders, tables):
         coefficients.append(c)
         return f"c{len(coefficients) - 1}"
     lines = [f"    d{k} = grid[..., {i}, :]" for i, k in enumerate(orders)]
-    ufunc = {"*": "np.multiply", "+": "np.add"}
-    for j, table in enumerate(tables):
-        left, op, right = _product_source(table, coefficient)
-        lines.append(f"    {ufunc[op]}({left}, {right}, out=out[..., {j}, :])")
+    lines.append(f"    out = np.empty(grid.shape[:-2] + ({len(tables)}, grid.shape[-1]))")
+    lines += [f"    out[..., {j}, :] = {_product_source(table, coefficient)}" for j, table in enumerate(tables)]
     namespace = {"np": np, **{f"c{i}": c for i, c in enumerate(coefficients)}}
-    exec("def products(grid, out):\n" + "\n".join(lines), namespace)
+    exec("def products(grid):\n" + "\n".join(lines) + "\n    return out", namespace)
     return namespace["products"]
 
 
@@ -351,7 +343,7 @@ def _padded_sums(n: int, *term_lists):
     stack: each row of the symbol is an order's `_dx_sigma` times m, with its
     Nyquist entry halved, as padding splits that mode between +-n/2, and
     irfft's own zero padding fills the modes past n/2.  `_product_kernel`
-    writes the nonempty sums into one (..., k, m) array, and one rfft
+    returns the nonempty sums as one (..., k, m) stack, and one rfft
     truncates it, folding the +-n/2 pair onto the Nyquist slot.
     """
     tables = [table for table in term_lists if table]
@@ -363,17 +355,13 @@ def _padded_sums(n: int, *term_lists):
     symbols = np.array([_dx_sigma(n, k) for k in orders]) * m
     symbols[:, half] *= 0.5
     products = _product_kernel(orders, tables)
-    shape = (len(tables), m)
     # row of each list's sum in the truncated stack, None for an empty list
     slots = [sum(map(bool, term_lists[:j])) if table else None for j, table in enumerate(term_lists)]
 
     def sums(h):
         spec = h[..., None, :] * symbols
         spec[..., half].imag = 0.0  # the Nyquist coefficient is real
-        grid = np.fft.irfft(spec, n=m)
-        out = np.empty(h.shape[:-1] + shape)
-        products(grid, out)
-        spec = _from_grid(out, n)
+        spec = _from_grid(products(np.fft.irfft(spec, n=m)), n)
         return tuple(0.0 if j is None else spec[..., j, :] for j in slots)
     return sums
 

@@ -247,11 +247,17 @@ def from_physical(samples, grid: Grid | None = None) -> SpectralField:
 
     The inverse of :func:`to_physical`; the round trip reproduces the
     samples to machine precision and Parseval holds between sample energy
-    mean(u_j^2) and coefficient energy sum |u_hat|^2.
+    mean(u_j^2) and coefficient energy sum |u_hat|^2.  Anything but a
+    one-dimensional sequence of real numbers (a string, complex or boolean
+    samples, a ragged nesting) is InvalidField.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 1:
+    try:
+        samples = np.asarray(samples)
+    except ValueError:  # a ragged nesting
+        samples = None
+    if samples is None or samples.ndim != 1 or samples.dtype.kind not in "iuf":
         raise InvalidField("samples must be a one-dimensional real sequence")
+    samples = samples.astype(np.float64, copy=False)
     if not np.all(np.isfinite(samples)):
         raise InvalidField("non-finite sample")
     if grid is None:

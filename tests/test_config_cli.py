@@ -88,6 +88,36 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalid, match="seed: must be nonnegative"):
             load_config(write_config(tmp_path, bad)).initial_field
 
+    def test_snapshot_times_that_write_one_file_are_rejected(self, tmp_path):
+        # a file name keeps 12 digits of t: the first state was overwritten without a word
+        bad = write_config(tmp_path, minimal_config(tmp_path / "out", t_end=2.0,
+                                                    snapshot_times=[1.5, 1.500000000003]))
+        message = "snapshot_times: 1.5 and 1.500000000003 both write snapshot_1.5.csv"
+        with pytest.raises(ConfigInvalid) as raised:
+            load_config(bad)
+        assert str(raised.value) == message
+        result = run_cli(["run", "--config", str(bad), "--quiet"])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: ConfigInvalid: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_distinct_snapshot_files_still_run(self, tmp_path):
+        cfg = minimal_config(tmp_path / "out", t_end=0.2, snapshot_times=[0.1, 0.2], dump_coefficients=True)
+        assert run_command(load_config(write_config(tmp_path, cfg)), quiet=True) == 0
+        written = sorted(p.name for p in (tmp_path / "out").glob("snapshot_*"))
+        assert written == ["snapshot_0.1.csv", "snapshot_0.1_coef.csv", "snapshot_0.2.csv", "snapshot_0.2_coef.csv"]
+
+    def test_unknown_preset_names_all_eight(self, tmp_path):
+        bad = write_config(tmp_path, minimal_config(tmp_path / "out", model={"preset": "bogus"}))
+        message = ("model.preset: unknown preset 'bogus'; expected one of "
+                   "['bbm', 'ch', 'dp', 'kdv', 'large_amplitude', 'moderate', 'normalized', 'se']")
+        with pytest.raises(ConfigInvalid) as raised:
+            load_config(bad)
+        assert str(raised.value) == message
+        result = run_cli(["run", "--config", str(bad), "--quiet"])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: ConfigInvalid: {message}\n"
+
     def test_round_trip(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -428,6 +458,18 @@ class TestSweepAndOverrides:
         for case in summary["cases"]:
             assert case["exit_code"] == 0
         assert (out / "case_000" / "diagnostics.csv").is_file()
+
+    def test_sweep_case_whose_snapshots_write_one_file_runs_nothing(self, tmp_path):
+        out = tmp_path / "sweep"
+        spec = {
+            "base": minimal_config(out, t_end=2.0),
+            "vary": {"snapshot_times": [[0.5, 1.5], [1.5, 1.500000000003]]},
+            "out_dir": str(out),
+        }
+        with pytest.raises(ConfigInvalid, match=r"^case 001 .*: ConfigInvalid: snapshot_times: "
+                                                r"1\.5 and 1\.500000000003 both write snapshot_1\.5\.csv$"):
+            sweep_command(spec, quiet=True)
+        assert not out.exists()
 
     def test_sweep_via_cli(self, tmp_path):
         out = tmp_path / "sweep_cli"

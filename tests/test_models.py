@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lasw import evolve, models
-from lasw.errors import GammaRelationViolated, InvalidMu, InvalidRegime
+from lasw.errors import GammaRelationViolated, InvalidField, InvalidMu, InvalidRegime
 from lasw.evolve import IntegrationControls, integrate
 from lasw.models import (
     ModelCoefficients,
@@ -615,3 +615,30 @@ class TestStraightLineProducts:
                 out = form(h, c)
                 for row in range(3):
                     assert out[row].tobytes() == form(h[row], c).tobytes(), form.__name__
+
+    def test_a_horner_power_gap_matches_the_term_table_walk(self):
+        # u^2*(c0 + u*(u*(u*c1))): no preset skips a power of u in a group
+        table = ((1.5, (0, 0)), (0.25, (0, 0, 0, 0, 0)))
+        for n in (32, 128):
+            for u in self.fields(n):
+                (got,) = models._padded_sums(n, table)(u.coef)
+                (want,) = reference_padded_sums(n, table)(u.coef)
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_each_call_returns_a_fresh_stack(self):
+        products = models._product_kernel([0, 1], [((2.0, (0, 1)),), ((0.5, (0, 0)), (3.0, (0, 0, 0)))])
+        grid = np.random.default_rng(3).standard_normal((4, 2, 64))
+        first, second = products(grid), products(grid)
+        assert first.shape == (4, 2, 64)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+
+    def test_an_overflowing_coefficient_stays_a_value(self):
+        # gamma2/(3*mu) and gamma2/mu overflow to inf, which has no literal in generated code
+        c = ModelCoefficients(mu=1e-308, alpha2=1.0, gamma2=100.0, gamma1=200.0)
+        assert math.isinf(c.gamma2 / (3.0 * c.mu))
+        u = random_trig_polynomial(Grid(32), 2, 5, 2.0)
+        with pytest.raises(InvalidField):
+            tendency(u, c)
+        result = integrate(u, c, 0.01, IntegrationControls(dt=0.001))
+        assert result.state.status is evolve.RunStatus.NONFINITE

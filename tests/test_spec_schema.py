@@ -438,10 +438,19 @@ API = {
     "mode": (lambda **kw: U0.mode(**kw), dict(n=1)),
     "ModelCoefficients": (ModelCoefficients, asdict(preset_normalized())),
     "RegimeParameters": (RegimeParameters, dict(eps=0.5, delta=0.3, p=0.0, z0=0.5, kappa=1.0, beta=-0.2)),
+    # its samples, by another name: a probe's samples is an integer count
+    "from_physical": (lambda values: from_physical(values, G16), dict(values=list(G16.x))),
 }
 RESULTS = (ProbeReport, IntegrationResult, Grid, SpectralField, float, complex, ModelCoefficients, RegimeParameters)
 INTEGER_ARGUMENTS = {"samples", "seed", "n_points", "max_mode", "mode", "n_sequence", "grids", "order", "n"}
 EXTREMES = [math.nan, math.inf, -math.inf, 0, -1, 1e-300, 1e300]
+WRONG_TYPES = [None, "x", [1], {}, True, object()]
+# (function, argument) whose kind admits None
+OPTIONAL_ARGUMENTS = {
+    *((f, "dt") for f in ("continuous_dependence", "dispersion", "mollified_data", "integrate")),
+    ("commutator", "max_mode"), ("product", "max_mode"),
+    *(("RegimeParameters", name) for name in ("p", "z0", "kappa", "beta")),
+}
 
 
 def with_value(kwargs, name, value):
@@ -484,6 +493,22 @@ def test_extreme_argument_is_a_named_error_or_a_result(function, name, no_hang, 
         assert isinstance(out, RESULTS), value
         assert not (isinstance(out, float) and math.isnan(out)), value
         assert not (name in INTEGER_ARGUMENTS and isinstance(value, float)), value
+
+
+@pytest.mark.parametrize("function, name", api_arguments())
+def test_wrong_typed_argument_is_a_named_error_or_a_result(function, name, no_hang, few_samples):
+    call, kwargs = API[function]
+    calls = [(value, dict(kwargs, **{name: value})) for value in WRONG_TYPES]
+    if isinstance(kwargs[name], list):  # and each wrong type as the list's first entry
+        calls += [(value, with_value(kwargs, name, value)) for value in WRONG_TYPES]
+    for value, arguments in calls:
+        try:
+            out = call(**arguments)
+        except LaswError:
+            continue
+        assert isinstance(out, RESULTS), arguments[name]
+        # None is an argument's value only where its kind is optional, and never a list entry
+        assert value is not None or (arguments[name] is None and (function, name) in OPTIONAL_ARGUMENTS)
 
 
 @pytest.mark.parametrize("function, name", api_arguments(integers_only=True))
