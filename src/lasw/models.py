@@ -90,6 +90,12 @@ class ModelCoefficients:
     def __post_init__(self):
         check(InvalidRegime, dict.fromkeys(vars(self), _number), vars(self))
         admit(InvalidMu, _nonneg, self.mu, "mu")
+        # the dataclass's hash of the fields, taken once and kept out of them:
+        # every right-hand-side call and cached step lookup hashes the set
+        object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def conservative(self) -> bool:

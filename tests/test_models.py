@@ -1,5 +1,6 @@
 """Model family: presets, validation, the two tendency forms, flux."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -88,6 +89,19 @@ class TestValidation:
             RegimeParameters(eps=math.inf)
         with pytest.raises(InvalidRegime, match="kappa: expected a number"):
             RegimeParameters(kappa="1")
+
+    def test_equal_sets_hash_equal(self):
+        # the hash is taken once, where the set is built; it is not a field
+        c = preset_large_amplitude(RegimeParameters(eps=0.3, delta=0.2))
+        same = ModelCoefficients(**dataclasses.asdict(c))
+        other = preset_large_amplitude(RegimeParameters(eps=0.4, delta=0.2))
+        replaced = dataclasses.replace(other, **dataclasses.asdict(c))
+        moved = dataclasses.replace(c, mu=c.mu + 1.0)
+        assert c == same == replaced and hash(c) == hash(same) == hash(replaced)
+        assert hash(c) == hash(tuple(getattr(c, f.name) for f in dataclasses.fields(c)))
+        assert moved != c and hash(moved) == hash(dataclasses.replace(moved))
+        assert "_hash" not in [f.name for f in dataclasses.fields(c)] and "_hash" not in repr(c)
+        assert len({c, same, replaced, moved}) == 2
 
     def test_regime_parameters(self):
         with pytest.raises(InvalidRegime):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from lasw import evolve, probes
 from lasw.errors import InvalidExponents, InvalidProbeInput, ProbeUnresolved
 from lasw.evolve import BlowupThresholds, IntegrationControls, RunStatus, integrate
+from lasw.kinds import _LANDING_TOL
 from lasw.models import preset_normalized
 from lasw.probes import (
     commutator_probe,
@@ -33,6 +34,8 @@ from lasw.spectral import (
     lambda_pow,
     random_trig_polynomial,
     sobolev_norm,
+    sup_norm,
+    sup_norm_dx,
     zeros,
 )
 from test_evolve import rk4_reference
@@ -129,6 +132,50 @@ class TestSemigroupProbe:
         with pytest.raises(InvalidProbeInput, match="over the step budget 5"):
             semigroup_probe(a, random_trig_polynomial(g, 1, 3, 1.0), 0.05)
 
+    @pytest.mark.parametrize("case", [
+        *((4096, "sine", ("mode-1", seed), 0.02) for seed in range(3)),
+        (512, "sine", ("full", 5), 0.02),
+        (512, "sine", ("zero", None), 0.02),
+        (512, "constant", ("mode-3", 3), 0.05),
+        (512, "band-5", ("mode-3", 3), 0.02),
+    ], ids=["mode-1-0", "mode-1-1", "mode-1-2", "full-spectrum", "zero", "constant-a", "padded"])
+    def test_steps_on_a_prefix_as_at_full_width(self, monkeypatch, case):
+        n, a_kind, (w0_kind, seed), t_end = case
+        g = Grid(n)
+        a = {
+            "sine": lambda: from_physical(np.sin(TWO_PI * g.x), g),
+            "constant": lambda: constant(g, 1.0),
+            "band-5": lambda: random_trig_polynomial(g, 4, 5, 1.0),
+        }[a_kind]()
+        w0 = {
+            "mode-1": lambda: random_trig_polynomial(g, seed, 1, 1.0),
+            "mode-3": lambda: random_trig_polynomial(g, seed, 3, 1.0),
+            "full": lambda: SpectralField(g, full_band(n // 2, seed) * (1.0 + np.arange(n // 2 + 1)) ** -2.0),
+            "zero": lambda: zeros(g),
+        }[w0_kind]()
+        assert probes._band(a.coef) == {"sine": 1, "constant": 0, "band-5": 5}[a_kind]
+        transport_step, widths = probes._transport_step, []
+
+        def stepped(h, rhs, dt):  # the full step of each prefix is 0 past it
+            whole = np.zeros(n // 2 + 1, dtype=np.complex128)
+            whole[: len(h)] = h
+            assert not np.any(transport_step(whole, rhs, dt)[len(h):])
+            widths.append(len(h))
+            return transport_step(h, rhs, dt)
+
+        monkeypatch.setattr(probes, "_transport_step", stepped)
+        before = w0.coef.tobytes()
+        report = semigroup_probe(a, w0, t_end, cfl=0.5)
+        assert w0.coef.tobytes() == before
+        assert widths == sorted(widths)
+        # only the banded form from a band-limited w0 steps on a prefix
+        assert (widths[0] < n // 2 + 1) == (a_kind != "band-5" and w0_kind != "full")
+        monkeypatch.undo()
+        ratios = full_width_ratios(a, w0, t_end, cfl=0.5)
+        assert report.values == ratios
+        assert report.passed == (max(ratios) <= 1.0 + 1e-6)
+        assert report.passed
+
     def test_deterministic(self):
         g = Grid(128)
         a = from_physical(np.sin(TWO_PI * g.x), g)
@@ -144,6 +191,23 @@ class TestSemigroupProbe:
         assert repr(r1) == repr(r2) == repr(r3)
 
 
+def full_width_ratios(a, w0, t_end, cfl):
+    """semigroup_probe's ratios from a loop that steps every mode of the half
+    spectrum, the state past the support included."""
+    rhs, _ = probes._transport_rhs(a.coef, a.grid.n_points)
+    dt = cfl * a.grid.spacing / max(1.0, sup_norm(a))
+    omega, w0_norm = 0.5 * sup_norm_dx(a), l2_norm(w0)
+    h, t, ratios = w0.coef, 0.0, [1.0 if w0_norm > 0.0 else 0.0]
+    for j in range(probes._SEMIGROUP_SAMPLES):
+        ts = t_end * (j + 1) / probes._SEMIGROUP_SAMPLES
+        while t < ts - _LANDING_TOL:
+            step = min(dt, ts - t)
+            h = probes._transport_step(h, rhs, step)
+            t = ts if ts - (t + step) < _LANDING_TOL else t + step
+        ratios.append(l2_norm(h) / (math.exp(omega * t) * w0_norm) if w0_norm > 0.0 else 0.0)
+    return tuple(ratios)
+
+
 def full_band(half, seed):
     """Random half spectrum of modes 0..half with every slot set, half real."""
     rng = np.random.default_rng(seed)
@@ -155,6 +219,24 @@ def full_band(half, seed):
 
 def rel_diff(x, y):
     return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+
+def cut_states(h, reach):
+    """(w, h zero past w) for widths w whose prefix of w + reach modes still fits h."""
+    fits = len(h) - reach
+    for w in sorted({1, 2, 3, fits // 4, fits // 2, fits - 1, fits} & set(range(1, fits + 1))):
+        cut = h.copy()
+        cut[w:] = 0.0
+        yield w, cut
+
+
+def assert_prefix_is_exact(call, cut, wide):
+    """call on the first `wide` modes of cut gives the full call's bits there, and
+    the full call is exactly 0 past them; calls at both widths share call's state."""
+    part = call(cut[:wide])
+    whole = call(cut)
+    assert call(cut[:wide]).tobytes() == part.tobytes() == whole[:wide].tobytes(), wide
+    assert not np.any(whole[wide:]), wide
 
 
 class TestTransportRightHandSides:
@@ -170,8 +252,12 @@ class TestTransportRightHandSides:
             a = np.zeros(n // 2 + 1, dtype=np.complex128)
             a[: band + 1] = full_band(band + 1, [n, band])[: band + 1]
             h = full_band(n // 2, [n, band, 1])
-            banded = probes._banded_transport(a[: band + 1], n)(h)
+            rhs = probes._banded_transport(a[: band + 1], n)
+            banded = rhs(h)
             assert rel_diff(banded, probes._padded_transport(a, n)(h)) <= 1e-14, band
+            # a state zero past w: the prefix of w + K modes holds every nonzero output
+            for w, cut in cut_states(h, band):
+                assert_prefix_is_exact(rhs, cut, w + band)
             if band == 0:
                 continue
             a[0] = 0.0
@@ -193,12 +279,16 @@ class TestTransportRightHandSides:
             h = full_band(n // 2, [n, band, 1])
             dt = 0.3 / n / max(1.0, 2.0 * np.sum(np.abs(a)))  # under the probe's cfl step
             before = h.tobytes()
-            for rhs in (probes._banded_transport(a[: band + 1], n), probes._padded_transport(a, n)):
+            banded = probes._banded_transport(a[: band + 1], n)
+            for rhs in (banded, probes._padded_transport(a, n)):
                 calls = []
                 step = probes._transport_step(h, lambda v: calls.append(1) or rhs(v), dt)
                 assert len(calls) == 4
                 assert h.tobytes() == before  # the stages run in place, never in h
                 assert rel_diff(step, rk4_reference(h, rhs, dt)) <= 2e-16, band
+            # four banded calls add at most 4K modes to the support
+            for w, cut in cut_states(h, 4 * band):
+                assert_prefix_is_exact(lambda v: probes._transport_step(v, banded, dt), cut, w + 4 * band)
 
     @pytest.mark.parametrize("n", [16, 64, 512, 4096])
     def test_sampled_sine_sits_on_the_floor(self, n):
@@ -207,7 +297,9 @@ class TestTransportRightHandSides:
         assert np.any(a[2:] != 0.0)
         assert probes._band(a) == 1
         h = full_band(n // 2, n)
-        banded = probes._transport_rhs(a, n)(h)
+        rhs, reach = probes._transport_rhs(a, n)
+        assert reach == 1
+        banded = rhs(h)
         assert rel_diff(banded, probes._padded_transport(a, n)(h)) <= 1e-14
 
     @pytest.mark.parametrize("a_of, per_stage", [

@@ -15,7 +15,9 @@ imports lasw from the `src/` beside this directory.
   the drawn amplitude, so that some runs stop BlowUpSuspected: the
   records, the snapshots, the final state and the blow-up decision.
 - probes: each probe's report and the convergence study's, at the command
-  line's defaults.
+  line's defaults; and the semigroup probe's report by a = sin 2 pi x with
+  cfl 0.5 and t_end 0.02 at the benchmark's shape (n = 4096, mode-1 w0 from
+  seeds 0-2) and from a full-spectrum w0 at n = 512.
 - run: `lasw run` of a config this script writes, with two snapshots and
   dump_coefficients: every output file, run.json without its timings and
   out_dir.
@@ -35,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from lasw import cli, config, evolve, models  # noqa: E402
+from lasw import probes as lasw_probes  # noqa: E402
 from lasw.errors import LaswError  # noqa: E402
 from lasw.evolve import IntegrationControls, integrate  # noqa: E402
 from lasw.spectral import Grid, SpectralField, random_trig_polynomial  # noqa: E402
@@ -118,6 +121,13 @@ def probes(h) -> None:
             spec = dict(spec, t_exp=1.0, r_exp=2.0)
         fn, kwargs, _ = parse(spec)
         feed(h, json.dumps(dataclasses.asdict(fn(**kwargs)), sort_keys=True))
+    sine = {"profile": "sine", "amplitude": 1.0, "mode": 1}
+    big, small = Grid(4096), Grid(512)
+    draws = [(big, random_trig_polynomial(big, seed, 1, 1.0)) for seed in range(3)]
+    draws.append((small, SpectralField(small, full_band(512, 0))))
+    for grid, w0 in draws:
+        report = lasw_probes.semigroup_probe(config.build_initial_field(sine, grid, 0), w0, 0.02, cfl=0.5)
+        feed(h, json.dumps(dataclasses.asdict(report), sort_keys=True))
 
 
 def run(h) -> None:
