@@ -220,7 +220,6 @@ _PROBES = {
         "delta": (_number, 0.1, "delta"),
         "amplitude": (_number, 1e-8, "amplitude"),
         "window": (_number, OMIT, "window"),
-        "dt": (_optional(_number), OMIT, "dt"),
         "tolerance": (_number, OMIT, "tolerance"),
     }),
     "mollified_data": (mollified_data_experiment, {

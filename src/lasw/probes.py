@@ -17,10 +17,11 @@ predicts, on concrete sampled inputs:
 * `convergence_study`   -- temporal order and spatial spectral decay.
 
 The solution-map probes (continuous dependence, mollified data,
-dispersion, convergence) solve through `_solve_sampled`, which steps all
-the fields of one call, on one grid at one dt, as one stack, and only if
+dispersion, convergence) solve through `_solve_sampled`, which steps the
+half spectra of one call, on one grid at one dt, as one stack, and only if
 the stack stops re-solves them one at a time, to name the first whose own
-run stops.
+run stops.  They build their input rows as fields and measure the sampled
+states as bare half spectra.
 
 The estimate constants are never known, so the ratio probes assert
 boundedness and stability under grid refinement rather than specific
@@ -58,6 +59,7 @@ from .spectral import (
     _mollify_index,
     _dx_sigma,
     _from_grid,
+    _resize,
     _to_grid,
     dealiased_product,
     from_physical,
@@ -433,13 +435,13 @@ def product_probe(
 # solution-map experiments
 # ---------------------------------------------------------------------------
 
-def _solve_sampled(fields, coeffs, t_end, dt, sample_ts):
-    """The states at sample_ts of each field, as `integrate` at the fixed step dt
-    gives them; the fields share one grid and step as one stack.
+def _solve_sampled(stack, coeffs, t_end, dt, sample_ts):
+    """The states at sample_ts of the rows of a (B, n/2+1) stack, as one (samples, B,
+    n/2+1) array: each row's as `integrate` at the fixed step dt gives them.
 
     t_end is the caller's checked span.  Raises ProbeUnresolved if sample
-    times merge, and for the first field, in input order, whose own run does
-    not complete, with its status and time, found by re-solving the fields
+    times merge, and for the first row, in input order, whose own run does
+    not complete, with its status and time, found by re-solving the rows
     one at a time once the stack stops: at a fixed dt each row is bit for bit
     its own run.
     """
@@ -454,13 +456,12 @@ def _solve_sampled(fields, coeffs, t_end, dt, sample_ts):
     controls = IntegrationControls(
         dt=dt, sample_interval=t_end, snapshot_times=tuple(sample_ts)
     )
-    grid = fields[0].grid
-    run = _solve(np.stack([u.coef for u in fields]), coeffs, t_end, controls)
+    run = _solve(stack, coeffs, t_end, controls)
     if run.stop is not None:
-        own = (_solve(u.coef, coeffs, t_end, controls).stop for u in fields)
+        own = (_solve(row, coeffs, t_end, controls).stop for row in stack)
         stop = next((s for s in own if s is not None), run.stop)
         raise ProbeUnresolved(f"run ended with status {stop.status.value} at t={stop.t:.6g}")
-    return [[SpectralField(grid, h[row]) for _, h in run.snapshots] for row in range(len(fields))]
+    return np.stack([h for _, h in run.snapshots])
 
 
 _DEPENDENCE_ARGUMENTS = {"perturbation_sizes": _non_increasing, "t_end": _span, "s_exp": _number,
@@ -500,11 +501,10 @@ def continuous_dependence_experiment(
     if dt is None:
         dt = _stable_dt(u0.coef, coeffs, cfl)
     sample_ts = [t_end * (j + 1) / _DEPENDENCE_SAMPLES for j in range(_DEPENDENCE_SAMPLES)]
-    fields = [u0] + [u0 + eta * phi for eta in etas]
-    base, *perturbed = _solve_sampled(fields, coeffs, t_end, dt, sample_ts)
-    distances = [
-        max(sobolev_norm(b - p, s_exp) for b, p in zip(base, pert)) for pert in perturbed
-    ]
+    rows = np.stack([u.coef for u in [u0] + [u0 + eta * phi for eta in etas]])
+    states = _solve_sampled(rows, coeffs, t_end, dt, sample_ts)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing distance is inf
+        distances = sobolev_norm(states[:, :1] - states[:, 1:], s_exp).max(axis=0).tolist()
 
     nonincreasing = all(
         d2 <= d1 * (1.0 + 1e-12) for d1, d2 in zip(distances, distances[1:])
@@ -536,7 +536,7 @@ def phase_speed(k: float, delta: float) -> float:
 
 
 _DISPERSION_ARGUMENTS = {"mode": _count, "eps": _number, "delta": _number, "amplitude": _number,
-                         "n_points": _grid, "window": _span, "dt": _optional(_positive), "tolerance": _number}
+                         "n_points": _grid, "window": _span, "tolerance": _number}
 
 
 def dispersion_probe(
@@ -547,7 +547,6 @@ def dispersion_probe(
     *,
     n_points: int = 64,
     window: float = 0.5,
-    dt: float | None = None,
     tolerance: float = 1e-6,
 ) -> ProbeReport:
     """Measure the phase speed of one small-amplitude mode.
@@ -555,9 +554,9 @@ def dispersion_probe(
     A single cosine mode is evolved in the (effectively linear) regime and
     the phase of its Fourier coefficient is tracked at 50 times over a
     short window; the fitted speed is compared with the analytic
-    dispersion relation.
-    dt=None takes one step per record, window/50: ETDRK4 integrates the
-    linear part exactly, so the phase error is round-off at any dt.
+    dispersion relation.  It takes one step per record, dt = window/50:
+    ETDRK4 integrates the linear part exactly, so the phase error is
+    round-off at any dt.
     """
     check(InvalidProbeInput, _DISPERSION_ARGUMENTS, locals())
     if abs(amplitude) > 1e-6:
@@ -570,15 +569,12 @@ def dispersion_probe(
     c_exact = phase_speed(k, delta)
 
     u0 = from_physical(amplitude * np.cos(k * grid.x), grid)
-    record_dt = window / _DISPERSION_RECORDS
-    _check_steps(InvalidProbeInput, window, dt or record_dt)
-    steps_per_record = 1 if dt is None else max(1, math.ceil(record_dt / dt))
-    dt = record_dt / steps_per_record
-    sample_ts = [record_dt * (j + 1) for j in range(_DISPERSION_RECORDS)]
-    [snapshots] = _solve_sampled([u0], coeffs, window, dt, sample_ts)
+    dt = window / _DISPERSION_RECORDS
+    sample_ts = [dt * (j + 1) for j in range(_DISPERSION_RECORDS)]
+    states = _solve_sampled(u0.coef[None], coeffs, window, dt, sample_ts)
 
     ts = np.array([0.0] + sample_ts)
-    phases = np.unwrap([np.angle(u.mode(mode)) for u in [u0, *snapshots]])
+    phases = np.unwrap(np.angle(np.concatenate([u0.coef[None, mode], states[:, 0, mode]])))
     slope = np.polyfit(ts, phases, 1)[0]
     c_measured = -slope / k
     rel_err = abs(c_measured - c_exact) / abs(c_exact)
@@ -620,11 +616,11 @@ def mollified_data_experiment(
     """
     check(InvalidProbeInput, _MOLLIFIED_ARGUMENTS, locals())
     ns = [int(n) for n in n_sequence]
-    fields = [mollify(u0_rough, n) for n in ns]
+    rows = np.stack([mollify(u0_rough, n).coef for n in ns])
     if dt is None:
-        dt = _stable_dt(np.stack([f.coef for f in fields]), coeffs, cfl)
-    terminals = [states[0] for states in _solve_sampled(fields, coeffs, t_end, dt, [t_end])]
-    diffs = [l2_norm(a - b) for a, b in zip(terminals, terminals[1:])]
+        dt = _stable_dt(rows, coeffs, cfl)
+    [terminals] = _solve_sampled(rows, coeffs, t_end, dt, [t_end])
+    diffs = l2_norm(np.diff(terminals, axis=0)).tolist()
     passed = all(d2 <= d1 * (1.0 + 1e-9) for d1, d2 in zip(diffs, diffs[1:]))
     return _summarize(
         "mollified_data", None, diffs, passed,
@@ -668,13 +664,12 @@ def convergence_study(
             f"got grids {grid_sizes} and {steps} steps"
         )
 
-    def run(u_init, n_steps):
-        return _solve_sampled([u_init], coeffs, t_end, t_end / n_steps, [t_end])[0][0]
+    def run(u_init, n_steps):  # u_init's terminal half spectrum
+        return _solve_sampled(u_init.coef[None], coeffs, t_end, t_end / n_steps, [t_end])[0, 0]
 
-    fine = grid_sizes[-1]
-    u_fine = resample(u0, fine)
-    terminals_t = [run(u_fine, n) for n in steps]
-    errors_t = [l2_norm(a - b) for a, b in zip(terminals_t, terminals_t[1:])]
+    u_fine = resample(u0, grid_sizes[-1])
+    terminals_t = np.stack([run(u_fine, n) for n in steps])
+    errors_t = l2_norm(np.diff(terminals_t, axis=0)).tolist()
     floor = 1e-13 * (1.0 + l2_norm(u_fine))
     if all(e <= floor for e in errors_t):
         order = None
@@ -689,9 +684,9 @@ def convergence_study(
         temporal_pass = bool(orders) and abs(order - 4.0) <= 0.2
 
     # the finest spatial run is the last temporal run
-    terminals_s = [run(resample(u0, g), steps[-1]) for g in grid_sizes[:-1]] + terminals_t[-1:]
+    terminals_s = [run(resample(u0, g), steps[-1]) for g in grid_sizes[:-1]] + [terminals_t[-1]]
     # each terminal state against the next, on the finer grid
-    errors_s = [l2_norm(resample(ua, gb) - ub)
+    errors_s = [float(l2_norm(_resize(ua, gb) - ub))
                 for ua, gb, ub in zip(terminals_s, grid_sizes[1:], terminals_s[1:])]
     spatial_pass = all(
         e2 <= e1 * (1.0 + 1e-9) or e2 <= 1e-12 for e1, e2 in zip(errors_s, errors_s[1:])

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,8 @@ class SpectralField:
 
     grid: Grid
     coef: np.ndarray
+    # an ndarray or numpy scalar operand defers to the field's own operators
+    __array_ufunc__ = None
 
     def __post_init__(self):
         half = self.grid.n_points // 2
@@ -134,29 +137,30 @@ class SpectralField:
                 f"grids differ: {self.grid.n_points} vs {other.grid.n_points}"
             )
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other, a field on the same grid; an overflow is InvalidField, with no warning."""
         if not isinstance(other, SpectralField):
             return NotImplemented
         self._same_grid(other)
-        return SpectralField(self.grid, self.coef + other.coef)
+        with np.errstate(over="ignore"):
+            return SpectralField(self.grid, op(self.coef, other.coef))
 
-    def __sub__(self, other):
-        if not isinstance(other, SpectralField):
-            return NotImplemented
-        self._same_grid(other)
-        return SpectralField(self.grid, self.coef - other.coef)
+    __add__ = functools.partialmethod(_combine, op=np.add)
+    __sub__ = functools.partialmethod(_combine, op=np.subtract)
 
-    def __mul__(self, scalar):
+    def __mul__(self, scalar, divide=False):
+        """The field times a real scalar, or over it if divide; a bool or other value is a
+        TypeError, and an overflow or a zero divisor InvalidField, with no warning."""
         if isinstance(scalar, SpectralField):
             raise TypeError("use dealiased_product for field*field")
-        if not np.isreal(scalar):
+        if isinstance(scalar, bool) or not isinstance(scalar, numbers.Real):
             raise TypeError("only real scalars keep the field real")
-        return SpectralField(self.grid, self.coef * float(scalar))
+        factor = float(scalar)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return SpectralField(self.grid, self.coef * (np.divide(1.0, factor) if divide else factor))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return self * (1.0 / float(scalar))
+    __truediv__ = functools.partialmethod(__mul__, divide=True)
 
     def __neg__(self):
         return SpectralField(self.grid, -self.coef)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -117,6 +118,26 @@ class TestLoadConfig:
         result = run_cli(["run", "--config", str(bad), "--quiet"])
         assert result.exit_code == 1
         assert result.stderr == f"error: ConfigInvalid: {message}\n"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"model": {"preset": "normalized", "coefficients": {"mu": 1.0}}},
+         "model: give exactly one of 'preset' or 'coefficients'"),
+        ({"model": {}}, "model: give exactly one of 'preset' or 'coefficients'"),
+        ({"initial_data": {"profile": "cosine", "amplitude": 0.05, "mode": 64}},
+         "initial_data.mode: 64 not representable"),
+        ({"initial_data": {"profile": "sine", "amplitude": 0.05, "mode": 100}},
+         "initial_data.mode: 100 not representable"),
+        ({"initial_data": {"samples_file": "{tmp}/words.txt"}}, "initial_data.samples_file: could not convert"),
+        ({"initial_data": {}}, "initial_data: give one of 'profile', 'coefficients' or 'samples_file'"),
+    ], ids=["preset-and-coefficients", "no-model", "cosine-mode", "sine-mode", "samples_file", "no-form"])
+    def test_malformed_blocks_are_config_invalid(self, tmp_path, overrides, message):
+        # grid 128 holds modes 1..63; the samples file holds words
+        (tmp_path / "words.txt").write_text("not a number\n")
+        path = write_config(tmp_path, minimal_config(tmp_path / "out", **overrides))
+        path.write_text(path.read_text().replace("{tmp}", str(tmp_path)))
+        with pytest.raises(ConfigInvalid) as raised:
+            load_config(path).initial_field
+        assert str(raised.value).startswith(message)
 
     def test_round_trip(self, tmp_path):
         path = write_config(
@@ -423,6 +444,26 @@ class TestProbeAndConverge:
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("command", ["probe", "converge", "sweep"])
+    def test_commands_print_one_line_each_without_quiet(self, tmp_path, command):
+        out = tmp_path / "out"
+        spec, lines = {
+            "probe": ({"probe": "dispersion", "mode": 1, "delta": 0.1},
+                      [rf"probe dispersion: pass \(max=0\.\d+\) -> {re.escape(str(out))}"]),
+            "converge": ({"u0": {"profile": "constant", "value": 0.5}, "t_end": 0.05,
+                          "grids": [16, 32, 64], "dts": [0.01, 0.005, 0.0025]},
+                         [rf"convergence: pass \(order=None\) -> {re.escape(str(out))}"]),
+            "sweep": ({"base": minimal_config(out, grid=32, t_end=0.05), "vary": {"seed": [0, 1]}},
+                      [r"case 000 \{'seed': 0\} -> exit 0", r"case 001 \{'seed': 1\} -> exit 0"]),
+        }[command]
+        path = write_config(tmp_path, dict(spec, out_dir=str(out)), "spec.json")
+        result = run_cli([command, "--config", str(path)])
+        assert result.exit_code == 0 and result.stderr == ""
+        printed = result.output.splitlines()
+        assert len(printed) == len(lines)
+        for line, pattern in zip(printed, lines):
+            assert re.fullmatch(pattern, line), line
+
     def test_unknown_probe(self, tmp_path):
         with pytest.raises(ConfigInvalid):
             probe_command({"probe": "spectre"}, quiet=True)
@@ -468,6 +509,14 @@ class TestSweepAndOverrides:
         }
         with pytest.raises(ConfigInvalid, match=r"^case 001 .*: ConfigInvalid: snapshot_times: "
                                                 r"1\.5 and 1\.500000000003 both write snapshot_1\.5\.csv$"):
+            sweep_command(spec, quiet=True)
+        assert not out.exists()
+
+    def test_vary_path_through_a_number_runs_nothing(self, tmp_path):
+        out = tmp_path / "sweep"
+        spec = {"base": minimal_config(out), "vary": {"grid.n": [64]}, "out_dir": str(out)}
+        with pytest.raises(ConfigInvalid, match=r"^case 000 .*: ConfigInvalid: vary: path 'grid\.n' "
+                                                r"does not address an object$"):
             sweep_command(spec, quiet=True)
         assert not out.exists()
 

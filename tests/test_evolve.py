@@ -452,11 +452,12 @@ class TestStackedSolve:
 
         monkeypatch.setattr(probes, "IntegrationControls",
                             functools.partial(IntegrationControls, thresholds=thresholds))
+        stack = np.stack([u.coef for u in fields])
         if stop is None:
-            probes._solve_sampled(fields, c, 0.1, 1e-3, [0.05, 0.1])
+            probes._solve_sampled(stack, c, 0.1, 1e-3, [0.05, 0.1])
         else:
             with pytest.raises(ProbeUnresolved) as err:
-                probes._solve_sampled(fields, c, 0.1, 1e-3, [0.05, 0.1])
+                probes._solve_sampled(stack, c, 0.1, 1e-3, [0.05, 0.1])
             assert str(err.value) == f"run ended with status {stop[1].value} at t={stop[2]:.6g}"
 
     def test_rows_past_a_threshold_at_t0_stop_there(self):

@@ -117,10 +117,14 @@ class TestSurveyPresets:
         c = preset_survey("ch", RegimeParameters(kappa=1.0))
         assert (c.mu, c.alpha1, c.alpha3, c.beta1, c.beta2) == (1.0, -1.0, -3.0, 2.0, 1.0)
         assert c.conservative  # gammas vanish
+        with pytest.raises(InvalidRegime, match="ch requires the kappa parameter"):
+            preset_survey("ch", RegimeParameters())
 
     def test_dp(self):
         c = preset_survey("dp", RegimeParameters(kappa=1.0))
         assert (c.mu, c.alpha1, c.alpha3, c.beta1, c.beta2) == (1.0, -1.0, -4.0, 3.0, 1.0)
+        with pytest.raises(InvalidRegime, match="dp requires the kappa parameter"):
+            preset_survey("dp", RegimeParameters())
 
     def test_moderate_zero_parameters(self):
         # p = 0 with z0^2 = 1/3 makes lambda = 0
@@ -134,6 +138,11 @@ class TestSurveyPresets:
     def test_moderate_requires_negative_beta(self):
         with pytest.raises(InvalidMu):
             preset_survey("moderate", RegimeParameters(p=1.0, z0=1.0))
+
+    @pytest.mark.parametrize("given", [{}, {"p": 0.1}, {"z0": 0.5}])
+    def test_moderate_requires_p_and_z0(self, given):
+        with pytest.raises(InvalidRegime, match="moderate requires the p and z0 parameters"):
+            preset_survey("moderate", RegimeParameters(**given))
 
     def test_bbm(self):
         c = preset_survey("bbm", RegimeParameters(eps=1.0, delta=1.0, beta=-0.25))

@@ -81,7 +81,7 @@ VALID = {
     }),
     "dispersion": ("probe", {
         "probe": "dispersion", "grid": 16, "mode": 1, "eps": 1.0, "delta": 0.1,
-        "amplitude": 1e-8, "window": 0.01, "dt": 0.001, "tolerance": 1e-6,
+        "amplitude": 1e-8, "window": 0.01, "tolerance": 1e-6,
     }),
     "mollified_data": ("probe", {
         "probe": "mollified_data", "grid": 16, "t_end": 0.01, "dt": 0.005, "cfl": 0.4,
@@ -270,6 +270,15 @@ class TestStepBudget:
         controls = IntegrationControls(dt=0.01, sample_interval=0.05)
         assert integrate(u0, preset_normalized(), 0.1, controls).state.t == pytest.approx(0.1)
 
+    def test_steps_that_land_on_events_can_exhaust_the_budget_mid_run(self, monkeypatch):
+        # 0.1 / 0.01 is 10 steps, within the budget; the snapshot times cut
+        # four of them short, and the 11th step is past it
+        monkeypatch.setattr(lasw.evolve, "_MAX_STEPS", 10)
+        u0 = from_physical([0.0] * 16, Grid(16))
+        controls = IntegrationControls(dt=0.01, sample_interval=0.05, snapshot_times=(0.005, 0.015, 0.025))
+        with pytest.raises(InvalidControls, match=r"^step budget 10 exhausted at t=0\.09$"):
+            integrate(u0, preset_normalized(), 0.1, controls)
+
     @pytest.mark.parametrize("overrides", [{"t_end": 1e300}, {"t_end": 1.0, "sample_interval": 1e-300}],
                              ids=["huge-t_end", "tiny-sample_interval"])
     def test_more_samples_than_the_budget_fail_fast_via_cli(self, tmp_path, overrides,
@@ -296,8 +305,7 @@ class TestStepBudget:
 
     @pytest.mark.parametrize("command, spec", [
         ("converge", {"t_end": 1e300, "dts": [1e-10, 1e-11, 1e-12]}),
-        ("probe", {"probe": "dispersion", "dt": 5e-324}),
-    ], ids=["converge", "dispersion"])
+    ], ids=["converge"])
     def test_step_counts_past_the_float_range_fail_fast_via_cli(self, tmp_path, command, spec, no_hang):
         # these raised OverflowError rounding t_end / dt to a step count
         result = invoke(tmp_path, command, dict(spec, out_dir=str(tmp_path / "out")))
@@ -418,7 +426,7 @@ API = {
         lambda **kw: continuous_dependence_experiment(U0, coeffs=preset_normalized(), **kw),
         dict(perturbation_sizes=[1e-2, 1e-3], t_end=0.01, s_exp=2.0, seed=1, dt=0.005, cfl=0.4)),
     "dispersion": (dispersion_probe, dict(mode=1, eps=1.0, delta=0.1, amplitude=1e-8, n_points=16,
-                                          window=0.01, dt=0.001, tolerance=1e-6)),
+                                          window=0.01, tolerance=1e-6)),
     "mollified_data": (lambda **kw: mollified_data_experiment(U0, coeffs=preset_normalized(), **kw),
                        dict(n_sequence=[2, 4], t_end=0.01, dt=0.005, cfl=0.4)),
     "convergence": (lambda **kw: convergence_study(U0, preset_normalized(), **kw),
@@ -447,7 +455,7 @@ EXTREMES = [math.nan, math.inf, -math.inf, 0, -1, 1e-300, 1e300]
 WRONG_TYPES = [None, "x", [1], {}, True, object()]
 # (function, argument) whose kind admits None
 OPTIONAL_ARGUMENTS = {
-    *((f, "dt") for f in ("continuous_dependence", "dispersion", "mollified_data", "integrate")),
+    *((f, "dt") for f in ("continuous_dependence", "mollified_data", "integrate")),
     ("commutator", "max_mode"), ("product", "max_mode"),
     *(("RegimeParameters", name) for name in ("p", "z0", "kappa", "beta")),
 }

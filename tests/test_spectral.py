@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,9 @@ class TestGridAndField:
         assert f.mode(1) == pytest.approx(0.5, abs=1e-15)
         assert f.mode(-1) == pytest.approx(0.5, abs=1e-15)
         assert abs(f.mode(2)) < 1e-15
+        for n in (8, -9, 100):  # modes -8..7 on 16 points
+            with pytest.raises(GridMismatch, match=f"mode {n} not representable on 16 points"):
+                f.mode(n)
 
     def test_round_trip_random(self):
         g = Grid(128)
@@ -146,6 +150,48 @@ class TestGridAndField:
             f + from_physical(np.ones(32), Grid(32))
         with pytest.raises(TypeError):
             f * f
+        for scalar in (1.0, np.float64(1.0)):  # a field adds and subtracts fields only
+            for combine in (lambda: f + scalar, lambda: f - scalar, lambda: scalar + f, lambda: scalar - f):
+                with pytest.raises(TypeError):
+                    combine()
+        assert np.array_equal((-f).coef, -f.coef)
+
+
+SCALAR_OPS = {"mul": lambda u, c: u * c, "rmul": lambda u, c: c * u, "div": lambda u, c: u / c}
+
+
+@pytest.mark.parametrize("op", sorted(SCALAR_OPS))
+@pytest.mark.parametrize("scalar", ["x", np.array([1.0, 2.0]), None, True, np.True_, 1j, np.complex128(1.0)],
+                         ids=["str", "array", "None", "bool", "numpy-bool", "complex", "numpy-complex"])
+def test_a_scalar_that_is_not_a_real_number_is_a_type_error(op, scalar):
+    # a string or an array was numpy's ValueError, None a TypeError from float(),
+    # and a bool scaled the field as 1
+    g = Grid(16)
+    u = from_physical(np.cos(TWO_PI * g.x), g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="^only real scalars keep the field real$"):
+            SCALAR_OPS[op](u, scalar)
+
+
+@pytest.mark.parametrize("op", sorted(SCALAR_OPS))
+def test_field_arithmetic_that_overflows_is_an_invalid_field_without_a_warning(op):
+    # u * 1e308 * 1e10 warned before it raised, and u / 0 was ZeroDivisionError
+    g = Grid(16)
+    u = from_physical(2.0 * np.cos(TWO_PI * g.x), g)
+    big = u * 1e308  # mode 1 holds 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidField, match="non-finite coefficient"):
+            SCALAR_OPS[op](big, 1e-10 if op == "div" else 1e10)
+        if op == "div":
+            with pytest.raises(InvalidField, match="non-finite coefficient"):
+                u / 0
+        else:
+            assert not np.any(SCALAR_OPS[op](u, 0).coef)
+        for combine in (lambda: big + big, lambda: big - -1.0 * big):
+            with pytest.raises(InvalidField, match="non-finite coefficient"):
+                combine()
 
 
 class TestMultipliers:

@@ -21,6 +21,13 @@ imports lasw from the `src/` beside this directory.
 - run: `lasw run` of a config this script writes, with two snapshots and
   dump_coefficients: every output file, run.json without its timings and
   out_dir.
+- ensemble: the continuous dependence report at the benchmark's
+  `ensemble-n128` shape (n = 128, the normalized preset, a cosine u0 of
+  amplitude 0.05, etas 1e-2, 1e-3 and 1e-4, t_end 0.05, s 2, dt 0.0025),
+  seeds 0-2.
+- dispersion: the dispersion probe's report at modes 1 and 4 on n = 64.
+- unresolved: the ProbeUnresolved message of a continuous dependence call
+  at the ensemble shape whose stack stops (eta 300, t_end 0.5).
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import numpy as np  # noqa: E402
 
 from lasw import cli, config, evolve, models  # noqa: E402
 from lasw import probes as lasw_probes  # noqa: E402
-from lasw.errors import LaswError  # noqa: E402
+from lasw.errors import LaswError, ProbeUnresolved  # noqa: E402
 from lasw.evolve import IntegrationControls, integrate  # noqa: E402
 from lasw.spectral import Grid, SpectralField, random_trig_polynomial  # noqa: E402
 
@@ -154,7 +161,34 @@ def run(h) -> None:
                 h.update(file.read_bytes())
 
 
-GROUPS = {"rhs": rhs, "integrate": integrate_group, "probes": probes, "run": run}
+def ensemble_call(etas, t_end, seed):
+    grid = Grid(128)
+    u0 = config.build_initial_field({"profile": "cosine", "amplitude": 0.05, "mode": 1}, grid, 0)
+    coeffs = config.build_coefficients({"preset": "normalized"})
+    return lasw_probes.continuous_dependence_experiment(u0, etas, t_end, 2.0, coeffs, seed, dt=0.0025)
+
+
+def ensemble(h) -> None:
+    for seed in range(3):
+        feed(h, json.dumps(dataclasses.asdict(ensemble_call([1e-2, 1e-3, 1e-4], 0.05, seed)), sort_keys=True))
+
+
+def dispersion(h) -> None:
+    for mode in (1, 4):
+        report = lasw_probes.dispersion_probe(mode, 1.0, 0.1, 1e-8, n_points=64)
+        feed(h, json.dumps(dataclasses.asdict(report), sort_keys=True))
+
+
+def unresolved(h) -> None:
+    try:
+        ensemble_call([300.0, 1e-3], 0.5, 0)
+        feed(h, "resolved")
+    except ProbeUnresolved as err:
+        feed(h, str(err))
+
+
+GROUPS = {"rhs": rhs, "integrate": integrate_group, "probes": probes, "run": run,
+          "ensemble": ensemble, "dispersion": dispersion, "unresolved": unresolved}
 
 
 def digest(group: str) -> str:
