@@ -79,9 +79,13 @@ _SEMIGROUP_SAMPLES = 40
 _DEPENDENCE_SAMPLES = 10
 _DISPERSION_RECORDS = 50
 
-# Widest band K of a(x) that the semigroup probe convolves on the half
-# spectrum; up to K = 4 that is no slower than the 2n-point FFT pair at every
-# n from 64 to 4096 (measured on a 2-vCPU VM).
+# Widest band K of a(x) that the semigroup probe steps with the banded map.
+# At K = 4 one full-width step took 14-28 us at n = 64 and 128, 54-56 us at
+# 1024 and 179-225 us at 4096, against 84-201, 292-402 and 646-966 us for
+# Horner's step over the 2n-point pair; the map's powers and its first M(dt)
+# took 5.6-5.8 ms at n = 4096, and each further step size 0.6-1.0 ms, so a
+# probe of 40 samples gains from K = 4 at every n from 64 to 4096 (two runs
+# on a 2-vCPU VM; K = 5 and 6 were faster per step too).
 _BAND_MAX = 4
 # Coefficients of a(x) at or under this multiple of eps * max|a_k| are
 # round-off (sampling sin 2 pi x leaves ~2.8e-16 * max|a_k| in every mode).
@@ -135,90 +139,138 @@ def _padded_transport(a: np.ndarray, n: int):
     return lambda h: _from_grid(a_pad * _to_grid(h * dx, m), n)
 
 
-def _banded_transport(a: np.ndarray, n: int):
-    """h -> P_n(a * h_x) for a with modes 0..K only (K = len(a) - 1 < n/2).
-
-    The truncated product is a (2K+1)-diagonal convolution: mode k of the
-    output is sum_j a_j (i xi_{k-j}) h_{k-j} over |j| <= K, with a_{-j} =
-    conj(a_j) and h_{-m} = conj(h_m).  Each diagonal a_j (i xi_{k-j}) is one
-    array, made here once; a tap a_j at or under the round-off floor is left
-    out (a = 0 keeps its a_0 tap, so 0 * inf stays nan).  The
-    first-derivative symbol is zero at the Nyquist entry and past it, so h
-    extended by K conjugated modes below 0 and K zeros past n/2 holds every
-    h_{k-j} the output needs.  As in `_from_grid`, the +-n/2 pair folds into
-    the Nyquist slot and the mean is real.  Each call returns a fresh array.
-
-    h may also be a prefix h[:w] (1 <= w <= n/2 + 1) of a half spectrum that
-    is zero past it: the call then returns the first w modes of the full
-    call, bit for bit, reading K zeros past the prefix, and folds the Nyquist
-    slot only when w = n/2 + 1.  The full call's modes past w + K are exactly
-    0, so a state zero past w - K loses nothing to the cut at w.
-    """
-    band = a.shape[0] - 1
-    half = n // 2
-    ext = np.zeros(half + 1 + 2 * band, dtype=np.complex128)
-
-    def extend(h):  # ext holds h_m for m = -K..len(h)-1+K, zero past h
-        w = h.shape[0]
-        ext[band: band + w] = h
-        if w <= half:  # the K entries past n/2 are never written: they stay zero
-            ext[band + w: 2 * band + w] = 0.0
-        ext[:band] = np.conj(ext[2 * band: band: -1])
-
-    floor = _BAND_FLOOR * np.max(np.abs(a))
-    # (a_j, start of h_{k-j} in ext) for j = 0, +-1..+-K, round-off left out
-    taps = [(a[0], band)] + [(a[j], band - j) for j in range(1, band + 1)]
-    taps += [(np.conj(a[j]), band + j) for j in range(1, band + 1)]
-    kept = [(coef, start) for coef, start in taps if abs(coef) > floor] or taps[:1]
-    extend(_dx_sigma(n, 1))  # ext holds the symbol i xi_m for now, zero at the Nyquist entry
-    # (a_j i xi_{k-j}, the view of ext that holds h_{k-j} in each call)
-    diagonals = [(coef * ext[start: start + half + 1], ext[start: start + half + 1]) for coef, start in kept]
-    # the last call's width and its views: the first diagonal, the rest
-    width, (first, first_shifted), rest = half + 1, diagonals[0], diagonals[1:]
-
-    def rhs(h):
-        nonlocal width, first, first_shifted, rest
-        if h.shape[0] != width:
-            width = h.shape[0]
-            (first, first_shifted), *rest = [(diagonal[:width], shifted[:width]) for diagonal, shifted in diagonals]
-        extend(h)
-        out = first * first_shifted
-        for diagonal, shifted in rest:
-            out += diagonal * shifted
-        out[0] = out[0].real
-        if width > half:
-            out[half] = 2.0 * out[half].real
-        return out
-
-    return rhs
-
-
-def _transport_rhs(a: np.ndarray, n: int):
-    """(h -> P_n(a * h_x), reach): banded when a has at most _BAND_MAX modes, else
-    padded.  reach is the band K, the modes one call can add past the support of
-    h; the padded form takes only full half spectra, and its reach is n/2 + 1."""
-    band = _band(a)
-    if band <= _BAND_MAX and band < n // 2:
-        return _banded_transport(a[: band + 1], n), band
-    return _padded_transport(a, n), n // 2 + 1
-
-
-def _transport_step(h: np.ndarray, rhs, dt: float) -> np.ndarray | None:
-    """One RK4 step of the linear flow h' = A h, A = rhs, as RK4's polynomial in
-    Horner form, h + dt*A(h + (dt/2)*A(h + (dt/3)*A(h + (dt/4)*A h))): 4 calls and
-    no stage sum, each stage formed in place on the fresh array rhs returns, never
-    in h.  `_finite_rows` of it: a stage that overflows fails the step.
-
-    With the banded rhs, h may be a prefix h[:w] of a state that is zero past
-    w - 4K: each call adds at most K modes, so the step is the full step's first
-    w modes, bit for bit, and the full step is exactly 0 past them."""
-    g = h
-    with np.errstate(over="ignore", invalid="ignore"):
+def _horner(rhs):
+    """advance(h, dt): one RK4 step of the linear flow h' = A h, A = rhs, as RK4's
+    polynomial in Horner form, h + dt*A(h + (dt/2)*A(h + (dt/3)*A(h + (dt/4)*A h))):
+    4 calls and no stage sum, each stage formed in place on the fresh array rhs
+    returns, never in h."""
+    def advance(h, dt):
+        g = h
         for c in (0.25 * dt, dt / 3.0, 0.5 * dt, dt):
             g = rhs(g)
             g *= c
             g += h
-    return _finite_rows(g)
+        return g
+
+    return advance
+
+
+def _band_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product of two banded matrices stored by diagonals over the same rows.
+
+    Row r of x holds entries (r, r + d) for |d| <= K in x[:, r], d = -K first, and
+    likewise y with its band B; the product has band K + B.  Rows of y outside the
+    stored ones count as zero."""
+    band, rows = (x.shape[0] - 1) // 2, x.shape[1]
+    z = np.zeros((x.shape[0] + y.shape[0] - 1, rows), dtype=np.complex128)
+    for i in range(x.shape[0]):
+        d = i - band
+        lo, hi = max(0, -d), min(rows, rows - d)
+        z[i: i + y.shape[0], lo:hi] += x[i, lo:hi] * y[:, lo + d: hi + d]
+    return z
+
+
+def _step_map(powers, dt: float) -> np.ndarray:
+    """RK4's step map M(dt) = I + dt A + (dt^2/2) A^2 + (dt^3/6) A^3 + (dt^4/24) A^4
+    by diagonals, from powers = [A, A^2, A^3, A^4] by diagonals, the smallest
+    term first."""
+    band = (powers[0].shape[0] - 1) // 2
+    m = powers[3] * (dt * dt * dt * dt / 24.0)
+    for p, c in ((3, dt * dt * dt / 6.0), (2, 0.5 * dt * dt), (1, dt)):
+        m[(4 - p) * band: (4 + p) * band + 1] += c * powers[p - 1]
+    m[4 * band] += 1.0
+    return m
+
+
+def _banded_step(a: np.ndarray, n: int, rows: int):
+    """advance(h, dt): one RK4 step of h' = P_n(a * h_x), for a with modes 0..K only
+    (K = len(a) - 1 < n/2), as one (8K+1)-diagonal map on prefixes h[:w] of a half
+    spectrum, w <= rows <= n/2 + 1, that is zero past w - 4K.
+
+    On the full spectrum, modes -n/2..n/2, A = P_n(a d/dx) is complex-linear with
+    2K+1 diagonals: mode k of A h is sum_j a_j (i xi_{k-j}) h_{k-j} over |j| <= K,
+    a_{-j} = conj(a_j), and the rows past +-n/2 are cut.  A tap a_j at or under
+    the round-off floor is left out.  RK4's step is the polynomial M(dt) in A,
+    which has 8K+1 diagonals.  The powers of A are composed once, by banded
+    products, and M(dt) once per distinct dt, for rows 0..rows-1 only; those read
+    the rows of A from -3K to rows - 1 + 3K and no further.
+
+    Mode k of M h reads h_m for |k - m| <= 4K, so a call extends h by 4K
+    conjugated modes below 0 and 4K zeros past its end, in one buffer made once,
+    and sums the diagonals times one window each of that buffer.  The symbol
+    i xi is zero at +-n/2, so the map's column there is zero and no mode reads
+    the Nyquist slot; at full width that slot folds in the +-n/2 pair, 2 Re,
+    and the mean is real.  The call returns
+    the first w modes of the full-width call, bit for bit, and the full call is
+    exactly 0 past them; the probe's widths are at least 1 + 4K, and at K >= 1
+    a width of 1 would not do, since numpy sums a lone column in another order.
+    Each call returns a fresh array.
+    """
+    band, half = a.shape[0] - 1, n // 2
+    reach = 4 * band
+    floor = _BAND_FLOOR * np.max(np.abs(a))
+    taps = np.where(np.abs(a) > floor, a, 0.0)
+    # A over the modes lo..hi-1, by diagonals: its entry at (k, k + d) is a_{-d} i xi_{k+d}
+    lo, hi = max(-half, -3 * band), min(half + 1, rows + 3 * band)
+    columns = np.arange(lo, hi)[None, :] + np.arange(-band, band + 1)[:, None]
+    symbol = np.where(np.abs(columns) < half, 1j * (TWO_PI * columns), 0.0)
+    powers = [np.concatenate([taps[:0:-1], taps[:1], np.conj(taps[1:])])[:, None] * symbol]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the first step
+        for _ in range(3):
+            powers.append(_band_product(powers[0], powers[-1]))
+    maps = {}
+    ext = np.zeros(rows + 2 * reach, dtype=np.complex128)
+    windows = np.lib.stride_tricks.sliding_window_view(ext, rows)  # windows[i, k] is h_{k+i-4K}
+
+    def advance(h, dt):
+        matrix = maps.get(dt)
+        if matrix is None:
+            matrix = maps[dt] = np.ascontiguousarray(_step_map(powers, dt)[:, -lo: rows - lo])
+        w = h.shape[0]
+        ext[reach: reach + w] = h
+        if w < rows:
+            ext[reach + w: 2 * reach + w] = 0.0
+        ext[:reach] = np.conj(ext[2 * reach: reach: -1])
+        out = (matrix[:, :w] * windows[:, :w]).sum(axis=0)
+        out[0] = out[0].real
+        if w > half:
+            out[half] = 2.0 * out[half].real - h[half]
+        return out
+
+    return advance
+
+
+def _transport_advance(a: np.ndarray, n: int, width: int, steps: int):
+    """(advance, reach) for up to `steps` RK4 steps of h' = P_n(a * h_x) from a half
+    spectrum zero past its first `width` modes: advance(h, dt) is one step.  Banded
+    when a has at most _BAND_MAX modes, else Horner's form over the 2n-point
+    transform pair.  reach is the band K: a step adds at most 4K modes past the
+    support of h.  The padded form takes only full half spectra, and its reach is
+    n/2 + 1."""
+    band, full = _band(a), n // 2 + 1
+    if band <= _BAND_MAX and band < n // 2:
+        return _banded_step(a[: band + 1], n, min(full, width + 4 * band * steps)), band
+    return _horner(_padded_transport(a, n)), full
+
+
+def _transport_step(h: np.ndarray, advance, dt: float) -> np.ndarray | None:
+    """One RK4 step advance(h, dt) of the linear flow, `_finite_rows` of it: a step
+    that overflows fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_rows(advance(h, dt))
+
+
+def _walk(dt: float, sample_ts):
+    """The steps of at most dt from t = 0 that land on each sample time in turn:
+    (step, t) for each step, t the time it reaches, then (None, ts) at each
+    sample time ts."""
+    t = 0.0
+    for ts in sample_ts:
+        while t < ts - _LANDING_TOL:
+            step = min(dt, ts - t)
+            t = ts if ts - (t + step) < _LANDING_TOL else t + step
+            yield step, t
+        yield None, t
 
 
 _SEMIGROUP_ARGUMENTS = {"t_end": _span, "cfl": _positive, "tail_rel_max": _positive, "tolerance": _number}
@@ -236,13 +288,15 @@ def semigroup_probe(
     """Check ||w(t)||_0 <= exp(omega*t) ||w0||_0 for w_t = a(x) w_x.
 
     The linear flow is advanced pseudospectrally with RK4 (`_transport_step`)
-    under an advective CFL step; omega = sup|a_x|/2.  The right-hand side
-    P_n(a*w_x) is a banded convolution on the half spectrum when a has at most
-    _BAND_MAX modes above 64*eps*max|a_k|, else a 2n-point transform pair.
-    One banded step adds at most 4K modes to the support of w, K the band of
-    a, so each step runs on the first min(n/2 + 1, width + 4K) modes, width
-    the last step's (at first, 1 + w0's last nonzero mode); the modes past it
-    are exact zeros in a full-width step, so the ratios are the same bits.
+    under an advective CFL step; omega = sup|a_x|/2.  When a has at most
+    _BAND_MAX modes above 64*eps*max|a_k|, a step is one (8K+1)-diagonal map
+    on the half spectrum, K the band of a, made once per distinct step size;
+    else it is RK4's polynomial in Horner form over P_n(a*w_x) through a
+    2n-point transform pair.  One banded step adds at most 4K modes to the
+    support of w, so each step runs on the first min(n/2 + 1, width + 4K)
+    modes, width the last step's (at first, 1 + w0's last nonzero mode); the
+    modes past it are exact zeros in a full-width step, so the ratios are the
+    same bits.
     Passing means the ratio ||w(t)|| / (exp(omega*t) ||w0||), sampled at 40
     evenly spaced times, never exceeds 1 + tolerance.
     Raises InvalidProbeInput before any step if sup|a|, sup|a_x| or ||w0||
@@ -261,7 +315,6 @@ def semigroup_probe(
     if not math.isfinite(w0_norm):
         raise InvalidProbeInput(f"w0: its L2 norm {w0_norm:g} must be finite")
 
-    rhs, reach = _transport_rhs(a.coef, n)
     dt = cfl * grid.spacing / max(1.0, sup_a)
     _check_steps(InvalidProbeInput, t_end, dt)
     sample_ts = [t_end * (j + 1) / _SEMIGROUP_SAMPLES for j in range(_SEMIGROUP_SAMPLES)]
@@ -269,21 +322,21 @@ def semigroup_probe(
     full = n // 2 + 1
     support = np.flatnonzero(w0.coef)
     width = int(support[-1]) + 1 if support.size else 1
+    steps = sum(step is not None for step, _ in _walk(dt, sample_ts))
+    advance, reach = _transport_advance(a.coef, n, width, steps)
     h = w0.coef if width == full else w0.coef.copy()
-    t = 0.0
     ratios = [1.0 if w0_norm > 0.0 else 0.0]
-    for ts in sample_ts:
-        while t < ts - _LANDING_TOL:
-            step = min(dt, ts - t)
+    for step, t in _walk(dt, sample_ts):
+        if step is not None:
             width = min(full, width + 4 * reach)
-            g = _transport_step(h[:width], rhs, step)
+            g = _transport_step(h[:width], advance, step)
             if g is None:
-                raise ProbeUnresolved(f"non-finite evolution at t={t + step:.6g}")
+                raise ProbeUnresolved(f"non-finite evolution at t={t:.6g}")
             if width == full:
                 h = g
             else:
                 h[:width] = g
-            t = ts if ts - (t + step) < _LANDING_TOL else t + step
+            continue
         with np.errstate(over="ignore", invalid="ignore"):
             wn = l2_norm(h)
             lost = wn > 0.0 and spectral_tail(h) > tail_rel_max * wn

@@ -150,12 +150,16 @@ class SpectralField:
 
     def __mul__(self, scalar, divide=False):
         """The field times a real scalar, or over it if divide; a bool or other value is a
-        TypeError, and an overflow or a zero divisor InvalidField, with no warning."""
+        TypeError, and an overflow, a zero divisor or an int past the float range
+        InvalidField, with no warning."""
         if isinstance(scalar, SpectralField):
             raise TypeError("use dealiased_product for field*field")
         if isinstance(scalar, bool) or not isinstance(scalar, numbers.Real):
             raise TypeError("only real scalars keep the field real")
-        factor = float(scalar)
+        try:
+            factor = float(scalar)
+        except OverflowError:  # the int is not printed: past 4300 digits str() refuses it
+            raise InvalidField("the scalar is an integer past the float range") from None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return SpectralField(self.grid, self.coef * (np.divide(1.0, factor) if divide else factor))
 

@@ -159,13 +159,14 @@ class TestSemigroupProbe:
         }[w0_kind]()
         assert probes._band(a.coef) == {"sine": 1, "constant": 0, "band-5": 5}[a_kind]
         transport_step, widths = probes._transport_step, []
+        full_width, _ = full_width_advance(a)
 
-        def stepped(h, rhs, dt):  # the full step of each prefix is 0 past it
+        def stepped(h, advance, dt):  # the full step of each prefix is 0 past it
             whole = np.zeros(n // 2 + 1, dtype=np.complex128)
             whole[: len(h)] = h
-            assert not np.any(transport_step(whole, rhs, dt)[len(h):])
+            assert not np.any(transport_step(whole, full_width, dt)[len(h):])
             widths.append(len(h))
-            return transport_step(h, rhs, dt)
+            return transport_step(h, advance, dt)
 
         monkeypatch.setattr(probes, "_transport_step", stepped)
         before = w0.coef.tobytes()
@@ -208,10 +209,16 @@ class TestSemigroupProbe:
         assert repr(r1) == repr(r2) == repr(r3)
 
 
+def full_width_advance(a):
+    """The probe's step for a on every mode of the half spectrum, and its reach."""
+    n = a.grid.n_points
+    return probes._transport_advance(a.coef, n, n // 2 + 1, 1)
+
+
 def full_width_ratios(a, w0, t_end, cfl):
     """semigroup_probe's ratios from a loop that steps every mode of the half
-    spectrum, the state past the support included."""
-    rhs, _ = probes._transport_rhs(a.coef, a.grid.n_points)
+    spectrum, the state past the support included, with the probe's step."""
+    advance, _ = full_width_advance(a)
     dt = cfl * a.grid.spacing / max(1.0, sup_norm(a))
     omega, w0_norm = 0.5 * sup_norm_dx(a), l2_norm(w0)
     h, t, ratios = w0.coef, 0.0, [1.0 if w0_norm > 0.0 else 0.0]
@@ -219,7 +226,7 @@ def full_width_ratios(a, w0, t_end, cfl):
         ts = t_end * (j + 1) / probes._SEMIGROUP_SAMPLES
         while t < ts - _LANDING_TOL:
             step = min(dt, ts - t)
-            h = probes._transport_step(h, rhs, step)
+            h = probes._transport_step(h, advance, step)
             t = ts if ts - (t + step) < _LANDING_TOL else t + step
         ratios.append(l2_norm(h) / (math.exp(omega * t) * w0_norm) if w0_norm > 0.0 else 0.0)
     return tuple(ratios)
@@ -271,68 +278,100 @@ def assert_prefix_is_exact(call, cut, wide):
     assert not np.any(whole[wide:]), wide
 
 
+def band_limited(n, band):
+    """Half spectrum on n points of a real a with modes 0..band set."""
+    a = np.zeros(n // 2 + 1, dtype=np.complex128)
+    a[: band + 1] = full_band(band + 1, [n, band])[: band + 1]
+    return a
+
+
+def probe_dt(n, a):
+    return 0.3 / n / max(1.0, 2.0 * np.sum(np.abs(a)))  # under the probe's cfl step
+
+
 class TestTransportRightHandSides:
-    """The banded and padded forms of P_n(a * h_x) are each other's oracle."""
+    """The banded step map and Horner's step over the padded P_n(a * h_x) are each other's oracle."""
 
     @pytest.mark.parametrize("n", [16, 64, 512, 4096])
-    def test_banded_matches_padded(self, n):
-        # a_0 at or under the round-off floor is left out, so the band is a's
-        # without it, bit for bit; over the floor it is kept.  Leaving out a
-        # tap at the floor moves P_n(a * h_x) by up to 64 eps / sqrt(2) of it
-        # at band 1 (1.02e-14 at n = 4096), so that case is held to the floor
+    def test_map_matches_padded_horner(self, n):
+        # the map sums its products in another order than four calls do: at
+        # most 2.7e-16 relative over these draws, held to 1e-13.  a_0 at or
+        # under the round-off floor is left out, so the map is a's without it,
+        # bit for bit; over the floor it is kept
+        full = n // 2 + 1
         for band in range(probes._BAND_MAX + 1):
-            a = np.zeros(n // 2 + 1, dtype=np.complex128)
-            a[: band + 1] = full_band(band + 1, [n, band])[: band + 1]
+            a = band_limited(n, band)
             h = full_band(n // 2, [n, band, 1])
-            rhs = probes._banded_transport(a[: band + 1], n)
-            banded = rhs(h)
-            assert rel_diff(banded, probes._padded_transport(a, n)(h)) <= 1e-14, band
-            # a state zero past w: the prefix of w + K modes holds every nonzero output
-            for w, cut in cut_states(h, band):
-                assert_prefix_is_exact(rhs, cut, w + band)
+            dt = probe_dt(n, a)
+            padded = probes._horner(probes._padded_transport(a, n))
+            advance, reach = probes._transport_advance(a, n, full, 1)
+            assert reach == band
+            before = h.tobytes()
+            step = advance(h, dt)
+            assert h.tobytes() == before  # the map reads h, never writes it
+            assert step[0].imag == 0.0 and step[-1].imag == 0.0
+            assert rel_diff(step, padded(h, dt)) <= 1e-13, band
+            # a state zero past w: the prefix of w + 4K modes holds every nonzero
+            # mode of the step, and the mean and Nyquist paths both run
+            for w, cut in cut_states(h, 4 * band):
+                advance(h, dt)  # leaves every mode of h in the buffer, which a prefix must not read
+                assert_prefix_is_exact(lambda v: advance(v, dt), cut, w + 4 * band)
+                assert rel_diff(advance(cut, dt), padded(cut, dt)) <= 1e-13, (band, w)
             if band == 0:
                 continue
             a[0] = 0.0
-            without = probes._banded_transport(a[: band + 1], n)(h)
+            without = probes._transport_advance(a, n, full, 1)[0](h, dt)
             floor = probes._BAND_FLOOR * np.max(np.abs(a))
-            for scale, bound in ((0.5, 1e-14), (1.0, probes._BAND_FLOOR), (2.0, 1e-14)):
+            for scale in (0.5, 1.0, 2.0):
                 a[0] = scale * floor
-                banded = probes._banded_transport(a[: band + 1], n)(h)
-                assert (banded.tobytes() == without.tobytes()) == (scale <= 1.0), (band, scale)
-                assert rel_diff(banded, probes._padded_transport(a, n)(h)) <= bound, (band, scale)
+                step = probes._transport_advance(a, n, full, 1)[0](h, dt)
+                assert (step.tobytes() == without.tobytes()) == (scale <= 1.0), (band, scale)
+                assert rel_diff(step, probes._horner(probes._padded_transport(a, n))(h, dt)) <= 1e-13, (band, scale)
 
     @pytest.mark.parametrize("n", [16, 64, 512, 4096])
     def test_step_is_classical_rk4(self, n):
         # Horner's form of RK4's polynomial rounds apart from the stage sum:
         # at most 1.2e-16 relative over these draws, rounded up
         for band in range(probes._BAND_MAX + 1):
-            a = np.zeros(n // 2 + 1, dtype=np.complex128)
-            a[: band + 1] = full_band(band + 1, [n, band])[: band + 1]
+            a = band_limited(n, band)
             h = full_band(n // 2, [n, band, 1])
-            dt = 0.3 / n / max(1.0, 2.0 * np.sum(np.abs(a)))  # under the probe's cfl step
+            dt = probe_dt(n, a)
             before = h.tobytes()
-            banded = probes._banded_transport(a[: band + 1], n)
-            for rhs in (banded, probes._padded_transport(a, n)):
-                calls = []
-                step = probes._transport_step(h, lambda v: calls.append(1) or rhs(v), dt)
-                assert len(calls) == 4
-                assert h.tobytes() == before  # the stages run in place, never in h
-                assert rel_diff(step, rk4_reference(h, rhs, dt)) <= 2e-16, band
-            # four banded calls add at most 4K modes to the support
-            for w, cut in cut_states(h, 4 * band):
-                assert_prefix_is_exact(lambda v: probes._transport_step(v, banded, dt), cut, w + 4 * band)
+            rhs, calls = probes._padded_transport(a, n), []
+            step = probes._transport_step(h, probes._horner(lambda v: calls.append(1) or rhs(v)), dt)
+            assert len(calls) == 4
+            assert h.tobytes() == before  # the stages run in place, never in h
+            assert rel_diff(step, rk4_reference(h, rhs, dt)) <= 2e-16, band
 
     @pytest.mark.parametrize("n", [16, 64, 512, 4096])
     def test_sampled_sine_sits_on_the_floor(self, n):
-        # sampling leaves round-off in every mode; the floor still finds band 1
+        # sampling leaves round-off in every mode; the floor still finds band 1,
+        # and the step leaves that round-off out: 2.0e-16 relative at most
         a = from_physical(np.sin(TWO_PI * Grid(n).x), Grid(n)).coef
         assert np.any(a[2:] != 0.0)
         assert probes._band(a) == 1
         h = full_band(n // 2, n)
-        rhs, reach = probes._transport_rhs(a, n)
+        dt = probe_dt(n, a)
+        advance, reach = probes._transport_advance(a, n, n // 2 + 1, 1)
         assert reach == 1
-        banded = rhs(h)
-        assert rel_diff(banded, probes._padded_transport(a, n)(h)) <= 1e-14
+        padded = probes._horner(probes._padded_transport(a, n))
+        assert rel_diff(advance(h, dt), padded(h, dt)) <= 1e-13
+
+    def test_one_map_per_step_size(self, monkeypatch):
+        # the probe composes A's powers once and M(dt) once per distinct step size
+        g = Grid(512)
+        a = from_physical(np.sin(TWO_PI * g.x), g)
+        products, maps = [], []
+        band_product, step_map = probes._band_product, probes._step_map
+        monkeypatch.setattr(probes, "_band_product", lambda x, y: products.append(1) or band_product(x, y))
+        monkeypatch.setattr(probes, "_step_map", lambda powers, dt: maps.append(dt) or step_map(powers, dt))
+        semigroup_probe(a, random_trig_polynomial(g, 0, 1, 1.0), 0.25, cfl=0.5)
+        sample_ts = [0.25 * (j + 1) / probes._SEMIGROUP_SAMPLES for j in range(probes._SEMIGROUP_SAMPLES)]
+        dt = 0.5 * g.spacing / max(1.0, sup_norm(a))
+        sizes = {step for step, _ in probes._walk(dt, sample_ts) if step is not None}
+        assert len(products) == 3
+        assert sorted(maps) == sorted(sizes)
+        assert dt in maps and 2 <= len(maps) <= 9
 
     @pytest.mark.parametrize("a_of, per_stage", [
         (lambda g: from_physical(np.sin(TWO_PI * g.x), g), 0),
@@ -540,6 +579,11 @@ def test_t_end_within_landing_tolerance_is_invalid_probe_input(probe, t_end):
     ("semigroup", {"tail_rel_max": math.nan}),
     ("mollified_data", {"n_sequence": [2.5, 4]}),
     ("convergence", {"dts": [-1.0, 0.005, 0.0025]}),
+], ids=[
+    "continuous_dependence-negative-cfl", "continuous_dependence-zero-cfl", "continuous_dependence-nan-cfl",
+    "mollified_data-negative-cfl", "mollified_data-nan-cfl",
+    "semigroup-negative-cfl", "semigroup-zero-cfl", "semigroup-nan-cfl", "semigroup-nan-t_end",
+    "semigroup-nan-tail_rel_max", "mollified_data-fractional-n_sequence", "convergence-negative-dt",
 ])
 def test_arguments_that_would_hang_or_pass_vacuously_are_invalid(probe, kwargs, no_hang):
     # a negative cfl halved toward -0.0 never fits under a negative step

@@ -194,6 +194,19 @@ def test_field_arithmetic_that_overflows_is_an_invalid_field_without_a_warning(o
                 combine()
 
 
+@pytest.mark.parametrize("op", sorted(SCALAR_OPS))
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_an_integer_past_the_float_range_is_an_invalid_field(op, digits):
+    # u * 10**400, 10**400 * u and u / 10**400 ended in float()'s OverflowError;
+    # an integer of 5000 digits has no str() to put in the message
+    g = Grid(16)
+    u = from_physical(np.cos(TWO_PI * g.x), g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidField, match="^the scalar is an integer past the float range$"):
+            SCALAR_OPS[op](u, 10 ** digits)
+
+
 class TestMultipliers:
     def test_derivative_eigenaction(self):
         g = Grid(64)
